@@ -29,11 +29,12 @@ from .chains import (
 from .core import QuandleTable
 from .errors import (
     DegreeMismatch,
+    InvalidCocycle,
     SizeGuardExceeded,
     SubcomplexClosureViolated,
 )
 from .identities import Word
-from .linalg import SmithForm, smith_normal_form, hermite_normal_form  # noqa: F401
+from .linalg import smith_normal_form
 
 COMPLEXES = ("rack", "quandle", "degenerate", "identity")
 
@@ -405,7 +406,10 @@ def cocycle_space(X: QuandleTable, modulus: int,
                          generators=tuple(gens), orders=tuple(orders),
                          size=size)
     for gen in space.generators:
-        assert cocycle_condition_holds(X, gen, mode=mode)
+        if not cocycle_condition_holds(X, gen, mode=mode):
+            raise InvalidCocycle(
+                f"cocycle_space produced a generator that fails the "
+                f"{mode} 2-cocycle condition mod {modulus}")
     return space
 
 

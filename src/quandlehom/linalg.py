@@ -2,10 +2,14 @@
 and lattice membership.
 
 Everything is arbitrary-precision: matrices are plain nested lists of Python
-ints.  The lattice class keeps an int64 numpy fast path for the bulk
-membership solves; every single elimination step is bounded (entries stay
-below 2^30 so products stay below 2^60) and the lattice falls back to exact
-Python integers the moment a bound would be crossed.
+ints.  A Smith form without transforms starts sparse: it eliminates +-1
+pivots in least Markowitz cost order, each an invariant factor 1, and hands
+only the residual core to the dense minimal-pivot elimination, which also
+serves every request for the transforms U and V.  The lattice class keeps an
+int64 numpy fast path for the bulk membership solves; every single
+elimination step is bounded (entries stay below 2^30 so products stay below
+2^60) and the lattice falls back to exact Python integers the moment a bound
+would be crossed.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
     cols = len(B[0]) if inner else 0
     Bt = transpose(B)
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
-def mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
 def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
@@ -136,7 +136,90 @@ class SmithForm:
 
 def smith_normal_form(mat: Sequence[Sequence[int]],
                       with_transforms: bool = True) -> SmithForm:
-    """Smith normal form with deterministic minimal-pivot elimination."""
+    """Smith normal form of an integer matrix, exactly.
+
+    With transforms, the whole matrix goes through the dense minimal-pivot
+    elimination, which also accumulates U and V.  Without them, the sparse
+    route runs first: entries equal to +-1 are eliminated one at a time in
+    least Markowitz cost order, each contributing an invariant factor 1, and
+    the dense elimination then runs only on the residual core of rows and
+    columns that are still nonzero.
+    """
+    if with_transforms:
+        return _dense_smith(mat, with_transforms=True)
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    units, core = _eliminate_unit_pivots(mat)
+    facs = _dense_smith(core, with_transforms=False).invariant_factors
+    return SmithForm(shape=(m, n), invariant_factors=(1,) * units + facs,
+                     U=None, V=None)
+
+
+def _eliminate_unit_pivots(mat: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
+    """Schur-complement elimination on +-1 pivots of least Markowitz cost.
+
+    A unit pivot keeps every entry integral and splits off one invariant
+    factor 1, so the Smith form of the input is (1,) * count followed by
+    the Smith form of the returned dense core.
+    """
+    rows: dict[int, dict[int, int]] = {}         # row -> {col: value}
+    cols: dict[int, set[int]] = {}               # col -> rows holding it
+    for i, row in enumerate(mat):
+        entries = {j: int(v) for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    while rows:
+        # scan columns from the shortest up; a column of count c cannot beat
+        # (c-1) times the shortest row's cost factor
+        rmin = min(map(len, rows.values())) - 1
+        by_count: dict[int, list[int]] = {}
+        for j, held in cols.items():
+            if held:
+                by_count.setdefault(len(held), []).append(j)
+        best = None
+        for c in sorted(by_count):
+            if best is not None and (c - 1) * rmin >= best[0]:
+                break
+            for j in by_count[c]:
+                for i in cols[j]:
+                    v = rows[i][j]
+                    if v == 1 or v == -1:
+                        cost = (c - 1) * (len(rows[i]) - 1)
+                        if best is None or cost < best[0]:
+                            best = (cost, i, j)
+        if best is None:
+            break
+        _, p, q = best
+        prow = rows.pop(p)
+        u = prow.pop(q)
+        for j in prow:
+            cols[j].discard(p)
+        for i in cols.pop(q):
+            if i == p:
+                continue
+            row = rows[i]
+            f = row.pop(q) * u                   # u is its own inverse
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        units += 1
+    live = sorted(j for j, held in cols.items() if held)
+    return units, [[row.get(j, 0) for j in live] for row in rows.values()]
+
+
+def _dense_smith(mat: Sequence[Sequence[int]],
+                 with_transforms: bool) -> SmithForm:
+    """Deterministic minimal-pivot elimination on the dense matrix."""
     A = copy_matrix(mat)
     m = len(A)
     n = len(A[0]) if m else 0
@@ -515,21 +598,6 @@ class IntLattice:
         if any(res):
             return None
         return coords
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with s*a + t*b = g = gcd(a, b), g > 0 for nonzero input."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def lattice_from_rows(rows: Sequence[Sequence[int]], dim: int) -> IntLattice:

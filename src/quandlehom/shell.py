@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -539,6 +540,8 @@ def cli(argv: Sequence[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _dispatch(args, argv, started)
+    except BrokenPipeError:
+        return EXIT_OK             # the reader closed early, as `| head` does
     except (ParseError, MissingDataset, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -751,7 +754,13 @@ def _read_zero_based_matrix(path: str) -> list[list[int]]:
 
 
 def main() -> None:
-    sys.exit(cli(sys.argv[1:]))
+    code = cli(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # drop what is still buffered, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

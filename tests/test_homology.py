@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from quandlehom.chains import FormalChain, identity_cycle
@@ -9,9 +11,10 @@ from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
                                  cocycle_space, evaluate_cocycle, homology)
 from quandlehom.identities import Assignment, parse_word
 from quandlehom.linalg import mat_mul, rank_fraction_free, smith_normal_form
-from quandlehom.constructions import trivial
-from quandlehom.errors import DegreeMismatch, SizeGuardExceeded, \
-    SubcomplexClosureViolated
+from quandlehom.constructions import alexander_zn, dihedral, trivial
+from quandlehom.core import inner_group
+from quandlehom.errors import DegreeMismatch, InvalidCocycle, \
+    SizeGuardExceeded, SubcomplexClosureViolated
 
 
 def test_boundary_matrix_trivial_order1(triv1):
@@ -272,3 +275,104 @@ def test_identity_complex_rank_consistency(dih3, gf4):
                     if bn1.matrix else 0
                 assert r_n + r_up <= dim
                 assert h.free_rank == dim - r_n - r_up
+
+
+def test_cocycle_space_rejects_a_failing_generator(dih3, monkeypatch):
+    """The self-check on the generators raises a named error, which
+    `python -O` would not strip as it strips an assert."""
+    # the package re-exports a function under the module's name
+    hm = importlib.import_module("quandlehom.homology")
+    monkeypatch.setattr(hm, "cocycle_condition_holds",
+                        lambda X, phi, mode="rack": False)
+    with pytest.raises(InvalidCocycle):
+        hm.cocycle_space(dih3, 3, mode="quandle")
+
+
+# ------------------------------------------- theorem oracles at degree 3
+
+def _orbit_count(X):
+    """Orbits of x -> x*y by union-find on the table."""
+    parent = list(range(X.order))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in range(X.order):
+        for y in range(X.order):
+            parent[find(x)] = find(X.rows[x][y])
+    return len({find(x) for x in range(X.order)})
+
+
+def _prime_powers(torsion):
+    """Primary decomposition: the sorted prime-power cyclic factors."""
+    out = []
+    for d in torsion:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def _primes(d):
+    return {q for q in range(2, d + 1)
+            if d % q == 0 and all(q % k for k in range(2, q))}
+
+
+@pytest.mark.parametrize("X", [dihedral(7), alexander_zn(7, 3)],
+                         ids=["dihedral(7)", "alexander_zn(7,3)"])
+def test_degree3_betti_splitting_and_torsion_primes(X):
+    """Betti numbers o^n and o(o-1)^(n-1), the splitting
+    H^R = H^Q + H^D, and torsion primes dividing |Inn X|, at degree 3."""
+    o = _orbit_count(X)
+    inn = len(inner_group(X))
+    H = {fl: homology(X, fl, 3) for fl in ("rack", "quandle", "degenerate")}
+    assert H["rack"].free_rank == o ** 3
+    assert H["quandle"].free_rank == o * (o - 1) ** 2
+    assert H["rack"].free_rank == \
+        H["quandle"].free_rank + H["degenerate"].free_rank
+    assert _prime_powers(H["rack"].torsion) == \
+        _prime_powers(H["quandle"].torsion + H["degenerate"].torsion)
+    for group in H.values():
+        for d in group.torsion:
+            assert all(inn % p == 0 for p in _primes(d))
+
+
+def _rank_mod(mat, p):
+    """Rank over Z/p by dense row reduction; entries stay below p^2 < 2^63."""
+    A = np.array(mat, dtype=np.int64) % p
+    m, n = A.shape
+    rank = 0
+    for col in range(n):
+        nz = np.nonzero(A[rank:, col])[0]
+        if not nz.size:
+            continue
+        k = rank + int(nz[0])
+        A[[rank, k]] = A[[k, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, col]), -1, p) % p
+        below = rank + 1 + np.nonzero(A[rank + 1:, col])[0]
+        A[below] = (A[below] - A[below, col][:, None] * A[rank]) % p
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def test_gf8_quandle_h3_against_ranks_mod_p(oct_b):
+    """H^Q_3 of GF8: Betti free rank, 2-primary torsion, and as many
+    factors as the rank of d_4 drops from mod 1,000,003 to mod 2."""
+    o = _orbit_count(oct_b)
+    h3 = homology(oct_b, "quandle", 3)
+    assert h3.free_rank == o * (o - 1) ** 2
+    assert all(d & (d - 1) == 0 for d in h3.torsion)
+    d4 = boundary_matrix(oct_b, "quandle", 4).matrix
+    assert len(h3.torsion) == _rank_mod(d4, 1_000_003) - _rank_mod(d4, 2)
+    assert h3.torsion

@@ -1,9 +1,15 @@
 import math
 import random
 
-from quandlehom.linalg import (det_bareiss, hermite_normal_form,
-                               kernel_basis, lattice_from_rows, mat_mul,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quandlehom.homology import boundary_matrix
+from quandlehom.linalg import (_eliminate_unit_pivots, det_bareiss,
+                               hermite_normal_form, kernel_basis,
+                               lattice_from_rows, mat_mul,
                                rank_fraction_free, smith_normal_form)
+from quandlehom.shell import corpus
 
 
 def naive_invariant_factors(mat):
@@ -95,6 +101,83 @@ def test_snf_permutation_invariance():
         permuted = [[mat[i][j] for j in cols] for i in rows]
         assert smith_normal_form(mat, with_transforms=False).invariant_factors \
             == smith_normal_form(permuted, with_transforms=False).invariant_factors
+
+
+# ------------------------------- sparse route against the dense route
+
+def assert_routes_agree(mat):
+    """The sparse unit-pivot route (no transforms) and the dense route
+    (with verified transforms) give the same invariant factors."""
+    dense = smith_normal_form(mat, with_transforms=True)
+    assert dense.check(mat)
+    sparse = smith_normal_form(mat, with_transforms=False)
+    assert sparse.shape == dense.shape
+    assert sparse.invariant_factors == dense.invariant_factors
+
+
+@st.composite
+def sparse_matrices(draw, values=(-1, 1, -2, 2, 3)):
+    """Random sparse matrices, optionally with a zero row, a zero column
+    and a duplicated column spliced in."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    density = draw(st.sampled_from((0.15, 0.3, 0.6)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    mat = [[rng.choice(values) if rng.random() < density else 0
+            for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        mat.insert(rng.randrange(m + 1), [0] * n)
+    if draw(st.booleans()):
+        at = rng.randrange(n + 1)
+        mat = [row[:at] + [0] + row[at:] for row in mat]
+    if draw(st.booleans()):
+        src = rng.randrange(len(mat[0]))
+        mat = [row + [row[src]] for row in mat]
+    return mat
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_matrices())
+def test_sparse_route_matches_dense(mat):
+    assert_routes_agree(mat)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_matrices(values=(-2, 2, 3, -4, 6)))
+def test_sparse_route_core_only(mat):
+    """No entry is a unit, so the dense core does all the work."""
+    units, core = _eliminate_unit_pivots(mat)
+    assert units == 0
+    assert sum(map(any, core)) == sum(map(any, mat))
+    assert_routes_agree(mat)
+
+
+@pytest.mark.parametrize("mat", [
+    [], [[], []], [[0]], [[0, 0, 0]], [[0] * 4 for _ in range(3)],
+    [[1, 2, 3]], [[2, 4, -6]], [[0, -1, 0]], [[3], [0], [-2]],
+    [[1, 1], [1, 1]], [[2, 0], [0, 3]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
+])
+def test_sparse_route_edge_shapes(mat):
+    assert_routes_agree(mat)
+
+
+SNF_CELL_BUDGET = 40_000     # rows * cols; larger corpus matrices are skipped
+
+
+def test_sparse_route_matches_dense_on_corpus_boundaries():
+    checked = 0
+    for _name, X in corpus():
+        for flavour in ("rack", "quandle", "degenerate"):
+            for degree in (2, 3, 4):
+                bm = boundary_matrix(X, flavour, degree)
+                rows, cols = bm.shape
+                if not 0 < rows * cols <= SNF_CELL_BUDGET:
+                    continue
+                dense = smith_normal_form(bm.matrix, with_transforms=True)
+                sparse = smith_normal_form(bm.matrix, with_transforms=False)
+                assert sparse.invariant_factors == dense.invariant_factors
+                checked += 1
+    assert checked >= 50
 
 
 def test_rank_agreement():

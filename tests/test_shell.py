@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import quandlehom
 from quandlehom.constructions import alexander_zn, dihedral
 from quandlehom.errors import MissingDataset, ParseError
 from quandlehom.shell import (cli, corpus, emit, load, load_dataset, loads,
@@ -183,6 +188,39 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2                        # census without --dataset
     code, _ = run_cli(["nonsense"])
     assert code == 2                        # usage
+
+
+def _module_cli(args, **popen):
+    """Start `python -m quandlehom` on this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(quandlehom.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "quandlehom", *args],
+                            env=env, stderr=subprocess.PIPE, **popen)
+
+
+def test_python_m_runs_the_cli_without_warnings(tmp_path):
+    save(dihedral(5), tmp_path / "r5.txt")
+    proc = _module_cli(["info", str(tmp_path / "r5.txt"), "--json"],
+                       stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+    assert json.loads(out)["results"]["inn_order"] == 10
+
+
+@pytest.mark.parametrize("read_first", [0, 10])
+def test_cli_reader_closing_the_pipe_is_not_an_error(tmp_path, read_first):
+    """`quandlehom info T --json | head -c N`: no error line, exit 0."""
+    save(dihedral(5), tmp_path / "r5.txt")
+    with _module_cli(["info", str(tmp_path / "r5.txt"), "--json"],
+                     stdout=subprocess.PIPE) as proc:
+        proc.stdout.read(read_first)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_reproduce_all_without_dataset_skips():

@@ -46,5 +46,5 @@ print("\nCLI equivalents:")
 print("  quandlehom gen burnside 2 2 3")
 print("  quandlehom reproduce length7")
 print("  quandlehom reproduce all --dataset path/to/catalogue")
-subprocess.run([sys.executable, "-m", "quandlehom.shell", "reproduce",
-                "length7"], check=False)
+subprocess.run([sys.executable, "-m", "quandlehom", "reproduce", "length7"],
+               check=True)

@@ -5,25 +5,19 @@ Everything is arbitrary-precision: matrices are plain nested lists of Python
 ints.  A Smith form without transforms starts sparse: it eliminates +-1
 pivots in least Markowitz cost order, each an invariant factor 1, and hands
 only the residual core to the dense minimal-pivot elimination, which also
-serves every request for the transforms U and V.  The lattice class keeps an
-int64 numpy fast path for the bulk membership solves; every single
-elimination step is bounded (entries stay below 2^30 so products stay below
-2^60) and the lattice falls back to exact Python integers the moment a bound
-would be crossed.
+serves every request for the transforms U and V.  The lattice class builds
+its echelon basis by one sparse minimal-pivot column elimination in exact
+integers, on the same row/column store as the unit-pivot stage, and reduces
+query vectors against the nonzeros of its pivot rows.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 Matrix = list[list[int]]
-
-_INT64_BOUND = 1 << 30
 
 
 def identity_matrix(k: int) -> Matrix:
@@ -162,14 +156,7 @@ def _eliminate_unit_pivots(mat: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
     factor 1, so the Smith form of the input is (1,) * count followed by
     the Smith form of the returned dense core.
     """
-    rows: dict[int, dict[int, int]] = {}         # row -> {col: value}
-    cols: dict[int, set[int]] = {}               # col -> rows holding it
-    for i, row in enumerate(mat):
-        entries = {j: int(v) for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
+    rows, cols = _sparse_store(mat)
     units = 0
     while rows:
         # scan columns from the shortest up; a column of count c cannot beat
@@ -193,28 +180,52 @@ def _eliminate_unit_pivots(mat: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
         if best is None:
             break
         _, p, q = best
-        prow = rows.pop(p)
+        prow = _take_row(rows, cols, p)
         u = prow.pop(q)
-        for j in prow:
-            cols[j].discard(p)
         for i in cols.pop(q):
-            if i == p:
-                continue
-            row = rows[i]
-            f = row.pop(q) * u                   # u is its own inverse
-            for j, v in prow.items():
-                w = row.get(j, 0) - f * v
-                if w:
-                    row[j] = w
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            if not row:
-                del rows[i]
+            f = rows[i].pop(q) * u               # u is its own inverse
+            _subtract_row(rows, cols, i, f, prow)
         units += 1
     live = sorted(j for j, held in cols.items() if held)
     return units, [[row.get(j, 0) for j in live] for row in rows.values()]
+
+
+def _sparse_store(mat: Sequence[Sequence[int]]):
+    """The nonzeros of a dense matrix as row -> {col: value} maps plus
+    col -> {rows holding it} sets; zero rows are left out."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(mat):
+        entries = {j: int(v) for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    return rows, cols
+
+
+def _subtract_row(rows, cols, i: int, f: int, prow: dict[int, int]) -> None:
+    """rows[i] -= f * prow in the sparse store, keeping the column sets in
+    step; a row that becomes zero leaves the store."""
+    row = rows[i]
+    for j, v in prow.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
+            cols[j].add(i)
+        else:
+            del row[j]
+            cols[j].discard(i)
+    if not row:
+        del rows[i]
+
+
+def _take_row(rows, cols, i: int) -> dict[int, int]:
+    """Remove row i from the sparse store and return it."""
+    row = rows.pop(i)
+    for j in row:
+        cols[j].discard(i)
+    return row
 
 
 def _dense_smith(mat: Sequence[Sequence[int]],
@@ -396,18 +407,21 @@ class IntLattice:
     """Integer row lattice with an echelon basis for membership and solves.
 
     Generators accumulate through add(); the echelon basis is built in one
-    batch pass on first query (minimal-pivot column elimination, which keeps
-    entries small, unlike naive incremental insertion).  Arithmetic runs on an
-    int64 fast path with per-step overflow bounds and falls back to exact
-    Python integers if a bound would be crossed.
+    batch pass on first query.  The pass is a sparse minimal-pivot column
+    elimination in exact Python integers: column by column, the rows holding
+    the column are reduced against the one with the least absolute entry
+    until a single row, made positive, is left as that column's pivot row.
+    Picking the least entry keeps coefficients small, unlike naive
+    incremental insertion.
     """
+
+    _exact = True        # rows are Python ints; read by the bench tracer
 
     def __init__(self, dim: int):
         self.dim = dim
         self._pending: list[list[int]] = []
-        self._pivcols: list[int] = []              # sorted pivot columns
-        self._rows: list = []                      # parallel to _pivcols
-        self._exact = False                        # True -> python-int rows
+        self._pivots: list[tuple[int, dict[int, int]]] = []  # (col, sparse row)
+        self._rows: list[list[int]] = []           # the same rows, dense
         self._final = False
 
     @property
@@ -417,12 +431,7 @@ class IntLattice:
 
     def basis_vectors(self) -> list[list[int]]:
         self._finalize()
-        return [[int(v) for v in row] for row in self._rows]
-
-    @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        self._finalize()
-        return tuple(self._pivcols)
+        return [list(row) for row in self._rows]
 
     def add(self, vec) -> None:
         vals = [int(v) for v in vec]
@@ -431,163 +440,58 @@ class IntLattice:
         if self._final:
             # restart from the current basis plus the newcomer
             self._pending = self.basis_vectors() + [vals]
-            self._rows, self._pivcols = [], []
+            self._pivots, self._rows = [], []
             self._final = False
-            self._exact = False
         else:
             self._pending.append(vals)
 
-    # -- batch echelonization -------------------------------------------------
     def _finalize(self):
         if self._final:
             return
-        rows = self._pending
+        rows, cols = _sparse_store(self._pending)
         self._pending = []
         self._final = True
-        if not rows:
-            return
-        big = max(abs(v) for row in rows for v in row)
-        if big < _INT64_BOUND:
-            R = np.array(rows, dtype=np.int64)
-            out = self._echelon_np(R)
-            if out is not None:
-                self._rows, self._pivcols = out
-                self._exact = False
-                return
-        self._rows, self._pivcols = self._echelon_exact(
-            [list(row) for row in rows])
-        self._exact = True
-
-    @staticmethod
-    def _echelon_np(R: np.ndarray):
-        """Vectorized minimal-pivot echelon; None when int64 gets too hot."""
-        m, dim = R.shape
-        active = np.ones(m, dtype=bool)
-        placed: list[tuple[int, int]] = []
-        for col in range(dim):
-            colv = R[:, col]
+        for col in range(self.dim):
+            held = cols.get(col)
+            if not held:
+                continue
             while True:
-                nz = np.nonzero(active & (colv != 0))[0]
-                if nz.size <= 1:
-                    break
-                k = nz[np.argmin(np.abs(colv[nz]))]
-                if R[k, col] < 0:
-                    R[k] = -R[k]
-                piv = int(R[k, col])
-                others = nz[nz != k]
-                q = colv[others] // piv
-                R[others] -= q[:, None] * R[k][None, :]
-                if int(np.abs(R[others]).max(initial=0)) >= _INT64_BOUND:
-                    return None
-            nz = np.nonzero(active & (R[:, col] != 0))[0]
-            if nz.size:
-                k = int(nz[0])
-                if R[k, col] < 0:
-                    R[k] = -R[k]
-                active[k] = False
-                placed.append((col, k))
-        # row echelon suffices for exact reduction; normalizing entries above
-        # pivots is skipped on purpose (it cascades entry growth)
-        rows = [R[k].copy() for _, k in placed]
-        pivcols = [c for c, _ in placed]
-        return rows, pivcols
-
-    @staticmethod
-    def _echelon_exact(rows: list[list[int]]):
-        """Same elimination in exact Python integers."""
-        m = len(rows)
-        dim = len(rows[0]) if m else 0
-        active = [True] * m
-        placed: list[tuple[int, int]] = []
-        for col in range(dim):
-            while True:
-                nz = [i for i in range(m) if active[i] and rows[i][col]]
-                if len(nz) <= 1:
-                    break
-                k = min(nz, key=lambda i: abs(rows[i][col]))
-                if rows[k][col] < 0:
-                    rows[k] = [-v for v in rows[k]]
-                piv = rows[k][col]
+                k = min(held, key=lambda i: (abs(rows[i][col]), i))
                 base = rows[k]
-                for i in nz:
-                    if i != k:
-                        q = rows[i][col] // piv
-                        if q:
-                            rows[i] = [a - q * b
-                                       for a, b in zip(rows[i], base)]
-            nz = [i for i in range(m) if active[i] and rows[i][col]]
-            if nz:
-                k = nz[0]
-                if rows[k][col] < 0:
-                    rows[k] = [-v for v in rows[k]]
-                active[k] = False
-                placed.append((col, k))
-        out_rows = [list(rows[k]) for _, k in placed]
-        pivcols = [c for c, _ in placed]
-        return out_rows, pivcols
+                if base[col] < 0:
+                    for j in base:
+                        base[j] = -base[j]
+                if len(held) == 1:
+                    break
+                piv = base[col]
+                for i in [i for i in held if i != k]:
+                    q = rows[i][col] // piv
+                    if q:
+                        _subtract_row(rows, cols, i, q, base)
+            _take_row(rows, cols, k)
+            dense = [0] * self.dim
+            for j, v in base.items():
+                dense[j] = v
+            self._pivots.append((col, base))
+            self._rows.append(dense)
 
     # -- queries ---------------------------------------------------------------
-    def _reduce_vector(self, vec, vec_exact: bool, want_coords: bool):
-        """Subtract basis multiples; returns (residue, exact flag, coords).
-
-        The vector escalates to Python ints (independently of the basis) the
-        moment an entry leaves the int64 comfort zone; coordinates accumulated
-        before the switch are kept.
-        """
-        coords = [0] * len(self._rows) if want_coords else None
-        pos = 0
-        while True:
-            lead = self._lead(vec, vec_exact)
-            if lead == -1:
-                return vec, vec_exact, coords
-            k = bisect.bisect_left(self._pivcols, lead, lo=pos)
-            if k >= len(self._pivcols) or self._pivcols[k] != lead:
-                return vec, vec_exact, coords
-            row = self._rows[k]
-            piv = int(row[lead])
-            q = int(vec[lead]) // piv
-            if q:
-                if vec_exact or self._exact:
-                    if not vec_exact:
-                        vec, vec_exact = [int(v) for v in vec], True
-                    vec = [a - q * int(b) for a, b in zip(vec, row)]
-                else:
-                    # |vec|,|row| < 2^30 bound |q| and keep the step in int64
-                    nxt = vec - q * row
-                    if int(np.abs(nxt).max(initial=0)) < _INT64_BOUND:
-                        vec = nxt
-                    else:
-                        vec, vec_exact = [int(v) for v in nxt], True
-                if coords is not None:
-                    coords[k] += q
-            if int(vec[lead]) != 0:
-                return vec, vec_exact, coords   # pivot does not divide: stuck
-            pos = k + 1
-
-    @staticmethod
-    def _lead(row, exact: bool) -> int:
-        if exact:
-            for j, v in enumerate(row):
-                if v:
-                    return j
-            return -1
-        nz = np.nonzero(row)[0]
-        return int(nz[0]) if nz.size else -1
-
-    def _ingest(self, vec):
-        if len(vec) != self.dim:
-            raise ValueError("vector dimension mismatch")
-        vals = [int(v) for v in vec]
-        if self._exact or any(abs(v) >= _INT64_BOUND for v in vals):
-            return vals, True
-        return np.array(vals, dtype=np.int64), False
-
     def reduce(self, vec):
         """(residue, coords): vec = sum coords[k] * basis[k] + residue."""
         self._finalize()
-        work, exact = self._ingest(vec)
-        res, _, coords = self._reduce_vector(work, exact, want_coords=True)
-        return [int(v) for v in res], coords
+        if len(vec) != self.dim:
+            raise ValueError("vector dimension mismatch")
+        res = [int(v) for v in vec]
+        coords = [0] * len(self._pivots)
+        for k, (col, row) in enumerate(self._pivots):
+            q = res[col] // row[col]
+            if q:
+                for j, v in row.items():
+                    res[j] -= q * v
+                coords[k] = q
+            if res[col]:
+                break                  # the pivot does not divide: stuck
+        return res, coords
 
     def contains(self, vec) -> bool:
         res, _ = self.reduce(vec)

@@ -4,15 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quandlehom.chains import FormalChain, identity_cycle
+from quandlehom.chains import (FormalChain, identity_cycle,
+                               subcomplex_generators)
 from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
                                  coboundary, cocycle_condition_holds,
                                  cocycle_space, evaluate_cocycle, homology)
 from quandlehom.identities import Assignment, parse_word
 from quandlehom.linalg import mat_mul, rank_fraction_free, smith_normal_form
 from quandlehom.constructions import alexander_zn, dihedral, trivial
-from quandlehom.core import inner_group
+from quandlehom.core import inner_group, make_table
 from quandlehom.errors import DegreeMismatch, InvalidCocycle, \
     SizeGuardExceeded, SubcomplexClosureViolated
 
@@ -275,6 +277,36 @@ def test_identity_complex_rank_consistency(dih3, gf4):
                     if bn1.matrix else 0
                 assert r_n + r_up <= dim
                 assert h.free_rank == dim - r_n - r_up
+
+
+def relabelled(X, perm):
+    """The table with every element x renamed perm[x]."""
+    n = X.order
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = perm[X.rows[x][y]]
+    return make_table(rows, require="quandle")
+
+
+def identity_invariants(X, w):
+    spans = tuple(subcomplex_generators(X, "identity", d, word=w).lattice.rank
+                  for d in (2, 3))
+    return spans, homology(X, "identity", 2, word=w)
+
+
+@pytest.mark.parametrize("X, word", [
+    (dihedral(3), "aa"), (alexander_zn(5, 2), "abab"),
+], ids=["R3-aa", "Z5_2-abab"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_identity_invariants_survive_relabelling(X, word, data):
+    """Identity span ranks and identity H2 do not depend on how the table's
+    elements are labelled, although the lattice echelons do."""
+    w = parse_word(word)
+    perm = data.draw(st.permutations(range(X.order)))
+    assert identity_invariants(relabelled(X, perm), w) \
+        == identity_invariants(X, w)
 
 
 def test_cocycle_space_rejects_a_failing_generator(dih3, monkeypatch):

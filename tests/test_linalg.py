@@ -236,48 +236,104 @@ def test_lattice_membership_and_coordinates():
     assert lat.contains([0, 0, 0])
 
 
-def test_lattice_vs_snf_membership():
-    def in_span_snf(gens, v):
-        A = [list(col) for col in zip(*gens)]
-        snf = smith_normal_form(A)
-        uc = [sum(a * b for a, b in zip(row, v)) for row in snf.U]
-        for i, val in enumerate(uc):
-            if i < snf.rank:
-                if val % snf.invariant_factors[i]:
-                    return False
-            elif val:
+# small entries, and large ones whose products overflow 64-bit integers
+ENTRIES = st.integers(-20, 20) | st.sampled_from(
+    (1 << 30, -(1 << 30), (1 << 31) + 7, -(1 << 40) + 3, 3 << 33, 1 << 62))
+
+
+@st.composite
+def lattice_generators(draw, max_rows=8, max_dim=6):
+    """Generator rows with small and large entries, optionally with a zero
+    row and a duplicated row spliced in."""
+    dim = draw(st.integers(1, max_dim))
+    gens = draw(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim),
+                         min_size=1, max_size=max_rows))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), [0] * dim)
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))),
+                    list(gens[draw(st.integers(0, len(gens) - 1))]))
+    return gens
+
+
+def in_span_snf(gens, v):
+    """Independent membership oracle through the Smith form of the
+    generators as columns."""
+    A = [list(col) for col in zip(*gens)]
+    snf = smith_normal_form(A)
+    uc = [sum(a * b for a, b in zip(row, v)) for row in snf.U]
+    for i, val in enumerate(uc):
+        if i < snf.rank:
+            if val % snf.invariant_factors[i]:
                 return False
-        return True
-
-    rng = random.Random(3)
-    for _ in range(200):
-        dim = rng.randint(1, 6)
-        gens = [[rng.randint(-5, 5) for _ in range(dim)]
-                for _ in range(rng.randint(1, 7))]
-        lat = lattice_from_rows(gens, dim)
-        v = [rng.randint(-8, 8) for _ in range(dim)]
-        assert lat.contains(v) == in_span_snf(gens, v)
+        elif val:
+            return False
+    return True
 
 
-def test_lattice_coordinates_roundtrip():
-    rng = random.Random(9)
-    for _ in range(150):
-        dim = rng.randint(1, 8)
-        gens = [[rng.randint(-20, 20) for _ in range(dim)]
-                for _ in range(rng.randint(1, 10))]
-        lat = lattice_from_rows(gens, dim)
+def assert_echelon(lat, gens):
+    """Each basis row's pivot, its first nonzero, is positive; pivots sit in
+    strictly increasing columns, so each has only zeros to its left and
+    below it.  The rank is the rational rank of the generators."""
+    basis = lat.basis_vectors()
+    leads = []
+    for row in basis:
+        lead = next(j for j, v in enumerate(row) if v)
+        assert row[lead] > 0
+        leads.append(lead)
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    assert lat.rank == len(basis) == rank_fraction_free(gens)
+
+
+def combination(basis, coeffs, dim):
+    out = [0] * dim
+    for c, row in zip(coeffs, basis):
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lattice_generators(max_rows=7), st.data())
+def test_lattice_vs_snf_membership(gens, data):
+    dim = len(gens[0])
+    lat = lattice_from_rows(gens, dim)
+    assert_echelon(lat, gens)
+    # a combination of the generators, sometimes knocked off the lattice
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                max_size=len(gens)))
+    v = combination(gens, coeffs, dim)
+    if data.draw(st.booleans()):
+        v = [a + data.draw(st.integers(-8, 8)) for a in v]
+    assert lat.contains(v) == in_span_snf(gens, v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lattice_generators(max_rows=10, max_dim=8), st.data())
+def test_lattice_coordinates_roundtrip(gens, data):
+    dim = len(gens[0])
+    lat = lattice_from_rows(gens, dim)
+    assert_echelon(lat, gens)
+
+    def assert_roundtrip(vecs):
         basis = lat.basis_vectors()
-        for g in gens:
+        for g in vecs:
             coords = lat.coordinates(g)
             assert coords is not None
-            recon = [sum(c * row[j] for c, row in zip(coords, basis))
-                     for j in range(dim)]
-            assert recon == list(g)
-        combo = [0] * dim
-        for row in basis:
-            c = rng.randint(-2 ** 40, 2 ** 40)
-            combo = [a + c * b for a, b in zip(combo, row)]
-        assert lat.contains(combo)     # exercises the exact big-int path
+            assert combination(basis, coords, dim) == list(g)
+        big = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                 min_size=len(basis), max_size=len(basis)))
+        combo = combination(basis, big, dim)
+        assert lat.coordinates(combo) == big     # basis rows are independent
+
+    assert_roundtrip(gens)
+    # add() after a query restarts from the basis plus the newcomer
+    extra = data.draw(st.lists(ENTRIES, min_size=dim, max_size=dim))
+    lat.add(extra)
+    assert_echelon(lat, gens + [extra])
+    assert_roundtrip(gens + [extra])
+    fresh = lattice_from_rows(gens + [extra], dim)
+    assert all(lat.contains(row) for row in fresh.basis_vectors())
+    assert all(fresh.contains(row) for row in lat.basis_vectors())
 
 
 def test_lattice_add_after_query():

@@ -3,11 +3,14 @@
 The pipeline: validate operation tables and compute scalar invariants
 (core), test inner identities x*w = x (identities), build the attached
 two-cycles and identity/degeneracy subcomplexes (chains), compute integer
-homology and 2-cocycle spaces with exact Smith/Hermite forms (homology,
-linalg), form abelian extensions and check that they inherit identities
-exactly when the cocycle kills the two-cycles (extensions), and construct
-standard families plus enumerate small connected quandles (constructions).
-File ingestion, the CLI, and the census harness live in shell.
+homology with exact Smith forms and 2-cocycle spaces as Hom(coker d_3, Z_d)
+on the image lattice of the rack boundary d_3 (homology, linalg), form
+abelian extensions and check that they inherit identities exactly when the
+cocycle kills the two-cycles (extensions), and construct standard families
+plus enumerate small connected quandles (constructions).  File ingestion,
+the CLI, and the census harness live in shell, which is imported on first
+use of one of its names here, so that `python -m quandlehom.shell` runs it
+fresh.
 """
 
 from .core import (
@@ -52,14 +55,7 @@ from .chains import (
     medial_cycle,
     subcomplex_generators,
 )
-from .linalg import (
-    HermiteForm,
-    IntLattice,
-    SmithForm,
-    hermite_normal_form,
-    kernel_basis,
-    smith_normal_form,
-)
+from .linalg import IntLattice, SmithForm, smith_normal_form
 from .homology import (
     BoundaryMatrix,
     CocycleSpace,
@@ -93,6 +89,15 @@ from .constructions import (
     make,
     trivial,
 )
-from .shell import cli, corpus, emit, load, load_dataset, loads, save
 
 __version__ = "0.1.0"
+
+_SHELL_NAMES = ("cli", "corpus", "emit", "load", "load_dataset", "loads",
+                "save")
+
+
+def __getattr__(name):
+    if name in _SHELL_NAMES:
+        from . import shell
+        return getattr(shell, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -135,19 +135,6 @@ class PolyRing:
         # unit iff gcd with the modulus is 1 in Z_p[t]
         return self._poly_gcd(list(a), list(self.modulus)) == [1]
 
-    def units_order(self, a) -> int:
-        """Multiplicative order of a unit."""
-        if not self.is_unit(a):
-            raise NotAUnit(f"{self.poly_str(a)} is not a unit")
-        k = 1
-        cur = a
-        while cur != self.one:
-            cur = self.mul(cur, a)
-            k += 1
-            if k > self.size:
-                raise AssertionError("order search overran the ring size")
-        return k
-
     def _poly_gcd(self, a: list[int], b: list[int]) -> list[int]:
         p = self.p
 

@@ -145,9 +145,6 @@ class QuandleTable:
     def column(self, y: int) -> tuple[int, ...]:
         return tuple(self.rows[x][y] for x in range(self.order))
 
-    def transpose_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows))
-
 
 def _shape_check(rows) -> int:
     n = len(rows)
@@ -330,10 +327,6 @@ class PermutationGroup:
 
     def images_array(self) -> np.ndarray:
         return self._array
-
-    def __contains__(self, p: Permutation) -> bool:
-        row = np.array(p.images, dtype=self._array.dtype)
-        return bool((self._array == row).all(axis=1).any())
 
     def __len__(self) -> int:
         return self.order

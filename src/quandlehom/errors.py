@@ -93,9 +93,10 @@ class DegreeTooSmall(QuandleError):
 
 
 class SizeGuardExceeded(QuandleError):
-    def __init__(self, needed: int, guard: int):
+    def __init__(self, needed: int, guard: int, message: str = ""):
         self.needed, self.guard = needed, guard
-        super().__init__(f"{needed} basis tuples exceed the guard {guard}")
+        super().__init__(
+            message or f"{needed} basis tuples exceed the guard {guard}")
 
 
 class SubcomplexClosureViolated(QuandleError):

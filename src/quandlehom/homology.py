@@ -5,11 +5,14 @@ Four complexes share one interface: the full rack complex on all tuples, the
 quandle quotient (degenerate tuples projected out), the degeneracy subcomplex,
 and the identity subcomplex of a satisfied word (worked in lattice coordinates
 of the generated span, not its saturation, so torsion is preserved exactly).
+A 2-cocycle space is Hom(coker d_3, Z_d), read off the Smith form of the
+image lattice of the rack boundary d_3.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -34,7 +37,7 @@ from .errors import (
     SubcomplexClosureViolated,
 )
 from .identities import Word
-from .linalg import smith_normal_form
+from .linalg import IntLattice, smith_normal_form
 
 COMPLEXES = ("rack", "quandle", "degenerate", "identity")
 
@@ -232,7 +235,10 @@ def homology(X: QuandleTable, complex: str, degree: int,
     """
     cap = max_degree if max_degree is not None else _degree_cap(X.order)
     if degree > cap:
-        raise SizeGuardExceeded(degree, cap)
+        raise SizeGuardExceeded(
+            degree, cap,
+            f"degree {degree} exceeds the degree cap {cap} for order "
+            f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
     bn = boundary_matrix(X, complex, degree, word=word,
                          include_first_slot=include_first_slot,
                          size_guard=size_guard)
@@ -340,63 +346,41 @@ class CocycleSpace:
 
 def cocycle_space(X: QuandleTable, modulus: int,
                   mode: str = "quandle") -> CocycleSpace:
-    """Generating set of all Z_d-valued 2-cocycles (quandle mode adds the
-    vanishing-diagonal constraints), via one integer Smith form."""
+    """All Z_d-valued 2-cocycles, as Hom(coker d_3, Z_d).
+
+    The cocycle condition phi(x,y) - phi(x,z) + phi(x*y,z) - phi(x*z,y*z) = 0
+    says phi(d(x,y,z)) = 0, so the cocycles are the maps on C_2 that kill the
+    image lattice of the rack d_3; quandle mode adds the chains (x, x) to that
+    lattice.  One Smith form of the lattice basis, U B V = D, gives them: the
+    columns of V scaled by d / gcd(f_i, d) over the invariant factors f_i,
+    and the remaining columns of V at full order d.
+    """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if mode not in ("rack", "quandle"):
         raise ValueError("mode must be 'rack' or 'quandle'")
     n = X.order
     unknowns = n * n
-    rows: list[tuple[int, ...]] = []
-    seen = set()
-
-    def push(cells: dict):
-        row = [0] * unknowns
-        for (x, y), c in cells.items():
-            row[x * n + y] += c
-        key = tuple(row)
-        if any(key) and key not in seen:
-            seen.add(key)
-            rows.append(key)
-
-    rws = X.rows
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                cells: dict = {}
-                for cell, c in (((x, y), 1), ((x, z), -1),
-                                ((rws[x][y], z), 1),
-                                ((rws[x][z], rws[y][z]), -1)):
-                    cells[cell] = cells.get(cell, 0) + c
-                push(cells)
+    image = IntLattice(unknowns)
+    # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
+    # cocycles only when X is a quandle
+    for col in zip(*boundary_matrix(X, "rack", 3).matrix):
+        image.add(col)
     if mode == "quandle":
         for x in range(n):
-            push({(x, x): 1})
-    if rows:
-        snf = smith_normal_form(rows, with_transforms=True)
-        V = snf.V
-        rank = snf.rank
-        facs = snf.invariant_factors
-    else:
-        V = [[1 if i == j else 0 for j in range(unknowns)]
-             for i in range(unknowns)]
-        rank = 0
-        facs = ()
+            image.add([int(i == x * n + x) for i in range(unknowns)])
+    snf = smith_normal_form(image.basis_vectors() or [[0] * unknowns],
+                            with_transforms=True)
+    V = snf.V
     gens: list[CocycleTable] = []
     orders: list[int] = []
     size = 1
-    import math as _math
     for i in range(unknowns):
-        if i < rank:
-            g = _math.gcd(facs[i], modulus)
-            if g == 1:
-                continue
-            scale = modulus // g
-            order = g
-        else:
-            scale = 1
-            order = modulus
+        order = math.gcd(snf.invariant_factors[i], modulus) \
+            if i < snf.rank else modulus
+        if order == 1:
+            continue
+        scale = modulus // order
         col = [V[r][i] * scale % modulus for r in range(unknowns)]
         vals = tuple(tuple(col[x * n + y] for y in range(n)) for x in range(n))
         gens.append(CocycleTable(modulus=modulus, values=vals))

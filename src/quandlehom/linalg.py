@@ -1,5 +1,4 @@
-"""Exact integer linear algebra: Smith and Hermite normal forms, kernels,
-and lattice membership.
+"""Exact integer linear algebra: the Smith normal form and integer lattices.
 
 Everything is arbitrary-precision: matrices are plain nested lists of Python
 ints.  A Smith form without transforms starts sparse: it eliminates +-1
@@ -8,12 +7,12 @@ only the residual core to the dense minimal-pivot elimination, which also
 serves every request for the transforms U and V.  The lattice class builds
 its echelon basis by one sparse minimal-pivot column elimination in exact
 integers, on the same row/column store as the unit-pivot stage, and reduces
-query vectors against the nonzeros of its pivot rows.
+query vectors against the nonzeros of its pivot rows.  These two are the
+only eliminations the library runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,32 +65,6 @@ def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
-
-
-def rank_fraction_free(mat: Sequence[Sequence[int]]) -> int:
-    """Rational rank by fraction-free elimination (independent of SNF)."""
-    A = copy_matrix(mat)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        for i in range(row + 1, m):
-            if A[i][col]:
-                f = A[i][col]
-                g = A[row][col]
-                d = math.gcd(f, g)
-                fa, fb = g // d, f // d
-                A[i] = [fa * a - fb * b for a, b in zip(A[i], A[row])]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
 
 
 @dataclass(frozen=True)
@@ -328,81 +301,6 @@ def _dense_smith(mat: Sequence[Sequence[int]],
     return SmithForm(shape=(m, n), invariant_factors=facs, U=U, V=V)
 
 
-@dataclass(frozen=True)
-class HermiteForm:
-    """Row-style Hermite form: U @ M = H, H in row echelon with positive
-    pivots and reduced entries above them."""
-
-    h: Matrix
-    pivots: tuple[tuple[int, int], ...]    # (row, col) per pivot
-    U: Optional[Matrix]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def hermite_normal_form(mat: Sequence[Sequence[int]],
-                        with_transform: bool = False) -> HermiteForm:
-    A = copy_matrix(mat)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = identity_matrix(m) if with_transform else None
-
-    def row_sub(i, k, q):
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    r = 0
-    pivots = []
-    for col in range(n):
-        while True:
-            nz = [i for i in range(r, m) if A[i][col]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(A[i][col]))
-            if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
-                if U is not None:
-                    U[r], U[i0] = U[i0], U[r]
-            done = True
-            for i in range(r + 1, m):
-                if A[i][col]:
-                    q = A[i][col] // A[r][col]
-                    row_sub(i, r, q)
-                    if A[i][col]:
-                        done = False
-            if done:
-                break
-        if r < m and A[r][col]:
-            if A[r][col] < 0:
-                A[r] = [-a for a in A[r]]
-                if U is not None:
-                    U[r] = [-a for a in U[r]]
-            for i in range(r):
-                q = A[i][col] // A[r][col]
-                if q:
-                    row_sub(i, r, q)
-            pivots.append((r, col))
-            r += 1
-            if r == m:
-                break
-    return HermiteForm(h=A, pivots=tuple(pivots), U=U)
-
-
-def kernel_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {v : M v = 0} (a saturated lattice)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
-    snf = smith_normal_form(mat, with_transforms=True)
-    r = snf.rank
-    V = snf.V
-    return [[V[i][j] for i in range(n)] for j in range(r, n)]
-
-
 class IntLattice:
     """Integer row lattice with an echelon basis for membership and solves.
 
@@ -502,10 +400,3 @@ class IntLattice:
         if any(res):
             return None
         return coords
-
-
-def lattice_from_rows(rows: Sequence[Sequence[int]], dim: int) -> IntLattice:
-    lat = IntLattice(dim)
-    for row in rows:
-        lat.add(row)
-    return lat

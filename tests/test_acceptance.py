@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import naive_invariant_factors
+from oracles import kernel_basis, lattice_from_rows, naive_invariant_factors
 
 from quandlehom import censusdata
 from quandlehom.chains import (FormalChain, boundary, identity_cycle,
@@ -26,8 +26,7 @@ from quandlehom.homology import (CocycleTable, boundary_matrix,
 from quandlehom.identities import (Assignment, enumerate_words,
                                    consecutive_type_bound, forces_triviality,
                                    parse_word, satisfies, two_letter_universe)
-from quandlehom.linalg import (lattice_from_rows, kernel_basis, mat_mul,
-                               smith_normal_form)
+from quandlehom.linalg import mat_mul, smith_normal_form
 from quandlehom.constructions import (PolyRing, alexander_poly, burnside_family,
                                       enumerate_connected,
                                       repetition_polynomial, affine_satisfies)

@@ -1,22 +1,25 @@
 import importlib
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import kernel_basis, lattice_from_rows, rank_fraction_free
 from quandlehom.chains import (FormalChain, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
                                  coboundary, cocycle_condition_holds,
                                  cocycle_space, evaluate_cocycle, homology)
 from quandlehom.identities import Assignment, parse_word
-from quandlehom.linalg import mat_mul, rank_fraction_free, smith_normal_form
+from quandlehom.linalg import mat_mul, smith_normal_form
 from quandlehom.constructions import alexander_zn, dihedral, trivial
 from quandlehom.core import inner_group, make_table
 from quandlehom.errors import DegreeMismatch, InvalidCocycle, \
     SizeGuardExceeded, SubcomplexClosureViolated
+from quandlehom.shell import corpus
 
 
 def test_boundary_matrix_trivial_order1(triv1):
@@ -216,7 +219,6 @@ def test_homology_regression_pins(dih3, gf4, az52, az53):
 
 
 def test_quandle_h2_two_routes_gf4(gf4):
-    from quandlehom.linalg import kernel_basis, lattice_from_rows
     route_a = homology(gf4, "quandle", 2)
     b2 = boundary_matrix(gf4, "rack", 2)
     b3 = boundary_matrix(gf4, "rack", 3)
@@ -243,16 +245,60 @@ def test_quandle_h2_two_routes_gf4(gf4):
 
 def test_cocycle_space_composite_modulus(dih3):
     """Composite coefficients need the integer Smith route (not field
-    elimination); full brute force over 4^9 candidate tables is the oracle."""
-    sp = cocycle_space(dih3, 4, mode="quandle")
-    count = 0
-    solved = {m.values for m in sp.members()}
-    for vals in itertools.product(range(4), repeat=9):
-        tab = CocycleTable(modulus=4, values=(vals[0:3], vals[3:6], vals[6:9]))
-        if cocycle_condition_holds(dih3, tab, mode="quandle"):
-            count += 1
-            assert tab.values in solved
-    assert sp.size == len(solved) == count == 16
+    elimination); full brute force over 4^9 candidate tables is the oracle,
+    on dihedral(3) and on a rack that is not a quandle, in both modes."""
+    rack = make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]], require="rack")
+    sizes = {}
+    for name, X in (("R3", dih3), ("rack", rack)):
+        brute = {"rack": set(), "quandle": set()}
+        for vals in itertools.product(range(4), repeat=9):
+            tab = CocycleTable(modulus=4,
+                               values=(vals[0:3], vals[3:6], vals[6:9]))
+            # a quandle cocycle is a rack cocycle with a vanishing diagonal
+            if cocycle_condition_holds(X, tab, mode="rack"):
+                brute["rack"].add(tab.values)
+                if cocycle_condition_holds(X, tab, mode="quandle"):
+                    brute["quandle"].add(tab.values)
+        for mode, found in brute.items():
+            sp = cocycle_space(X, 4, mode=mode)
+            solved = {m.values for m in sp.members()}
+            assert sp.size == len(solved) == len(found)
+            assert solved == found
+            sizes[name, mode] = sp.size
+    assert sizes["R3", "quandle"] == 16
+
+
+def _hom_order(group, d):
+    """|Hom(G, Z_d)| for G = Z^r + sum of Z_t."""
+    out = d ** group.free_rank
+    for t in group.torsion:
+        out *= math.gcd(t, d)
+    return out
+
+
+def test_cocycle_count_universal_coefficients():
+    """|Z^2(X; Z_d)| = |Hom(H_2, Z_d)| * d^(n - o): cocycles are
+    Hom(C_2 / B_2, Z_d), and C_2 / B_2 is H_2 plus the free group B_1 of rank
+    n - o.  Ties cocycle_space to homology on every corpus table, in both
+    modes, and on alexander_zn(13,2) mod 13."""
+    cases = [(X, d) for _, X in corpus() for d in (2, 3, 4, 6)]
+    cases.append((alexander_zn(13, 2), 13))
+    for X, d in cases:
+        free_part = d ** (X.order - _orbit_count(X))
+        for mode in ("rack", "quandle"):
+            h2 = homology(X, mode, 2)
+            assert cocycle_space(X, d, mode).size == \
+                _hom_order(h2, d) * free_part, (X.rows, d, mode)
+
+
+def test_homology_degree_cap_message():
+    """The degree cap names the degree, the cap and the override."""
+    with pytest.raises(SizeGuardExceeded) as err:
+        homology(dihedral(9), "quandle", 4)
+    assert (err.value.needed, err.value.guard) == (4, 3)
+    assert str(err.value) == ("degree 4 exceeds the degree cap 3 for order 9; "
+                              "pass max_degree (CLI: --max-degree) to go "
+                              "higher")
 
 
 def test_identity_complex_rank_consistency(dih3, gf4):

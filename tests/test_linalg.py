@@ -1,71 +1,14 @@
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (kernel_basis, lattice_from_rows,
+                     naive_invariant_factors, rank_fraction_free)
 from quandlehom.homology import boundary_matrix
 from quandlehom.linalg import (_eliminate_unit_pivots, det_bareiss,
-                               hermite_normal_form, kernel_basis,
-                               lattice_from_rows, mat_mul,
-                               rank_fraction_free, smith_normal_form)
+                               smith_normal_form)
 from quandlehom.shell import corpus
-
-
-def naive_invariant_factors(mat):
-    """Independent oracle: pivot-anywhere elimination plus a gcd/lcm fixup of
-    the divisibility chain; no transform bookkeeping."""
-    A = [list(r) for r in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    t = 0
-    out = []
-    while t < min(m, n):
-        found = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, found = v, (i, j)
-        if not found:
-            break
-        i, j = found
-        A[t], A[i] = A[i], A[t]
-        for r in A:
-            r[t], r[j] = r[j], r[t]
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                while A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        done = False
-            for j in range(t + 1, n):
-                while A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for r in A:
-                        r[j] -= q * r[t]
-                    if A[t][j]:
-                        for r in A:
-                            r[t], r[j] = r[j], r[t]
-                        done = False
-            if done:
-                break
-        out.append(abs(A[t][t]))
-        t += 1
-    out = [d for d in out if d]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            a, b = out[i], out[i + 1]
-            if b % a:
-                out[i], out[i + 1] = math.gcd(a, b), a * b // math.gcd(a, b)
-                changed = True
-    return tuple(out)
 
 
 def test_snf_examples():
@@ -188,21 +131,6 @@ def test_rank_agreement():
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         assert smith_normal_form(mat, with_transforms=False).rank \
             == rank_fraction_free(mat)
-
-
-def test_hermite_form():
-    mat = [[2, 0], [0, 3], [1, 1]]
-    h = hermite_normal_form(mat, with_transform=True)
-    assert h.rank == 2
-    assert mat_mul(h.U, mat) == h.h                      # U @ M = H exactly
-    assert abs(det_bareiss(h.U)) == 1
-    cols = [c for _, c in h.pivots]
-    assert cols == sorted(cols)                          # echelon shape
-    for r, c in h.pivots:
-        assert h.h[r][c] > 0
-        assert all(h.h[i][c] == 0 for i in range(len(h.h)) if i != r) or \
-            all(h.h[i][c] == 0 for i in range(r + 1, len(h.h)))
-        assert all(0 <= h.h[i][c] < h.h[r][c] for i in range(r))   # reduced
 
 
 def test_kernel_basis():

@@ -190,13 +190,15 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2                        # usage
 
 
-def _module_cli(args, **popen):
-    """Start `python -m quandlehom` on this checkout's package."""
+def _module_cli(args, module="quandlehom", **popen):
+    """Start `python -m <module>` on this checkout's package; runpy warnings
+    are errors."""
     env = dict(os.environ)
     src = str(Path(quandlehom.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, "-m", "quandlehom", *args],
+    return subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning",
+                             "-m", module, *args],
                             env=env, stderr=subprocess.PIPE, **popen)
 
 
@@ -208,6 +210,16 @@ def test_python_m_runs_the_cli_without_warnings(tmp_path):
     assert proc.returncode == 0
     assert err == b""
     assert json.loads(out)["results"]["inn_order"] == 10
+
+
+def test_python_m_shell_runs_without_the_runpy_warning():
+    """The package resolves the shell's names lazily, so running the shell
+    module as a script finds it not yet imported."""
+    proc = _module_cli(["--help"], module="quandlehom.shell",
+                       stdout=subprocess.DEVNULL)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err.decode()
+    assert err == b""
 
 
 @pytest.mark.parametrize("read_first", [0, 10])

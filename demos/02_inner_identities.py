@@ -2,7 +2,9 @@
 
 A word like "abab" names the identity x*a*b*a*b = x quantified over all
 values of x, a, b.  Words are canonical (letters numbered by first
-occurrence), and satisfaction is decided by exhaustive scan.
+occurrence), and satisfaction is decided by a scan whose first letter runs
+over Inn-orbit minima only; on a rack that finds the same first witness, at
+the same position, as the scan over every assignment.
 """
 
 from quandlehom import (consecutive_type_bound, enumerate_words,

@@ -298,8 +298,25 @@ def orbit(X: QuandleTable, start: int) -> frozenset[int]:
     return frozenset(seen)
 
 
+def orbit_minima(X: QuandleTable) -> np.ndarray:
+    """Least element of every Inn-orbit, ascending.
+
+    Min-label propagation: each element repeatedly takes the least label among
+    itself and its images under the right translations until nothing changes,
+    so every label settles at the minimum of its orbit (forward images reach
+    the whole orbit, as each translation permutes a finite set).
+    """
+    T = X.np_table
+    lab = np.arange(X.order, dtype=np.int64)
+    while True:
+        nxt = np.minimum(lab, lab[T].min(axis=1))
+        if np.array_equal(nxt, lab):
+            return np.flatnonzero(lab == np.arange(X.order))
+        lab = nxt
+
+
 def is_connected(X: QuandleTable) -> bool:
-    return len(orbit(X, 0)) == X.order
+    return len(orbit_minima(X)) == 1
 
 
 class PermutationGroup:
@@ -423,7 +440,13 @@ def is_faithful(X: QuandleTable) -> bool:
 
 def is_medial(X: QuandleTable, limit: int = MEDIALITY_SCAN_LIMIT,
               chunk: int = 1 << 20) -> Optional[bool]:
-    """Exhaustive (x*y)*(u*v) == (x*u)*(y*v) scan; None above the size limit."""
+    """Scan (x*y)*(u*v) == (x*u)*(y*v); None above the size limit.
+
+    Every element of Inn(X) is an automorphism of a rack, so the set of
+    violating (x, y, u, v) is closed under the diagonal Inn action and meets
+    the assignments with x an orbit minimum whenever it is nonempty: x ranges
+    over ``orbit_minima`` only, y, u and v over every element.
+    """
     n = X.order
     if n > limit:
         return None
@@ -431,12 +454,13 @@ def is_medial(X: QuandleTable, limit: int = MEDIALITY_SCAN_LIMIT,
     flat = T.reshape(-1)                       # flat[x*n+y] = x*y
     idx = np.arange(n * n)
     first, second = idx // n, idx % n
+    rows = (orbit_minima(X)[:, None] * n + idx[None, :n]).reshape(-1)
     rows_per_chunk = max(1, chunk // max(1, n * n))
-    for lo in range(0, n * n, rows_per_chunk):
-        hi = min(n * n, lo + rows_per_chunk)
-        lhs = T[flat[lo:hi, None], flat[None, :]]
-        a = T[first[lo:hi, None], first[None, :]]     # x*u
-        b = T[second[lo:hi, None], second[None, :]]   # y*v
+    for lo in range(0, len(rows), rows_per_chunk):
+        r = rows[lo:lo + rows_per_chunk, None]
+        lhs = T[flat[r], flat[None, :]]
+        a = T[first[r], first[None, :]]     # x*u
+        b = T[second[r], second[None, :]]   # y*v
         if (lhs != T[a, b]).any():
             return False
     return True

@@ -329,7 +329,9 @@ class CocycleSpace:
 
     def members(self, limit: int = 1_000_000):
         if self.size > limit:
-            raise SizeGuardExceeded(self.size, limit)
+            raise SizeGuardExceeded(
+                self.size, limit,
+                f"{self.size} cocycles exceed the members limit {limit}")
         n = self.base_order
         d = self.modulus
         for combo in itertools.product(*(range(o) for o in self.orders)):

@@ -2,8 +2,11 @@
 
 A word is a surjection tau: positions 1..k -> letters 1..m, held in canonical
 form: letters are numbered by first occurrence, so "ba" and "ab" are the same
-word.  Satisfaction on a table is an exhaustive scan over all n^(m+1)
-assignments of x and the letter values.
+word.  Satisfaction on a table is decided by a scan of the n^(m+1)
+assignments of x and the letter values, with the first letter restricted to
+Inn-orbit minima: on a rack the violating assignments form a union of
+diagonal Inn-orbits, so this finds a violation exactly when one exists, and
+the first one it finds is the full scan's first, with the same position.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import QuandleTable
+from .core import QuandleTable, orbit_minima
 from .errors import EmptyWord, NonLetterCharacter
 
 _SCAN_CHUNK = 1 << 16
@@ -102,23 +105,31 @@ class SatisfactionReport:
 
 
 def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
-    """Exhaustively test x*w = x over all assignments.
+    """Test x*w = x, reporting the first violation in the full scan order.
 
-    Iterates letter tuples lexicographically with x fastest and stops at the
-    first violation; the composition of the right translations named by the
-    word is computed for a whole block of letter tuples at once.
+    The full order runs over all n^(m+1) assignments, letter tuples
+    lexicographically with x fastest.  Every element of Inn(X) is an
+    automorphism of a rack, so the set of violating assignments is closed
+    under the diagonal Inn action; the least violation therefore has y_1 at
+    the minimum of its orbit.  Only those y_1 are scanned, with y_2..y_m and
+    x over every element in the same order, so the witness is the full
+    order's first violation and ``tuples_checked`` is its position there
+    (n^(m+1) when the word holds).  The composition of the right translations
+    named by the word is computed for a whole block of letter tuples at once.
     """
     n = X.order
     m = w.letters
     R = X.np_table.T          # R[y] = images of the right translation by y
     target = np.arange(n, dtype=np.int64)
-    total = n ** m
+    inner = n ** (m - 1)      # letter tuples per value of y_1
+    firsts = orbit_minima(X)
+    total = len(firsts) * inner
     block = max(1, _SCAN_CHUNK // max(1, n))
     weights = [n ** (m - 1 - j) for j in range(m)]
-    checked = 0
     for lo in range(0, total, block):
         hi = min(total, lo + block)
-        idx = np.arange(lo, hi, dtype=np.int64)
+        pos = np.arange(lo, hi, dtype=np.int64)
+        idx = firsts[pos // inner] * inner + pos % inner
         ys = np.empty((hi - lo, m), dtype=np.int64)
         for j, wt in enumerate(weights):
             ys[:, j] = (idx // wt) % n
@@ -131,9 +142,8 @@ def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
             r = int(np.argmax(rows_bad))
             x = int(np.argmax(bad[r]))
             witness = Assignment(x=x, ys=tuple(int(v) for v in ys[r]))
-            return SatisfactionReport(False, witness, checked + r * n + x + 1)
-        checked += (hi - lo) * n
-    return SatisfactionReport(True, None, checked)
+            return SatisfactionReport(False, witness, int(idx[r]) * n + x + 1)
+    return SatisfactionReport(True, None, n ** (m + 1))
 
 
 @lru_cache(maxsize=65536)

@@ -160,7 +160,8 @@ def _section(name: str, status: str, **details) -> dict:
 def reproduce_types(entries: Sequence[DatasetEntry]) -> dict:
     counts: dict[int, int] = {}
     for e in entries:
-        counts[quandle_type(e.table)] = counts.get(quandle_type(e.table), 0) + 1
+        t = quandle_type(e.table)
+        counts[t] = counts.get(t, 0) + 1
     got = tuple(sorted(counts.items()))
     ok = got == censusdata.TYPE_CENSUS and len(entries) == censusdata.CATALOGUE_SIZE
     return _section("type_census", "pass" if ok else "fail",

@@ -2,16 +2,18 @@
 
 Most of these deliberately avoid the library's own elimination and scanning
 code paths: pivot-anywhere elimination for invariant factors, fraction-free
-elimination for rational ranks, and plain nested loops for word
-satisfaction.  kernel_basis is the exception: it reads the kernel off the
-library's own Smith form with transforms, so it is a second route to an
-answer built on that elimination, not an independent oracle.
-lattice_from_rows is a shorthand for filling the library's IntLattice.
+elimination for rational ranks, and plain nested loops over every
+assignment for word satisfaction and mediality.  kernel_basis is the
+exception: it reads the kernel off the library's own Smith form with
+transforms, so it is a second route to an answer built on that elimination,
+not an independent oracle.  lattice_from_rows is a shorthand for filling the
+library's IntLattice, and relabelled renames a table's elements.
 """
 
 import itertools
 import math
 
+from quandlehom.core import make_table
 from quandlehom.linalg import IntLattice, smith_normal_form
 
 
@@ -71,15 +73,42 @@ def naive_invariant_factors(mat):
     return tuple(out)
 
 
-def naive_satisfies(X, w):
+def full_order_scan(X, w):
+    """Plain-loop x*w = x over every assignment in the library's report
+    order, letter tuples lexicographic with x fastest: (satisfied, first
+    violation as (x, ys) or None, its 1-based position or n^(m+1))."""
+    checked = 0
     for ys in itertools.product(range(X.order), repeat=w.letters):
         for x in range(X.order):
+            checked += 1
             z = x
             for t in w.tau:
                 z = X.rows[z][ys[t]]
             if z != x:
-                return False
-    return True
+                return False, (x, ys), checked
+    return True, None, checked
+
+
+def naive_satisfies(X, w):
+    return full_order_scan(X, w)[0]
+
+
+def naive_is_medial(X):
+    """(x*y)*(u*v) == (x*u)*(y*v) over all n^4 quadruples."""
+    T = X.rows
+    n = range(X.order)
+    return all(T[T[x][y]][T[u][v]] == T[T[x][u]][T[y][v]]
+               for x in n for y in n for u in n for v in n)
+
+
+def relabelled(X, perm):
+    """The rack with every element x renamed perm[x]."""
+    n = X.order
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = perm[X.rows[x][y]]
+    return make_table(rows, require="rack")
 
 
 def rank_fraction_free(mat):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import kernel_basis, lattice_from_rows, rank_fraction_free
+from oracles import (kernel_basis, lattice_from_rows, rank_fraction_free,
+                     relabelled)
 from quandlehom.chains import (FormalChain, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
@@ -301,6 +302,15 @@ def test_homology_degree_cap_message():
                               "higher")
 
 
+def test_cocycle_members_limit_message():
+    """The members guard counts cocycles, not basis tuples."""
+    space = cocycle_space(trivial(3), 2, "rack")
+    with pytest.raises(SizeGuardExceeded) as err:
+        list(space.members(limit=10))
+    assert (err.value.needed, err.value.guard) == (512, 10)
+    assert str(err.value) == "512 cocycles exceed the members limit 10"
+
+
 def test_identity_complex_rank_consistency(dih3, gf4):
     """rank(d_n) + rank(d_{n+1}) <= lattice rank, and the free rank formula
     is non-negative, for identity complexes across words and degrees."""
@@ -323,16 +333,6 @@ def test_identity_complex_rank_consistency(dih3, gf4):
                     if bn1.matrix else 0
                 assert r_n + r_up <= dim
                 assert h.free_rank == dim - r_n - r_up
-
-
-def relabelled(X, perm):
-    """The table with every element x renamed perm[x]."""
-    n = X.order
-    rows = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            rows[perm[x]][perm[y]] = perm[X.rows[x][y]]
-    return make_table(rows, require="quandle")
 
 
 def identity_invariants(X, w):

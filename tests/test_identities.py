@@ -2,25 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quandlehom.core import product, group_exponent, inner_group
+from oracles import (full_order_scan, naive_is_medial, naive_satisfies,
+                     relabelled)
+from quandlehom.core import (group_exponent, inner_group, is_connected,
+                             is_medial, make_table, orbit, orbit_minima,
+                             product, quandle_type)
 from quandlehom.identities import (Word, consecutive_type_bound,
                                    enumerate_words, forces_triviality,
                                    parse_word, satisfies, scan,
                                    two_letter_universe, word_permutation_holds)
-from quandlehom.constructions import trivial
+from quandlehom.constructions import (alexander_zn, dihedral,
+                                      enumerate_connected, trivial)
 from quandlehom.errors import EmptyWord, NonLetterCharacter
-
-
-def naive_satisfies(X, w):
-    for ys in itertools.product(range(X.order), repeat=w.letters):
-        for x in range(X.order):
-            z = x
-            for t in w.tau:
-                z = X.rows[z][ys[t]]
-            if z != x:
-                return False
-    return True
+from quandlehom.shell import corpus
 
 
 def test_parse_word():
@@ -202,8 +198,7 @@ def test_satisfies_fuzz_against_naive():
     """Random words on every connected quandle through order 6 plus two
     group-based quandles, checked against the plain-loop oracle."""
     import itertools as it
-    from oracles import naive_satisfies
-    from quandlehom.constructions import conjugation, enumerate_connected
+    from quandlehom.constructions import conjugation
 
     tables = []
     for n in range(3, 7):
@@ -226,3 +221,63 @@ def test_satisfies_fuzz_against_naive():
         for w in words:
             assert satisfies(X, w).satisfied == naive_satisfies(X, w), \
                 (X.rows, w.text)
+
+
+def disjoint_union(X, Y):
+    """X on 0..n-1 and Y after it, each acting trivially on the other."""
+    n, k = X.order, Y.order
+    return make_table(
+        [list(X.rows[x]) + [x] * k for x in range(n)]
+        + [[x] * n + [n + v for v in Y.rows[x - n]] for x in range(n, n + k)])
+
+
+# the rack x*y = 1-x on {0, 1} beside the non-medial type-4 connected
+# quandle of order 6: the word aa and mediality fail only off the orbit of 0
+P2_Q6 = disjoint_union(make_table([[1, 1], [0, 0]]), next(
+    Q for Q in enumerate_connected(6) if quandle_type(Q) == 4))
+
+
+def test_witness_beyond_the_first_orbit():
+    w = parse_word("aa")
+    rep = satisfies(P2_Q6, w)
+    assert rep.witness.ys == (2,)
+    assert (rep.satisfied, (rep.witness.x, rep.witness.ys),
+            rep.tuples_checked) == full_order_scan(P2_Q6, w)
+    assert is_medial(P2_Q6) is naive_is_medial(P2_Q6) is False
+
+
+# corpus, connected quandles, disconnected quandles, a rack that is not a
+# quandle, and a trivial quandle: the orbit-minimum scans must match the
+# full-order loops on every one of them
+ORBIT_TABLES = (
+    [X for _, X in corpus()]
+    + [X for n in range(1, 6) for X in enumerate_connected(n)]
+    + [dihedral(4), dihedral(6), alexander_zn(8, 3),
+       make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]), trivial(4), P2_Q6])
+
+
+@st.composite
+def short_words(draw):
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, min(3, k)))
+    return Word.canonical(draw(st.lists(st.integers(0, m - 1),
+                                        min_size=k, max_size=k)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_orbit_scans_match_full_order(data):
+    """satisfies, is_medial, is_connected and orbit_minima agree with plain
+    full-order loops on relabelled racks, field by field for satisfies."""
+    X = data.draw(st.sampled_from(ORBIT_TABLES))
+    Y = relabelled(X, data.draw(st.permutations(range(X.order))))
+    assert list(orbit_minima(Y)) == sorted(
+        {min(orbit(Y, s)) for s in range(Y.order)})
+    assert is_connected(Y) == (len(orbit(Y, 0)) == Y.order)
+    assert is_medial(Y) == naive_is_medial(Y)
+    for w in data.draw(st.lists(short_words(), min_size=1, max_size=4)):
+        rep = satisfies(Y, w)
+        witness = None if rep.witness is None \
+            else (rep.witness.x, rep.witness.ys)
+        assert (rep.satisfied, witness, rep.tuples_checked) \
+            == full_order_scan(Y, w), (Y.rows, w.text)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import QuandleTable
 from .errors import (
     DegreeMismatch,
@@ -24,7 +26,7 @@ from .errors import (
     NotMedial,
     SizeGuardExceeded,
 )
-from .identities import Assignment, Word, satisfies_cached
+from .identities import _SCAN_CHUNK, Assignment, Word, satisfies_cached
 from .linalg import IntLattice
 
 DEFAULT_SIZE_GUARD = 200_000
@@ -152,15 +154,31 @@ def boundary(X: QuandleTable, chain: FormalChain) -> FormalChain:
     return FormalChain(chain.degree - 1, out)
 
 
-def _prefix_products(X: QuandleTable, x: int, w: Word, ys: Sequence[int]) -> list[int]:
-    """[x, x*w1, x*w1*w2, ...] for the letter values named by the word."""
-    vals = [x]
-    cur = x
-    rows = X.rows
-    for t in w.tau:
-        cur = rows[cur][ys[t]]
-        vals.append(cur)
-    return vals
+def prefix_products(X: QuandleTable, w: Word, lo: int = 0,
+                    hi: Optional[int] = None):
+    """Prefix products of the assignments lo..hi-1 (all n^(m+1) by default)
+    of the full scan order, yielded as (ys, P) per block of at most
+    ``_SCAN_CHUNK`` assignments.
+
+    The order is ``satisfies``': letter tuples lexicographic with x fastest.
+    ys[r] holds the letter values of the block's r-th assignment, and column
+    r of P is [x, x*w_1, ..., x*w_1*...*w_(k-1)], one gather per letter: row i
+    is the first entry of the term (P_i, y_tau(i)) of the attached 2-chain.
+    """
+    n = X.order
+    hi = n ** (w.letters + 1) if hi is None else hi
+    T = X.np_table
+    for start in range(lo, hi, _SCAN_CHUNK):
+        idx = np.arange(start, min(hi, start + _SCAN_CHUNK), dtype=np.int64)
+        ys = np.empty((len(idx), w.letters), dtype=np.int64)
+        rest = idx // n
+        for j in reversed(range(w.letters)):
+            rest, ys[:, j] = np.divmod(rest, n)
+        P = np.empty((w.length, len(idx)), dtype=np.int64)
+        P[0] = idx % n
+        for i in range(1, w.length):
+            P[i] = T[P[i - 1], ys[:, w.tau[i - 1]]]
+        yield ys, P
 
 
 def identity_cycle(X: QuandleTable, w: Word, assignment: Assignment,
@@ -177,12 +195,31 @@ def identity_cycle(X: QuandleTable, w: Word, assignment: Assignment,
     x, ys = assignment.x, assignment.ys
     if len(ys) != w.letters:
         raise ValueError(f"assignment needs {w.letters} letter values")
-    prefixes = _prefix_products(X, x, w, ys)
+    if not all(0 <= v < X.order for v in (x, *ys)):
+        raise IndexOutOfRange(f"assignment values outside 0..{X.order - 1}")
+    pos = tuple_index(ys, X.order) * X.order + x
+    prefixes = next(prefix_products(X, w, pos, pos + 1))[1][:, 0].tolist()
     out: dict = {}
     for i, t in enumerate(w.tau):
         tup = (prefixes[i], ys[t])
         out[tup] = out.get(tup, 0) + 1
     return FormalChain(2, out)
+
+
+def identity_cycle_failures(X: QuandleTable, w: Word) -> list[Assignment]:
+    """Assignments, in the full scan order, whose ``identity_cycle`` chain
+    has a nonzero boundary; empty exactly when X satisfies w.  The boundary
+    of a term (a, b) is (a) - (a*b): both faces are formed for a block of
+    assignments, a*b by its own gather, and a chain is a cycle exactly when
+    its two face multisets agree."""
+    flat = X.np_table.reshape(-1)
+    out = []
+    for ys, P in prefix_products(X, w):
+        tails = flat[P * X.order + ys[:, w.tau].T]
+        bad = (np.sort(P, axis=0) != np.sort(tails, axis=0)).any(axis=0)
+        out.extend(Assignment(int(P[0, r]), tuple(ys[r].tolist()))
+                   for r in np.flatnonzero(bad))
+    return out
 
 
 def medial_cycle(X: QuandleTable, x: int, y: int, u: int, v: int,

@@ -104,12 +104,13 @@ class QuandleTable:
     constructions helper; direct ``QuandleTable(rows)`` also validates.
     """
 
-    __slots__ = ("order", "rows", "labels", "is_quandle", "_hash", "_np")
+    __slots__ = ("order", "rows", "labels", "is_quandle", "_hash", "_np",
+                 "_orbit_minima")
 
     def __init__(self, rows: Sequence[Sequence[int]],
                  labels: Optional[Sequence[str]] = None,
                  _validated: bool = False):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if not _validated:
             _check_axioms_strict(rows, quandle=False)
         self.rows = rows
@@ -118,6 +119,7 @@ class QuandleTable:
         self.is_quandle = all(rows[x][x] == x for x in range(self.order))
         self._hash = hash(rows)
         self._np = None
+        self._orbit_minima = None
 
     # -- value semantics ----------------------------------------------------
     def __eq__(self, other):
@@ -304,15 +306,18 @@ def orbit_minima(X: QuandleTable) -> np.ndarray:
     Min-label propagation: each element repeatedly takes the least label among
     itself and its images under the right translations until nothing changes,
     so every label settles at the minimum of its orbit (forward images reach
-    the whole orbit, as each translation permutes a finite set).
+    the whole orbit, as each translation permutes a finite set).  The result
+    is cached on the table, read-only, as ``np_table`` is.
     """
-    T = X.np_table
-    lab = np.arange(X.order, dtype=np.int64)
-    while True:
+    if X._orbit_minima is None:
+        T = X.np_table
+        lab = np.arange(X.order, dtype=np.int64)
         nxt = np.minimum(lab, lab[T].min(axis=1))
-        if np.array_equal(nxt, lab):
-            return np.flatnonzero(lab == np.arange(X.order))
-        lab = nxt
+        while not np.array_equal(nxt, lab):
+            lab, nxt = nxt, np.minimum(nxt, nxt[T].min(axis=1))
+        X._orbit_minima = np.flatnonzero(lab == np.arange(X.order))
+        X._orbit_minima.setflags(write=False)
+    return X._orbit_minima
 
 
 def is_connected(X: QuandleTable) -> bool:

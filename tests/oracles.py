@@ -8,12 +8,21 @@ exception: it reads the kernel off the library's own Smith form with
 transforms, so it is a second route to an answer built on that elimination,
 not an independent oracle.  lattice_from_rows is a shorthand for filling the
 library's IntLattice, and relabelled renames a table's elements.
+
+The identity-cycle oracles build each assignment's 2-chain by a plain loop
+over the word and pair it with a cocycle (evaluate_cocycle) or take its
+boundary one assignment at a time, in the full scan order; the inheritance
+count reads |Hom(C_2 / relations, Z_d)| off pivot-anywhere invariant factors.
 """
 
 import itertools
 import math
 
+from quandlehom.chains import (FormalChain, boundary, boundary_of_tuple,
+                               tuple_index)
 from quandlehom.core import make_table
+from quandlehom.homology import evaluate_cocycle
+from quandlehom.identities import Assignment
 from quandlehom.linalg import IntLattice, smith_normal_form
 
 
@@ -155,3 +164,65 @@ def lattice_from_rows(rows, dim):
     for row in rows:
         lat.add(row)
     return lat
+
+
+def naive_identity_cycle(X, w, x, ys):
+    """Term map of the 2-chain sum_i (x*w_1...w_i, y_tau(i+1)), built by a
+    plain loop over the word."""
+    terms = {}
+    cur = x
+    for t in w.tau:
+        terms[(cur, ys[t])] = terms.get((cur, ys[t]), 0) + 1
+        cur = X.rows[cur][ys[t]]
+    return terms
+
+
+def _assignments(X, w):
+    """(x, ys) in the full scan order: letter tuples lexicographic, x
+    fastest."""
+    for ys in itertools.product(range(X.order), repeat=w.letters):
+        for x in range(X.order):
+            yield x, ys
+
+
+def loop_first_nonzero_pairing(X, phi, w):
+    """First assignment whose identity chain pairs nonzero with phi, or
+    None."""
+    for x, ys in _assignments(X, w):
+        chain = FormalChain(2, naive_identity_cycle(X, w, x, ys))
+        if evaluate_cocycle(phi, chain) != 0:
+            return Assignment(x, ys)
+    return None
+
+
+def loop_cycle_failures(X, w):
+    """Every assignment whose identity chain has a nonzero boundary."""
+    return [Assignment(x, ys) for x, ys in _assignments(X, w)
+            if not boundary(X, FormalChain(
+                2, naive_identity_cycle(X, w, x, ys))).is_zero()]
+
+
+def inheritance_count(X, d, mode, w):
+    """|Hom(C_2 / (im d_3 + <identity 2-cycles of w>), Z_d)|, with the
+    chains (x, x) among the relations in quandle mode: by the inheritance
+    theorem, the number of cocycles whose extension satisfies w."""
+    n = X.order
+    rows = []
+    for tup in itertools.product(range(n), repeat=3):
+        vec = [0] * (n * n)
+        for face, coef in boundary_of_tuple(X, tup).items():
+            vec[tuple_index(face, n)] += coef
+        rows.append(vec)
+    for x, ys in _assignments(X, w):
+        vec = [0] * (n * n)
+        for pair, coef in naive_identity_cycle(X, w, x, ys).items():
+            vec[tuple_index(pair, n)] += coef
+        rows.append(vec)
+    if mode == "quandle":
+        rows.extend([int(i == x * n + x) for i in range(n * n)]
+                    for x in range(n))
+    factors = naive_invariant_factors(rows)
+    count = d ** (n * n - len(factors))
+    for e in factors:
+        count *= math.gcd(e, d)
+    return count

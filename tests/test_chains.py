@@ -76,6 +76,13 @@ def test_identity_cycle_all_assignments(dih3, az52, gf4):
                 assert boundary(X, L).is_zero()
 
 
+@pytest.mark.parametrize("x, ys", [(-1, (0,)), (0, (3,)), (3, (0,))])
+def test_identity_cycle_rejects_values_out_of_range(dih3, x, ys):
+    """A value outside 0..n-1 is an error, not a wrapped-around index."""
+    with pytest.raises(IndexOutOfRange):
+        identity_cycle(dih3, parse_word("aa"), Assignment(x, ys))
+
+
 def test_identity_cycle_strict_and_permissive(dih3):
     abab = parse_word("abab")
     with pytest.raises(IdentityNotSatisfied):

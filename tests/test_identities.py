@@ -273,6 +273,8 @@ def test_orbit_scans_match_full_order(data):
     Y = relabelled(X, data.draw(st.permutations(range(X.order))))
     assert list(orbit_minima(Y)) == sorted(
         {min(orbit(Y, s)) for s in range(Y.order)})
+    assert orbit_minima(Y) is orbit_minima(Y)       # cached on the table
+    assert not orbit_minima(Y).flags.writeable
     assert is_connected(Y) == (len(orbit(Y, 0)) == Y.order)
     assert is_medial(Y) == naive_is_medial(Y)
     for w in data.draw(st.lists(short_words(), min_size=1, max_size=4)):

@@ -179,6 +179,39 @@ def test_cli_cocycles_and_extend(tmp_path):
     assert E.order == 9 and E.is_quandle
 
 
+@pytest.mark.parametrize("text", [
+    "0 0\n0 0\n0 0\n", "0 0 0 0\n0 0 0 0\n0 0 0 0\n", "0 0 0\n0 0\n0 0 0\n",
+], ids=["3x2", "3x4", "ragged"])
+def test_cli_extend_rejects_a_non_square_cocycle(tmp_path, text):
+    """A cocycle file that is not n x n is a failed check (exit 1) with one
+    error line, neither a traceback nor a usage error."""
+    path = tmp_path / "r3.txt"
+    path.write_text(DIH3_TEXT)
+    coc = tmp_path / "phi.txt"
+    coc.write_text(text)
+    proc = _module_cli(["extend", str(path), "--cocycle", str(coc),
+                        "--mod", "3"], stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err.decode() == "error: cocycle must be 3x3, the size of the " \
+                           "base table\n"
+
+
+@pytest.mark.parametrize("x, ys", [("0", "1"), ("1", "4")])
+def test_cli_cycle_rejects_a_label_out_of_range(tmp_path, x, ys):
+    """Labels run 1..n: label 0 or n+1 is a failed check (exit 1) with one
+    error line."""
+    path = tmp_path / "d3.txt"
+    path.write_text(DIH3_TEXT)
+    proc = _module_cli(["cycle", str(path), "--word", "aa", "--x", x,
+                        "--ys", ys], stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err.decode() == "error: assignment values outside 0..2\n"
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "broken.txt"
     bad.write_text("3\n1 2\n")

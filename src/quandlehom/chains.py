@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -275,28 +275,21 @@ def index_tuple(idx: int, order: int, degree: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def chain_vector(chain: FormalChain, order: int) -> list[int]:
-    vec = [0] * (order ** chain.degree)
-    for tup, coef in chain.terms.items():
-        vec[tuple_index(tup, order)] = coef
-    return vec
+def chain_vector(chain: FormalChain, order: int) -> dict[int, int]:
+    """The chain as a sparse {tuple_index: coefficient} vector."""
+    return {tuple_index(tup, order): coef for tup, coef in chain.terms.items()}
 
 
-def vector_chain(vec: Sequence[int], order: int, degree: int) -> FormalChain:
-    terms = {}
-    for idx, coef in enumerate(vec):
-        if coef:
-            terms[index_tuple(idx, order, degree)] = int(coef)
-    return FormalChain(degree, terms)
+def vector_chain(vec: dict[int, int], order: int, degree: int) -> FormalChain:
+    """The chain of a sparse {tuple_index: coefficient} vector."""
+    return FormalChain(degree, {index_tuple(idx, order, degree): coef
+                                for idx, coef in sorted(vec.items())})
 
 
 def degenerate_tuples(order: int, degree: int) -> list[tuple[int, ...]]:
     """All basis tuples with two equal adjacent entries, in lex order."""
-    out = []
-    for tup in itertools.product(range(order), repeat=degree):
-        if any(tup[i] == tup[i + 1] for i in range(degree - 1)):
-            out.append(tup)
-    return out
+    return [t for t in itertools.product(range(order), repeat=degree)
+            if any(t[i] == t[i + 1] for i in range(degree - 1))]
 
 
 def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
@@ -309,12 +302,23 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     2..degree (j = 1..degree-1 prefix entries are pushed through the prefix
     products); include_first_slot adds the j = 0 variant where the slot is the
     first entry.
+
+    The result is cached per process, so the subcomplex command and the
+    identity boundary matrices share one GeneratorSet per span, and its
+    lattice is eliminated once.  Treat it as read-only.
     """
-    n = X.order
     if degree < 2:
         raise DegreeTooSmall("subcomplex generators need degree >= 2")
-    if n ** degree > size_guard:
-        raise SizeGuardExceeded(n ** degree, size_guard)
+    if X.order ** degree > size_guard:
+        raise SizeGuardExceeded(X.order ** degree, size_guard)
+    return _generators(X, kind, degree, word, include_first_slot)
+
+
+@lru_cache(maxsize=512)
+def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
+                include_first_slot: bool) -> GeneratorSet:
+    # called with every argument positional, so each span has one cache key
+    n = X.order
     if kind == "degenerate":
         tups = degenerate_tuples(n, degree)
         chains = tuple(FormalChain.of(t) for t in tups)
@@ -357,7 +361,10 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
 
 
 def in_span(chain: FormalChain, gens: GeneratorSet) -> bool:
-    """Integer-lattice membership of a chain in the span of a generator set."""
+    """Integer-lattice membership of a chain in the span of a generator set,
+    queried as a sparse vector against the set's cached lattice.  This is a
+    per-chain check; boundary_matrix decides closure of a whole subcomplex
+    degree on the lattice basis."""
     if chain.degree != gens.degree:
         raise DegreeMismatch(
             f"chain degree {chain.degree} vs generators degree {gens.degree}")

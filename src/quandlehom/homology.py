@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,11 +21,11 @@ import numpy as np
 from .chains import (
     DEFAULT_SIZE_GUARD,
     FormalChain,
-    GeneratorSet,
     boundary_of_tuple,
     chain_vector,
     degenerate_tuples,
     subcomplex_generators,
+    tuple_index,
     vector_chain,
 )
 from .core import QuandleTable
@@ -49,20 +48,13 @@ def _guard(n_basis: int, size_guard: int):
 
 def rack_basis(order: int, degree: int) -> list[tuple[int, ...]]:
     """Lexicographic tuple basis; degree 0 is the single empty tuple."""
-    if degree == 0:
-        return [()]
-    return [t for t in itertools.product(range(order), repeat=degree)]
+    return list(itertools.product(range(order), repeat=degree))
 
 
 def quandle_basis(order: int, degree: int) -> list[tuple[int, ...]]:
     """Non-degenerate tuples (no equal adjacent entries)."""
-    if degree == 0:
-        return [()]
-    out = []
-    for t in itertools.product(range(order), repeat=degree):
-        if all(t[i] != t[i + 1] for i in range(degree - 1)):
-            out.append(t)
-    return out
+    return [t for t in rack_basis(order, degree)
+            if all(t[i] != t[i + 1] for i in range(degree - 1))]
 
 
 @dataclass(frozen=True)
@@ -89,46 +81,24 @@ def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
                           size_guard: int) -> BoundaryMatrix:
     n = X.order
     _guard(n ** degree, size_guard)
-    if complex == "rack":
-        cols = rack_basis(n, degree)
-        rows = rack_basis(n, degree - 1)
-        keep = None
-    elif complex == "quandle":
-        cols = quandle_basis(n, degree)
-        rows = quandle_basis(n, degree - 1)
-        keep = set(rows)
-    elif complex == "degenerate":
-        cols = degenerate_tuples(n, degree) if degree >= 2 else []
-        rows = degenerate_tuples(n, degree - 1) if degree - 1 >= 2 else []
-        keep = None
-    else:
-        raise ValueError(f"unknown complex {complex!r}")
+    basis = {"rack": rack_basis, "quandle": quandle_basis,
+             "degenerate": degenerate_tuples}[complex]
+    cols, rows = basis(n, degree), basis(n, degree - 1)
     row_index = {t: i for i, t in enumerate(rows)}
     mat = [[0] * len(cols) for _ in rows]
     for j, tup in enumerate(cols):
-        if degree == 1:
-            continue                       # empty alternating sum
+        # a 1-tuple has the empty alternating sum as its boundary
         for t, c in boundary_of_tuple(X, tup).items():
-            if complex == "quandle" and t not in keep:
-                continue                   # degenerate target projected out
             if t in row_index:
                 mat[row_index[t]][j] += c
             elif complex == "degenerate":
                 raise SubcomplexClosureViolated(FormalChain(degree, {tup: 1}))
-            else:
+            elif complex == "rack":
                 raise AssertionError("boundary left the tuple basis")
+            # quandle: a degenerate target is projected out
     return BoundaryMatrix(complex=complex, degree=degree,
                           matrix=tuple(tuple(r) for r in mat),
                           row_basis=tuple(rows), col_basis=tuple(cols))
-
-
-@lru_cache(maxsize=512)
-def _identity_generators(X: QuandleTable, word: Word, degree: int,
-                         include_first_slot: bool,
-                         size_guard: int) -> GeneratorSet:
-    return subcomplex_generators(X, "identity", degree, word=word,
-                                 include_first_slot=include_first_slot,
-                                 size_guard=size_guard)
 
 
 def _identity_matrix_for(X: QuandleTable, word: Word, degree: int,
@@ -137,28 +107,22 @@ def _identity_matrix_for(X: QuandleTable, word: Word, degree: int,
     from .chains import boundary
 
     n = X.order
-    _guard(n ** degree, size_guard)
-    gens_hi = _identity_generators(X, word, degree, include_first_slot,
-                                   size_guard)
-    lat_hi = gens_hi.lattice
-    col_basis = tuple(vector_chain(v, n, degree) for v in lat_hi.basis_vectors())
-    if degree - 1 >= 2:
-        gens_lo = _identity_generators(X, word, degree - 1, include_first_slot,
-                                       size_guard)
-        lat_lo = gens_lo.lattice
-        row_basis = tuple(vector_chain(v, n, degree - 1)
-                          for v in lat_lo.basis_vectors())
-    else:
-        lat_lo = None
-        row_basis = ()
+
+    def span(d: int):
+        lat = subcomplex_generators(X, "identity", d, word,
+                                    include_first_slot, size_guard).lattice
+        return lat, tuple(vector_chain(v, n, d) for v in lat.sparse_basis())
+
+    col_basis = span(degree)[1]
+    # C_1 of the identity subcomplex is 0: a boundary there must vanish
+    lat_lo, row_basis = span(degree - 1) if degree > 2 else (None, ())
     mat = [[0] * len(col_basis) for _ in row_basis]
     for j, chain in enumerate(col_basis):
         b = boundary(X, chain)
-        if lat_lo is None:
-            if not b.is_zero():
-                raise SubcomplexClosureViolated(chain)
-            continue
-        coords = lat_lo.coordinates(chain_vector(b, n))
+        if lat_lo is not None:
+            coords = lat_lo.coordinates(chain_vector(b, n))
+        else:
+            coords = [] if b.is_zero() else None
         if coords is None:
             raise SubcomplexClosureViolated(chain)
         for i, c in enumerate(coords):
@@ -176,7 +140,9 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
 
     identity complexes are expressed in echelon lattice bases of the generated
     spans; integral solvability of every column is part of the construction
-    and a failure raises SubcomplexClosureViolated with the offending chain.
+    and a failure raises SubcomplexClosureViolated with the offending chain,
+    as a degenerate tuple whose boundary leaves the degenerate tuples does.
+    The subcomplex command decides closure by this construction.
     """
     if complex not in COMPLEXES:
         raise ValueError(f"complex must be one of {COMPLEXES}")
@@ -362,15 +328,17 @@ def cocycle_space(X: QuandleTable, modulus: int,
     if mode not in ("rack", "quandle"):
         raise ValueError("mode must be 'rack' or 'quandle'")
     n = X.order
+    _guard(n ** 3, DEFAULT_SIZE_GUARD)
     unknowns = n * n
     image = IntLattice(unknowns)
-    # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
-    # cocycles only when X is a quandle
-    for col in zip(*boundary_matrix(X, "rack", 3).matrix):
-        image.add(col)
+    # the columns of the rack d_3 in both modes: the quandle-flavour d_3
+    # describes the same cocycles only when X is a quandle
+    for tup in rack_basis(n, 3):
+        image.add({tuple_index(t, n): c
+                   for t, c in boundary_of_tuple(X, tup).items()})
     if mode == "quandle":
         for x in range(n):
-            image.add([int(i == x * n + x) for i in range(unknowns)])
+            image.add({x * n + x: 1})
     snf = smith_normal_form(image.basis_vectors() or [[0] * unknowns],
                             with_transforms=True)
     V = snf.V

@@ -4,11 +4,12 @@ Everything is arbitrary-precision: matrices are plain nested lists of Python
 ints.  A Smith form without transforms starts sparse: it eliminates +-1
 pivots in least Markowitz cost order, each an invariant factor 1, and hands
 only the residual core to the dense minimal-pivot elimination, which also
-serves every request for the transforms U and V.  The lattice class builds
-its echelon basis by one sparse minimal-pivot column elimination in exact
-integers, on the same row/column store as the unit-pivot stage, and reduces
-query vectors against the nonzeros of its pivot rows.  These two are the
-only eliminations the library runs.
+serves every request for the transforms U and V.  The lattice class takes
+sparse {index: value} vectors, builds its echelon basis by one sparse
+minimal-pivot column elimination in exact integers, on the same row/column
+store as the unit-pivot stage, and reduces query vectors against the
+nonzeros of its pivot rows.  These two are the only eliminations the
+library runs.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ def transpose(mat: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner = len(A), len(B)
-    cols = len(B[0]) if inner else 0
     Bt = transpose(B)
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
@@ -127,9 +126,11 @@ def _eliminate_unit_pivots(mat: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
 
     A unit pivot keeps every entry integral and splits off one invariant
     factor 1, so the Smith form of the input is (1,) * count followed by
-    the Smith form of the returned dense core.
+    the Smith form of the returned dense core.  The dense rows turn sparse
+    here, once.
     """
-    rows, cols = _sparse_store(mat)
+    rows, cols = _sparse_store(
+        [{j: int(v) for j, v in enumerate(row) if v} for row in mat])
     units = 0
     while rows:
         # scan columns from the shortest up; a column of count c cannot beat
@@ -163,13 +164,13 @@ def _eliminate_unit_pivots(mat: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
     return units, [[row.get(j, 0) for j in live] for row in rows.values()]
 
 
-def _sparse_store(mat: Sequence[Sequence[int]]):
-    """The nonzeros of a dense matrix as row -> {col: value} maps plus
-    col -> {rows holding it} sets; zero rows are left out."""
+def _sparse_store(mat: list[dict[int, int]]):
+    """Sparse rows without zero entries as row -> {col: value} maps plus
+    col -> {rows holding it} sets; empty rows are left out.  The maps are
+    taken over, not copied: eliminations change them in place."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(mat):
-        entries = {j: int(v) for j, v in enumerate(row) if v}
+    for i, entries in enumerate(mat):
         if entries:
             rows[i] = entries
             for j in entries:
@@ -304,20 +305,23 @@ def _dense_smith(mat: Sequence[Sequence[int]],
 class IntLattice:
     """Integer row lattice with an echelon basis for membership and solves.
 
-    Generators accumulate through add(); the echelon basis is built in one
+    Vectors go in as sparse {index: value} maps with indices in 0..dim-1;
+    zero values may be present and are dropped.  Generators accumulate
+    through add(), which copies them; the echelon basis is built in one
     batch pass on first query.  The pass is a sparse minimal-pivot column
     elimination in exact Python integers: column by column, the rows holding
     the column are reduced against the one with the least absolute entry
     until a single row, made positive, is left as that column's pivot row.
     Picking the least entry keeps coefficients small, unlike naive
-    incremental insertion.
+    incremental insertion.  basis_vectors() returns the basis dense, for the
+    Smith form, and sparse_basis() returns it sparse.
     """
 
     _exact = True        # rows are Python ints; read by the bench tracer
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._pending: list[list[int]] = []
+        self._pending: list[dict[int, int]] = []
         self._pivots: list[tuple[int, dict[int, int]]] = []  # (col, sparse row)
         self._rows: list[list[int]] = []           # the same rows, dense
         self._final = False
@@ -331,17 +335,26 @@ class IntLattice:
         self._finalize()
         return [list(row) for row in self._rows]
 
-    def add(self, vec) -> None:
-        vals = [int(v) for v in vec]
-        if len(vals) != self.dim:
-            raise ValueError("vector dimension mismatch")
+    def sparse_basis(self) -> list[dict[int, int]]:
+        """The basis rows of basis_vectors() as sparse maps."""
+        self._finalize()
+        return [dict(row) for _, row in self._pivots]
+
+    def _entries(self, vec: dict[int, int]) -> dict[int, int]:
+        """A copy of a sparse vector without its zeros, indices checked."""
+        if not all(0 <= j < self.dim for j in vec):
+            raise ValueError(f"vector index outside 0..{self.dim - 1}")
+        return {j: int(v) for j, v in vec.items() if v}
+
+    def add(self, vec: dict[int, int]) -> None:
+        entries = self._entries(vec)
         if self._final:
             # restart from the current basis plus the newcomer
-            self._pending = self.basis_vectors() + [vals]
+            self._pending = self.sparse_basis() + [entries]
             self._pivots, self._rows = [], []
             self._final = False
         else:
-            self._pending.append(vals)
+            self._pending.append(entries)
 
     def _finalize(self):
         if self._final:
@@ -374,29 +387,26 @@ class IntLattice:
             self._rows.append(dense)
 
     # -- queries ---------------------------------------------------------------
-    def reduce(self, vec):
-        """(residue, coords): vec = sum coords[k] * basis[k] + residue."""
+    def reduce(self, vec: dict[int, int]):
+        """(residue, coords): vec = sum coords[k] * basis[k] + residue, the
+        residue a sparse map without zeros."""
         self._finalize()
-        if len(vec) != self.dim:
-            raise ValueError("vector dimension mismatch")
-        res = [int(v) for v in vec]
+        res = self._entries(vec)
         coords = [0] * len(self._pivots)
         for k, (col, row) in enumerate(self._pivots):
-            q = res[col] // row[col]
+            q = res.get(col, 0) // row[col]
             if q:
                 for j, v in row.items():
-                    res[j] -= q * v
+                    res[j] = res.get(j, 0) - q * v
                 coords[k] = q
-            if res[col]:
+            if res.get(col):
                 break                  # the pivot does not divide: stuck
-        return res, coords
+        return {j: v for j, v in res.items() if v}, coords
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict[int, int]) -> bool:
         res, _ = self.reduce(vec)
-        return not any(res)
+        return not res
 
-    def coordinates(self, vec) -> Optional[list[int]]:
+    def coordinates(self, vec: dict[int, int]) -> Optional[list[int]]:
         res, coords = self.reduce(vec)
-        if any(res):
-            return None
-        return coords
+        return None if res else coords

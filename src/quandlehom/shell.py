@@ -24,9 +24,11 @@ from .chains import (FormalChain, boundary, format_chain, identity_cycle,
                      identity_cycle_failures, in_span, subcomplex_generators)
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
-from .errors import MissingDataset, ParseError, QuandleError, ValidationError
+from .errors import (InvalidCocycle, MissingDataset, ParseError, QuandleError,
+                     SubcomplexClosureViolated, ValidationError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
-from .homology import CocycleTable, cocycle_space, homology
+from .homology import (CocycleTable, boundary_matrix, cocycle_space,
+                       homology)
 from .identities import (Assignment, Word, enumerate_words, parse_word,
                          satisfies, two_letter_universe)
 from . import constructions
@@ -639,16 +641,12 @@ def _dispatch(args, argv, started) -> int:
         table, digests = _load_table(args)
         word = parse_word(args.word) if args.word else None
         gens = subcomplex_generators(table, args.kind, args.degree, word=word)
-        closure_ok = True
-        if args.degree >= 3:
-            low = subcomplex_generators(table, args.kind, args.degree - 1,
-                                        word=word)
-            closure_ok = all(in_span(boundary(table, ch), low)
-                             for ch in gens.chains)
-        else:
-            closure_ok = all(boundary(table, ch).is_zero()
-                             for ch in gens.chains) if args.kind == "identity" \
-                else closure_ok
+        # the boundary matrix solves each basis boundary one degree down
+        try:
+            boundary_matrix(table, args.kind, args.degree, word=word)
+            closure_ok = True
+        except SubcomplexClosureViolated:
+            closure_ok = False
         rep = _report(argv, {"kind": args.kind, "degree": args.degree,
                              "generators": len(gens),
                              "span_rank": gens.lattice.rank,
@@ -683,6 +681,8 @@ def _dispatch(args, argv, started) -> int:
 
     if args.cmd == "extend":
         table, digests = _load_table(args)
+        if args.mod < 2:
+            raise InvalidCocycle("modulus must be >= 2")
         vals = []
         text = Path(args.cocycle).read_text()
         for line in text.splitlines():
@@ -714,7 +714,17 @@ def _dispatch(args, argv, started) -> int:
     raise AssertionError(f"unhandled command {args.cmd}")
 
 
+# the fewest parameters each gen kind reads
+_GEN_PARAMS = {"trivial": 1, "dihedral": 1, "alexander_zn": 2,
+               "alexander_poly": 2, "burnside": 3, "conjugation": 1,
+               "gen_alexander": 2}
+
+
 def _gen_from_params(kind: str, params: Sequence[str]) -> QuandleTable:
+    need = _GEN_PARAMS.get(kind, 0)
+    if len(params) < need:
+        raise ValueError(f"gen {kind} needs {need} parameter"
+                         f"{'s' if need > 1 else ''}, got {len(params)}")
     if kind == "trivial":
         return trivial(int(params[0]))
     if kind == "dihedral":

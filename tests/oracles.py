@@ -7,7 +7,9 @@ assignment for word satisfaction and mediality.  kernel_basis is the
 exception: it reads the kernel off the library's own Smith form with
 transforms, so it is a second route to an answer built on that elimination,
 not an independent oracle.  lattice_from_rows is a shorthand for filling the
-library's IntLattice, and relabelled renames a table's elements.
+library's IntLattice with dense rows, sparse turns a dense vector into the
+{index: value} map the lattice takes, and relabelled renames a table's
+elements.
 
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
@@ -159,10 +161,14 @@ def kernel_basis(mat):
     return [[V[i][j] for i in range(n)] for j in range(r, n)]
 
 
+def sparse(vec):
+    return {j: v for j, v in enumerate(vec) if v}
+
+
 def lattice_from_rows(rows, dim):
     lat = IntLattice(dim)
     for row in rows:
-        lat.add(row)
+        lat.add(sparse(row))
     return lat
 
 

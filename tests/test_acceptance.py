@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from oracles import kernel_basis, lattice_from_rows, naive_invariant_factors
+from oracles import (kernel_basis, lattice_from_rows, naive_invariant_factors,
+                     sparse)
 
 from quandlehom import censusdata
 from quandlehom.chains import (FormalChain, boundary, identity_cycle,
@@ -240,7 +241,7 @@ def test_criterion_06_homology_sanity(dih3):
         cols.append(vec)
     coord_cols = []
     for v in cols:
-        coords = lat.coordinates(v)
+        coords = lat.coordinates(sparse(v))
         assert coords is not None
         coord_cols.append(coords)
     presentation = [list(row) for row in zip(*coord_cols)]

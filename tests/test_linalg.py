@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (kernel_basis, lattice_from_rows,
-                     naive_invariant_factors, rank_fraction_free)
+                     naive_invariant_factors, rank_fraction_free, sparse)
 from quandlehom.homology import boundary_matrix
-from quandlehom.linalg import (_eliminate_unit_pivots, det_bareiss,
-                               smith_normal_form)
+from quandlehom.linalg import (IntLattice, _eliminate_unit_pivots,
+                               det_bareiss, smith_normal_form)
 from quandlehom.shell import corpus
 
 
@@ -157,11 +157,11 @@ def test_det_bareiss():
 
 def test_lattice_membership_and_coordinates():
     lat = lattice_from_rows([[2, 0, 0], [0, 2, 0]], 3)
-    assert lat.contains([2, 2, 0])
-    assert not lat.contains([1, 1, 0])
-    assert not lat.contains([0, 0, 1])
-    assert lat.coordinates([4, -2, 0]) == [2, -1]
-    assert lat.contains([0, 0, 0])
+    assert lat.contains(sparse([2, 2, 0]))
+    assert not lat.contains(sparse([1, 1, 0]))
+    assert not lat.contains(sparse([0, 0, 1]))
+    assert lat.coordinates(sparse([4, -2, 0])) == [2, -1]
+    assert lat.contains(sparse([0, 0, 0]))
 
 
 # small entries, and large ones whose products overflow 64-bit integers
@@ -232,7 +232,7 @@ def test_lattice_vs_snf_membership(gens, data):
     v = combination(gens, coeffs, dim)
     if data.draw(st.booleans()):
         v = [a + data.draw(st.integers(-8, 8)) for a in v]
-    assert lat.contains(v) == in_span_snf(gens, v)
+    assert lat.contains(sparse(v)) == in_span_snf(gens, v)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -245,28 +245,51 @@ def test_lattice_coordinates_roundtrip(gens, data):
     def assert_roundtrip(vecs):
         basis = lat.basis_vectors()
         for g in vecs:
-            coords = lat.coordinates(g)
+            coords = lat.coordinates(sparse(g))
             assert coords is not None
             assert combination(basis, coords, dim) == list(g)
         big = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
                                  min_size=len(basis), max_size=len(basis)))
         combo = combination(basis, big, dim)
-        assert lat.coordinates(combo) == big     # basis rows are independent
+        # basis rows are independent
+        assert lat.coordinates(sparse(combo)) == big
 
     assert_roundtrip(gens)
     # add() after a query restarts from the basis plus the newcomer
     extra = data.draw(st.lists(ENTRIES, min_size=dim, max_size=dim))
-    lat.add(extra)
+    lat.add(sparse(extra))
     assert_echelon(lat, gens + [extra])
     assert_roundtrip(gens + [extra])
     fresh = lattice_from_rows(gens + [extra], dim)
-    assert all(lat.contains(row) for row in fresh.basis_vectors())
-    assert all(fresh.contains(row) for row in lat.basis_vectors())
+    assert all(lat.contains(sparse(row)) for row in fresh.basis_vectors())
+    assert all(fresh.contains(sparse(row)) for row in lat.basis_vectors())
+
+
+@pytest.mark.parametrize("vec", [{2: 1}, {-1: 1}, {0: 1, 5: 0}])
+def test_lattice_rejects_an_index_outside_the_dimension(vec):
+    lat = lattice_from_rows([[2, 0]], 2)
+    with pytest.raises(ValueError):
+        lat.add(vec)
+    with pytest.raises(ValueError):
+        lat.contains(vec)
+    with pytest.raises(ValueError):
+        lat.coordinates(vec)
+    assert lat.rank == 1
+
+
+def test_lattice_add_copies_its_input():
+    """The echelon works on its rows in place, never on the caller's map."""
+    vec = {0: 2, 1: 4}
+    lat = IntLattice(2)
+    lat.add(vec)
+    lat.add({0: 3, 1: 6})
+    assert lat.basis_vectors() == [[1, 2]]
+    assert vec == {0: 2, 1: 4}
 
 
 def test_lattice_add_after_query():
     lat = lattice_from_rows([[2, 0]], 2)
-    assert not lat.contains([1, 0])
-    lat.add([3, 0])
-    assert lat.contains([1, 0])
+    assert not lat.contains(sparse([1, 0]))
+    lat.add(sparse([3, 0]))
+    assert lat.contains(sparse([1, 0]))
     assert lat.rank == 1

@@ -12,6 +12,7 @@ import pytest
 import quandlehom
 from quandlehom.constructions import alexander_zn, dihedral
 from quandlehom.errors import MissingDataset, ParseError
+from quandlehom.linalg import IntLattice
 from quandlehom.shell import (cli, corpus, emit, load, load_dataset, loads,
                               run_reproduce, save)
 
@@ -210,6 +211,72 @@ def test_cli_cycle_rejects_a_label_out_of_range(tmp_path, x, ys):
     assert proc.returncode == 1
     assert out == b""
     assert err.decode() == "error: assignment values outside 0..2\n"
+
+
+def test_cli_subcomplex_degenerate_closure_on_a_rack(tmp_path):
+    """On the permutation rack x*y = x+1, d(x, x) = (x) - (x+1) is not zero
+    while the degeneracy subcomplex has nothing in degree 1: the closure
+    check fails (exit 1)."""
+    path = tmp_path / "perm3.txt"
+    path.write_text("3\n2 2 2\n3 3 3\n1 1 1\n")
+    proc = _module_cli(["subcomplex", str(path), "--kind", "degenerate",
+                        "--degree", "2", "--json"], stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1, err.decode()
+    assert json.loads(out)["results"]["boundary_in_lower_span"] is False
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["gen", "dihedral"], 2, "gen dihedral needs 1 parameter, got 0"),
+    (["gen", "alexander_zn", "5"], 2,
+     "gen alexander_zn needs 2 parameters, got 1"),
+    (["gen", "burnside", "1", "2"], 2,
+     "gen burnside needs 3 parameters, got 2"),
+    (["extend", "{table}", "--mod", "0", "--cocycle", "{cocycle}"], 1,
+     "modulus must be >= 2"),
+], ids=["dihedral", "alexander_zn", "burnside", "extend-mod-0"])
+def test_cli_bad_parameters_give_one_error_line(tmp_path, args, code, message):
+    """Too few gen parameters are a usage error (exit 2); a modulus below 2
+    is a failed check (exit 1), found before the cocycle file is read."""
+    table = tmp_path / "d3.txt"
+    table.write_text(DIH3_TEXT)
+    cocycle = tmp_path / "phi.txt"
+    cocycle.write_text("0 0 0\n0 0 0\n0 0 0\n")
+    argv = [a.format(table=table, cocycle=cocycle) for a in args]
+    proc = _module_cli(argv, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    assert out == b""
+    assert err.decode() == f"error: {message}\n"
+
+
+def test_cli_subcomplex_and_homology_share_one_echelon_per_span(
+        tmp_path, monkeypatch):
+    """subcomplex --degree 3 and then homology --complex identity --degree 2
+    in one process eliminate each identity span (degrees 2 and 3) once."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quandlehom"):
+            for val in vars(mod).values():
+                if callable(getattr(val, "cache_clear", None)):
+                    val.cache_clear()
+    eliminated = []
+    finalize = IntLattice._finalize
+
+    def counting(lat):
+        if not lat._final:
+            eliminated.append(lat.dim)
+        finalize(lat)
+
+    monkeypatch.setattr(IntLattice, "_finalize", counting)
+    path = tmp_path / "d3.txt"
+    path.write_text(DIH3_TEXT)
+    code, _ = run_cli(["subcomplex", str(path), "--word", "aa",
+                       "--degree", "3", "--json"])
+    assert code == 0
+    code, _ = run_cli(["homology", str(path), "--complex", "identity",
+                       "--word", "aa", "--degree", "2", "--json"])
+    assert code == 0
+    assert sorted(eliminated) == [3 ** 2, 3 ** 3]
 
 
 def test_cli_exit_codes(tmp_path):

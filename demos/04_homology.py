@@ -16,7 +16,7 @@ dih3 = dihedral(3)
 # ---------------------------------------------------------------------------
 bm = boundary_matrix(dih3, "rack", 2)
 print(f"rack boundary at degree 2: {bm.shape[0]} x {bm.shape[1]} matrix")
-snf = smith_normal_form([list(r) for r in bm.matrix])
+snf = smith_normal_form(bm.sparse_rows, bm.shape[1])
 print("its invariant factors:", snf.invariant_factors)
 
 # ---------------------------------------------------------------------------
@@ -43,8 +43,9 @@ h = homology(dih3, "degenerate", 2)
 print("H_2 of the degeneracy subcomplex on dihedral(3):", h)
 
 # ---------------------------------------------------------------------------
-# Smith form with verified transforms
+# Smith form with verified transforms, from sparse rows and a column count
 mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-s = smith_normal_form(mat)
+rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+s = smith_normal_form(rows, 3)
 print("\nSNF of", mat, "->", s.invariant_factors,
       "| reconstruction verified:", s.check(mat))

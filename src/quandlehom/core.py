@@ -104,18 +104,16 @@ class QuandleTable:
     constructions helper; direct ``QuandleTable(rows)`` also validates.
     """
 
-    __slots__ = ("order", "rows", "labels", "is_quandle", "_hash", "_np",
+    __slots__ = ("order", "rows", "is_quandle", "_hash", "_np",
                  "_orbit_minima")
 
     def __init__(self, rows: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[str]] = None,
                  _validated: bool = False):
         rows = tuple(tuple(map(int, row)) for row in rows)
         if not _validated:
             _check_axioms_strict(rows, quandle=False)
         self.rows = rows
         self.order = len(rows)
-        self.labels = tuple(labels) if labels is not None else None
         self.is_quandle = all(rows[x][x] == x for x in range(self.order))
         self._hash = hash(rows)
         self._np = None
@@ -197,19 +195,20 @@ def _check_axioms_strict(rows, quandle: bool):
         raise err
 
 
-def make_table(rows: Sequence[Sequence[int]], require: str = "rack",
-               labels: Optional[Sequence[str]] = None) -> QuandleTable:
+def make_table(rows: Sequence[Sequence[int]],
+               require: str = "rack") -> QuandleTable:
     """Validate a raw 0-based table and wrap it; raises named axiom errors."""
     if require not in ("rack", "quandle"):
         raise ValueError("require must be 'rack' or 'quandle'")
     rows = tuple(tuple(int(v) for v in row) for row in rows)
     _check_axioms_strict(rows, quandle=(require == "quandle"))
-    return QuandleTable(rows, labels=labels, _validated=True)
+    return QuandleTable(rows, _validated=True)
 
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Scalar invariants of a table; None marks fields skipped by config."""
+    """Scalar invariants of a table; None marks a field left uncomputed:
+    every one for a non-rack table, is_medial above its scan limit."""
 
     is_rack: bool
     is_quandle: bool
@@ -234,10 +233,8 @@ class InvariantReport:
         }
 
 
-def validate(rows, mode: str = "rack", strict: bool = False,
-             with_inner: bool = True,
-             closure_cap: int = DEFAULT_CLOSURE_CAP,
-             mediality_limit: int = MEDIALITY_SCAN_LIMIT) -> InvariantReport:
+def validate(rows, mode: str = "rack",
+             strict: bool = False) -> InvariantReport:
     """Check axioms and, when the table is a rack, compute its invariants.
 
     In strict mode the first violation raises the named error carrying a
@@ -254,8 +251,7 @@ def validate(rows, mode: str = "rack", strict: bool = False,
     if err is not None and strict:
         raise err
     X = QuandleTable(rows, _validated=True)
-    rep = invariants(X, with_inner=with_inner, closure_cap=closure_cap,
-                     mediality_limit=mediality_limit)
+    rep = invariants(X)
     if err is not None:
         rep = dataclasses.replace(rep, violation=err)
     return rep
@@ -443,8 +439,8 @@ def is_faithful(X: QuandleTable) -> bool:
     return len({X.column(b) for b in range(X.order)}) == X.order
 
 
-def is_medial(X: QuandleTable, limit: int = MEDIALITY_SCAN_LIMIT,
-              chunk: int = 1 << 20) -> Optional[bool]:
+def is_medial(X: QuandleTable,
+              limit: int = MEDIALITY_SCAN_LIMIT) -> Optional[bool]:
     """Scan (x*y)*(u*v) == (x*u)*(y*v); None above the size limit.
 
     Every element of Inn(X) is an automorphism of a rack, so the set of
@@ -460,7 +456,7 @@ def is_medial(X: QuandleTable, limit: int = MEDIALITY_SCAN_LIMIT,
     idx = np.arange(n * n)
     first, second = idx // n, idx % n
     rows = (orbit_minima(X)[:, None] * n + idx[None, :n]).reshape(-1)
-    rows_per_chunk = max(1, chunk // max(1, n * n))
+    rows_per_chunk = max(1, (1 << 20) // max(1, n * n))   # ~1M cells a block
     for lo in range(0, len(rows), rows_per_chunk):
         r = rows[lo:lo + rows_per_chunk, None]
         lhs = T[flat[r], flat[None, :]]
@@ -471,24 +467,18 @@ def is_medial(X: QuandleTable, limit: int = MEDIALITY_SCAN_LIMIT,
     return True
 
 
-def invariants(X: QuandleTable, with_inner: bool = True,
-               closure_cap: int = DEFAULT_CLOSURE_CAP,
-               mediality_limit: int = MEDIALITY_SCAN_LIMIT) -> InvariantReport:
+def invariants(X: QuandleTable) -> InvariantReport:
     """Full invariant report for a validated table."""
-    inn_order = inn_exponent = None
-    if with_inner:
-        G = inner_group(X, closure_cap=closure_cap)
-        inn_order = G.order
-        inn_exponent = group_exponent(G)
+    G = inner_group(X)
     return InvariantReport(
         is_rack=True,
         is_quandle=X.is_quandle,
         is_connected=is_connected(X),
-        is_medial=is_medial(X, limit=mediality_limit),
+        is_medial=is_medial(X),
         is_faithful=is_faithful(X),
         type=quandle_type(X),
-        inn_order=inn_order,
-        inn_exponent=inn_exponent,
+        inn_order=G.order,
+        inn_exponent=group_exponent(G),
     )
 
 

@@ -61,20 +61,27 @@ def quandle_basis(order: int, degree: int) -> list[tuple[int, ...]]:
 class BoundaryMatrix:
     """Matrix of the boundary map from degree to degree-1 in chosen bases.
 
-    matrix[i][j] is the coefficient of row basis element i in the boundary of
-    column basis element j.  Bases are tuples for the tuple complexes and
-    FormalChain lattice bases for the identity complex.
+    sparse_rows[i] maps column j to the nonzero coefficient of row basis
+    element i in the boundary of column basis element j; matrix is a dense
+    view of it, built on each access.  Bases are tuples for the tuple
+    complexes and FormalChain lattice bases for the identity complex.
     """
 
     complex: str
     degree: int
-    matrix: tuple[tuple[int, ...], ...]
+    sparse_rows: tuple[dict[int, int], ...]
     row_basis: tuple
     col_basis: tuple
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        cols = range(len(self.col_basis))
+        return tuple(tuple(row.get(j, 0) for j in cols)
+                     for row in self.sparse_rows)
 
 
 def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
@@ -85,19 +92,20 @@ def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
              "degenerate": degenerate_tuples}[complex]
     cols, rows = basis(n, degree), basis(n, degree - 1)
     row_index = {t: i for i, t in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
+    mat: list[dict[int, int]] = [{} for _ in rows]
     for j, tup in enumerate(cols):
-        # a 1-tuple has the empty alternating sum as its boundary
+        # a 1-tuple has the empty alternating sum as its boundary; the
+        # faces are distinct with nonzero coefficients
         for t, c in boundary_of_tuple(X, tup).items():
             if t in row_index:
-                mat[row_index[t]][j] += c
+                mat[row_index[t]][j] = c
             elif complex == "degenerate":
                 raise SubcomplexClosureViolated(FormalChain(degree, {tup: 1}))
             elif complex == "rack":
                 raise AssertionError("boundary left the tuple basis")
             # quandle: a degenerate target is projected out
     return BoundaryMatrix(complex=complex, degree=degree,
-                          matrix=tuple(tuple(r) for r in mat),
+                          sparse_rows=tuple(mat),
                           row_basis=tuple(rows), col_basis=tuple(cols))
 
 
@@ -116,7 +124,7 @@ def _identity_matrix_for(X: QuandleTable, word: Word, degree: int,
     col_basis = span(degree)[1]
     # C_1 of the identity subcomplex is 0: a boundary there must vanish
     lat_lo, row_basis = span(degree - 1) if degree > 2 else (None, ())
-    mat = [[0] * len(col_basis) for _ in row_basis]
+    mat: list[dict[int, int]] = [{} for _ in row_basis]
     for j, chain in enumerate(col_basis):
         b = boundary(X, chain)
         if lat_lo is not None:
@@ -126,9 +134,10 @@ def _identity_matrix_for(X: QuandleTable, word: Word, degree: int,
         if coords is None:
             raise SubcomplexClosureViolated(chain)
         for i, c in enumerate(coords):
-            mat[i][j] = c
+            if c:
+                mat[i][j] = c
     return BoundaryMatrix(complex="identity", degree=degree,
-                          matrix=tuple(tuple(r) for r in mat),
+                          sparse_rows=tuple(mat),
                           row_basis=row_basis, col_basis=col_basis)
 
 
@@ -153,7 +162,7 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
             raise ValueError("identity complex needs a word")
         if degree < 2:
             return BoundaryMatrix(complex="identity", degree=degree,
-                                  matrix=(), row_basis=(), col_basis=())
+                                  sparse_rows=(), row_basis=(), col_basis=())
         return _identity_matrix_for(X, word, degree, include_first_slot,
                                     size_guard)
     return _tuple_complex_matrix(X, complex, degree, size_guard)
@@ -212,14 +221,12 @@ def homology(X: QuandleTable, complex: str, degree: int,
                           include_first_slot=include_first_slot,
                           size_guard=size_guard)
     dim = len(bn.col_basis)
-    rank_n = smith_normal_form(bn.matrix, with_transforms=False).rank \
-        if bn.matrix and bn.shape[0] else 0
-    snf_up = smith_normal_form(bn1.matrix, with_transforms=False) \
-        if bn1.matrix and bn1.shape[0] else None
-    rank_up = snf_up.rank if snf_up else 0
-    torsion = tuple(d for d in (snf_up.invariant_factors if snf_up else ())
-                    if d > 1)
-    return HomologyGroup(free_rank=dim - rank_n - rank_up, torsion=torsion)
+    rank_n = smith_normal_form(bn.sparse_rows, dim,
+                               with_transforms=False).rank
+    snf_up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis),
+                               with_transforms=False)
+    torsion = tuple(d for d in snf_up.invariant_factors if d > 1)
+    return HomologyGroup(free_rank=dim - rank_n - snf_up.rank, torsion=torsion)
 
 
 # ------------------------------------------------------------------ cocycles
@@ -339,7 +346,7 @@ def cocycle_space(X: QuandleTable, modulus: int,
     if mode == "quandle":
         for x in range(n):
             image.add({x * n + x: 1})
-    snf = smith_normal_form(image.basis_vectors() or [[0] * unknowns],
+    snf = smith_normal_form(image.sparse_basis(), unknowns,
                             with_transforms=True)
     V = snf.V
     gens: list[CocycleTable] = []

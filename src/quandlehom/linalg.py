@@ -1,15 +1,15 @@
 """Exact integer linear algebra: the Smith normal form and integer lattices.
 
-Everything is arbitrary-precision: matrices are plain nested lists of Python
-ints.  A Smith form without transforms starts sparse: it eliminates +-1
-pivots in least Markowitz cost order, each an invariant factor 1, and hands
-only the residual core to the dense minimal-pivot elimination, which also
-serves every request for the transforms U and V.  The lattice class takes
-sparse {index: value} vectors, builds its echelon basis by one sparse
-minimal-pivot column elimination in exact integers, on the same row/column
-store as the unit-pivot stage, and reduces query vectors against the
-nonzeros of its pivot rows.  These two are the only eliminations the
-library runs.
+Everything is arbitrary-precision, and a matrix is its sparse rows, one
+{col: value} map of Python ints per row, plus a column count.  A Smith form
+without transforms eliminates +-1 pivots in least Markowitz cost order,
+each an invariant factor 1, and hands only the residual core, made dense,
+to the minimal-pivot elimination, which also serves every request for the
+transforms U and V.  The lattice class takes sparse {index: value} vectors,
+builds its echelon basis by one sparse minimal-pivot column elimination on
+the same row/column store, keeps only the sparse pivot rows, and reduces
+query vectors against them.  These are the only eliminations the library
+runs.
 """
 
 from __future__ import annotations
@@ -100,37 +100,40 @@ class SmithForm:
             self.diagonal_matrix()
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]],
+def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int,
                       with_transforms: bool = True) -> SmithForm:
     """Smith normal form of an integer matrix, exactly.
 
-    With transforms, the whole matrix goes through the dense minimal-pivot
-    elimination, which also accumulates U and V.  Without them, the sparse
-    route runs first: entries equal to +-1 are eliminated one at a time in
-    least Markowitz cost order, each contributing an invariant factor 1, and
-    the dense elimination then runs only on the residual core of rows and
-    columns that are still nonzero.
+    The matrix is its sparse rows, one {col: value} map per row, which stay
+    unchanged, and its column count, which trailing zero columns leave
+    implicit.  With transforms, the matrix is made dense once and goes whole
+    through the minimal-pivot elimination, which accumulates U and V (ncols
+    square).  Without them, entries equal to +-1 are eliminated one at a
+    time in least Markowitz cost order, each contributing an invariant
+    factor 1, and the dense elimination then runs only on the residual core
+    of rows and columns that are still nonzero.
     """
     if with_transforms:
-        return _dense_smith(mat, with_transforms=True)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    units, core = _eliminate_unit_pivots(mat)
-    facs = _dense_smith(core, with_transforms=False).invariant_factors
-    return SmithForm(shape=(m, n), invariant_factors=(1,) * units + facs,
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        return _dense_smith(dense, ncols, with_transforms=True)
+    # the unit-pivot stage takes its rows over
+    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
+    facs = _dense_smith(core, len(core[0]) if core else 0,
+                        with_transforms=False).invariant_factors
+    return SmithForm(shape=(len(rows), ncols),
+                     invariant_factors=(1,) * units + facs,
                      U=None, V=None)
 
 
-def _eliminate_unit_pivots(mat: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
+def _eliminate_unit_pivots(mat: list[dict[int, int]]) -> tuple[int, Matrix]:
     """Schur-complement elimination on +-1 pivots of least Markowitz cost.
 
     A unit pivot keeps every entry integral and splits off one invariant
-    factor 1, so the Smith form of the input is (1,) * count followed by
-    the Smith form of the returned dense core.  The dense rows turn sparse
-    here, once.
+    factor 1, so the Smith form of the sparse rows is (1,) * count followed
+    by the Smith form of the returned dense core.  The rows are taken over
+    and changed in place, as by _sparse_store.
     """
-    rows, cols = _sparse_store(
-        [{j: int(v) for j, v in enumerate(row) if v} for row in mat])
+    rows, cols = _sparse_store(mat)
     units = 0
     while rows:
         # scan columns from the shortest up; a column of count c cannot beat
@@ -202,12 +205,10 @@ def _take_row(rows, cols, i: int) -> dict[int, int]:
     return row
 
 
-def _dense_smith(mat: Sequence[Sequence[int]],
-                 with_transforms: bool) -> SmithForm:
-    """Deterministic minimal-pivot elimination on the dense matrix."""
-    A = copy_matrix(mat)
+def _dense_smith(A: Matrix, n: int, with_transforms: bool) -> SmithForm:
+    """Deterministic minimal-pivot elimination on a dense matrix of n
+    columns, which it takes over and changes in place."""
     m = len(A)
-    n = len(A[0]) if m else 0
     U = identity_matrix(m) if with_transforms else None
     V = identity_matrix(n) if with_transforms else None
 
@@ -313,8 +314,8 @@ class IntLattice:
     the column are reduced against the one with the least absolute entry
     until a single row, made positive, is left as that column's pivot row.
     Picking the least entry keeps coefficients small, unlike naive
-    incremental insertion.  basis_vectors() returns the basis dense, for the
-    Smith form, and sparse_basis() returns it sparse.
+    incremental insertion.  Only the sparse pivot rows are kept;
+    sparse_basis() returns copies of them.
     """
 
     _exact = True        # rows are Python ints; read by the bench tracer
@@ -323,20 +324,22 @@ class IntLattice:
         self.dim = dim
         self._pending: list[dict[int, int]] = []
         self._pivots: list[tuple[int, dict[int, int]]] = []  # (col, sparse row)
-        self._rows: list[list[int]] = []           # the same rows, dense
         self._final = False
 
     @property
     def rank(self) -> int:
         self._finalize()
-        return len(self._rows)
+        return len(self._pivots)
 
-    def basis_vectors(self) -> list[list[int]]:
-        self._finalize()
-        return [list(row) for row in self._rows]
+    @property
+    def _rows(self) -> list[list[int]]:
+        # the nonzero values of each basis row, for the rank and entry-bit
+        # counters of qhbench/spans.py; delete once the tracer reads a
+        # recorder instead (ROADMAP item 3)
+        return [list(row.values()) for _, row in self._pivots]
 
     def sparse_basis(self) -> list[dict[int, int]]:
-        """The basis rows of basis_vectors() as sparse maps."""
+        """The echelon basis rows as sparse maps, in pivot order."""
         self._finalize()
         return [dict(row) for _, row in self._pivots]
 
@@ -351,7 +354,7 @@ class IntLattice:
         if self._final:
             # restart from the current basis plus the newcomer
             self._pending = self.sparse_basis() + [entries]
-            self._pivots, self._rows = [], []
+            self._pivots = []
             self._final = False
         else:
             self._pending.append(entries)
@@ -380,11 +383,7 @@ class IntLattice:
                     if q:
                         _subtract_row(rows, cols, i, q, base)
             _take_row(rows, cols, k)
-            dense = [0] * self.dim
-            for j, v in base.items():
-                dense[j] = v
             self._pivots.append((col, base))
-            self._rows.append(dense)
 
     # -- queries ---------------------------------------------------------------
     def reduce(self, vec: dict[int, int]):

@@ -8,8 +8,9 @@ exception: it reads the kernel off the library's own Smith form with
 transforms, so it is a second route to an answer built on that elimination,
 not an independent oracle.  lattice_from_rows is a shorthand for filling the
 library's IntLattice with dense rows, sparse turns a dense vector into the
-{index: value} map the lattice takes, and relabelled renames a table's
-elements.
+{index: value} map the lattice takes, sparse_rows turns a dense matrix into
+the sparse rows and column count the Smith form takes, and relabelled
+renames a table's elements.
 
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
@@ -155,7 +156,7 @@ def kernel_basis(mat):
     n = len(mat[0]) if m else 0
     if n == 0:
         return []
-    snf = smith_normal_form(mat, with_transforms=True)
+    snf = smith_normal_form(*sparse_rows(mat), with_transforms=True)
     r = snf.rank
     V = snf.V
     return [[V[i][j] for i in range(n)] for j in range(r, n)]
@@ -163,6 +164,10 @@ def kernel_basis(mat):
 
 def sparse(vec):
     return {j: v for j, v in enumerate(vec) if v}
+
+
+def sparse_rows(mat):
+    return [sparse(row) for row in mat], len(mat[0]) if mat else 0
 
 
 def lattice_from_rows(rows, dim):

@@ -2,14 +2,15 @@ import importlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (kernel_basis, lattice_from_rows, rank_fraction_free,
-                     relabelled, sparse)
-from quandlehom.chains import (FormalChain, identity_cycle,
+                     relabelled, sparse, sparse_rows)
+from quandlehom.chains import (FormalChain, _generators, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
                                  coboundary, cocycle_condition_holds,
@@ -47,13 +48,13 @@ def test_boundary_matrix_identity_solvable(dih3):
     from quandlehom.chains import boundary, chain_vector, subcomplex_generators
     gens2 = subcomplex_generators(dih3, "identity", 2, word=aa)
     lat = gens2.lattice
-    basis = lat.basis_vectors()
+    basis = lat.sparse_basis()
     for j, chain in enumerate(bm.col_basis):
         b = boundary(dih3, chain)
         vec = chain_vector(b, 3)
         recon = [0] * lat.dim
         for i, coef in enumerate(col(bm, j)):
-            for k, v in enumerate(basis[i]):
+            for k, v in basis[i].items():
                 recon[k] += coef * v
         assert sparse(recon) == vec
 
@@ -119,7 +120,8 @@ def test_rank_nullity_cross_check(dih3, gf4):
                 bm = boundary_matrix(X, cx, deg)
                 if not bm.shape[0]:
                     continue
-                r = smith_normal_form(bm.matrix, with_transforms=False).rank
+                r = smith_normal_form(bm.sparse_rows, bm.shape[1],
+                                      with_transforms=False).rank
                 assert r == rank_fraction_free(bm.matrix)
                 assert r <= min(bm.shape)
 
@@ -238,7 +240,7 @@ def test_quandle_h2_two_routes_gf4(gf4):
         assert coords is not None
         coord_cols.append(coords)
     pres = [list(row) for row in zip(*coord_cols)]
-    snf = smith_normal_form(pres, with_transforms=False)
+    snf = smith_normal_form(*sparse_rows(pres), with_transforms=False)
     free = len(kern) - snf.rank
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     assert (route_a.free_rank, route_a.torsion) == (free, torsion) == (0, (2,))
@@ -326,11 +328,10 @@ def test_identity_complex_rank_consistency(dih3, gf4):
                 bn = boundary_matrix(X, "identity", deg, word=w)
                 bn1 = boundary_matrix(X, "identity", deg + 1, word=w)
                 dim = len(bn.col_basis)
-                r_n = smith_normal_form(bn.matrix, with_transforms=False).rank \
-                    if bn.matrix else 0
-                r_up = smith_normal_form(bn1.matrix,
-                                         with_transforms=False).rank \
-                    if bn1.matrix else 0
+                r_n = smith_normal_form(bn.sparse_rows, dim,
+                                        with_transforms=False).rank
+                r_up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis),
+                                         with_transforms=False).rank
                 assert r_n + r_up <= dim
                 assert h.free_rank == dim - r_n - r_up
 
@@ -461,3 +462,29 @@ def test_gf8_quandle_h3_against_ranks_mod_p(oct_b):
     d4 = boundary_matrix(oct_b, "quandle", 4).matrix
     assert len(h3.torsion) == _rank_mod(d4, 1_000_003) - _rank_mod(d4, 2)
     assert h3.torsion
+
+
+def _peak_mib(fn):
+    """Peak of the Python allocations fn makes, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_rack_boundary_memory_follows_its_nonzeros():
+    """The rack d_8 of dihedral(3) is 2,187 x 6,561 with 47,568 nonzeros; a
+    dense build would hold 14.3 M cells."""
+    assert _peak_mib(lambda: boundary_matrix(dihedral(3), "rack", 8)) < 32
+
+
+def test_degeneracy_span_memory_follows_its_nonzeros():
+    """The degree-4 degeneracy span of dihedral(9) has rank 1,953 in
+    dimension 6,561, one nonzero per generator; a dense basis would hold
+    12.8 M entries."""
+    _generators.cache_clear()            # measure a fresh echelon
+    X = dihedral(9)
+    assert _peak_mib(lambda: subcomplex_generators(
+        X, "degenerate", 4).lattice.rank) < 16

@@ -4,19 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (kernel_basis, lattice_from_rows,
-                     naive_invariant_factors, rank_fraction_free, sparse)
+                     naive_invariant_factors, rank_fraction_free, sparse,
+                     sparse_rows)
 from quandlehom.homology import boundary_matrix
-from quandlehom.linalg import (IntLattice, _eliminate_unit_pivots,
-                               det_bareiss, smith_normal_form)
+from quandlehom.linalg import (IntLattice, _dense_smith,
+                               _eliminate_unit_pivots, det_bareiss,
+                               smith_normal_form)
 from quandlehom.shell import corpus
 
 
 def test_snf_examples():
-    s = smith_normal_form([[1, 0], [0, 1]])
+    s = smith_normal_form(*sparse_rows([[1, 0], [0, 1]]))
     assert s.invariant_factors == (1, 1) and s.check([[1, 0], [0, 1]])
-    s = smith_normal_form([[2, 4], [6, 8]])
+    s = smith_normal_form(*sparse_rows([[2, 4], [6, 8]]))
     assert s.invariant_factors == (2, 4) and s.check([[2, 4], [6, 8]])
-    s = smith_normal_form([[0, 0], [0, 0]])
+    s = smith_normal_form(*sparse_rows([[0, 0], [0, 0]]))
     assert s.invariant_factors == () and s.check([[0, 0], [0, 0]])
 
 
@@ -26,7 +28,7 @@ def test_snf_random_vs_oracle():
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        s = smith_normal_form(mat)
+        s = smith_normal_form(*sparse_rows(mat))
         assert s.check(mat)
         assert s.invariant_factors == naive_invariant_factors(mat)
 
@@ -42,27 +44,38 @@ def test_snf_permutation_invariance():
         rng.shuffle(rows)
         rng.shuffle(cols)
         permuted = [[mat[i][j] for j in cols] for i in rows]
-        assert smith_normal_form(mat, with_transforms=False).invariant_factors \
-            == smith_normal_form(permuted, with_transforms=False).invariant_factors
+        assert smith_normal_form(*sparse_rows(mat), with_transforms=False) \
+            .invariant_factors == smith_normal_form(
+                *sparse_rows(permuted), with_transforms=False).invariant_factors
 
 
 # ------------------------------- sparse route against the dense route
 
-def assert_routes_agree(mat):
+def assert_routes_agree(rows, ncols):
     """The sparse unit-pivot route (no transforms) and the dense route
-    (with verified transforms) give the same invariant factors."""
-    dense = smith_normal_form(mat, with_transforms=True)
+    (with verified transforms) give the invariant factors of the dense
+    elimination on the whole matrix, take their shape from ncols, and leave
+    the input maps as they were, entry order included."""
+    before = [list(row.items()) for row in rows]
+    mat = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    expect = _dense_smith([list(r) for r in mat], ncols,
+                          with_transforms=False).invariant_factors
+    dense = smith_normal_form(rows, ncols, with_transforms=True)
     assert dense.check(mat)
-    sparse = smith_normal_form(mat, with_transforms=False)
-    assert sparse.shape == dense.shape
-    assert sparse.invariant_factors == dense.invariant_factors
+    assert len(dense.V) == ncols and all(len(r) == ncols for r in dense.V)
+    sparse = smith_normal_form(rows, ncols, with_transforms=False)
+    assert sparse.shape == dense.shape == (len(rows), ncols)
+    assert sparse.invariant_factors == dense.invariant_factors == expect
+    assert [list(row.items()) for row in rows] == before
 
 
 @st.composite
 def sparse_matrices(draw, values=(-1, 1, -2, 2, 3)):
-    """Random sparse matrices, optionally with a zero row, a zero column
-    and a duplicated column spliced in."""
-    m = draw(st.integers(1, 8))
+    """Random sparse matrices as (sparse rows, column count), possibly with
+    no rows, optionally with a zero row, a zero column and a duplicated
+    column spliced in, with trailing zero columns that only the column count
+    shows, and with each row's entries in shuffled order."""
+    m = draw(st.integers(0, 8))
     n = draw(st.integers(1, 10))
     density = draw(st.sampled_from((0.15, 0.3, 0.6)))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
@@ -73,26 +86,32 @@ def sparse_matrices(draw, values=(-1, 1, -2, 2, 3)):
     if draw(st.booleans()):
         at = rng.randrange(n + 1)
         mat = [row[:at] + [0] + row[at:] for row in mat]
-    if draw(st.booleans()):
-        src = rng.randrange(len(mat[0]))
+        n += 1
+    if mat and draw(st.booleans()):
+        src = rng.randrange(n)
         mat = [row + [row[src]] for row in mat]
-    return mat
+        n += 1
+    rows = [sparse(row) for row in mat]
+    if draw(st.booleans()):
+        rows = [dict(rng.sample(list(row.items()), len(row))) for row in rows]
+    return rows, n + draw(st.integers(0, 2))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sparse_matrices())
-def test_sparse_route_matches_dense(mat):
-    assert_routes_agree(mat)
+def test_sparse_route_matches_dense(case):
+    assert_routes_agree(*case)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(sparse_matrices(values=(-2, 2, 3, -4, 6)))
-def test_sparse_route_core_only(mat):
+def test_sparse_route_core_only(case):
     """No entry is a unit, so the dense core does all the work."""
-    units, core = _eliminate_unit_pivots(mat)
+    rows, ncols = case
+    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
     assert units == 0
-    assert sum(map(any, core)) == sum(map(any, mat))
-    assert_routes_agree(mat)
+    assert sum(map(any, core)) == sum(map(bool, rows))
+    assert_routes_agree(rows, ncols)
 
 
 @pytest.mark.parametrize("mat", [
@@ -101,7 +120,9 @@ def test_sparse_route_core_only(mat):
     [[1, 1], [1, 1]], [[2, 0], [0, 3]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
 ])
 def test_sparse_route_edge_shapes(mat):
-    assert_routes_agree(mat)
+    rows, ncols = sparse_rows(mat)
+    for trailing in (0, 2):                  # 2: zero columns only ncols shows
+        assert_routes_agree(rows, ncols + trailing)
 
 
 SNF_CELL_BUDGET = 40_000     # rows * cols; larger corpus matrices are skipped
@@ -116,8 +137,10 @@ def test_sparse_route_matches_dense_on_corpus_boundaries():
                 rows, cols = bm.shape
                 if not 0 < rows * cols <= SNF_CELL_BUDGET:
                     continue
-                dense = smith_normal_form(bm.matrix, with_transforms=True)
-                sparse = smith_normal_form(bm.matrix, with_transforms=False)
+                dense = smith_normal_form(bm.sparse_rows, cols,
+                                          with_transforms=True)
+                sparse = smith_normal_form(bm.sparse_rows, cols,
+                                           with_transforms=False)
                 assert sparse.invariant_factors == dense.invariant_factors
                 checked += 1
     assert checked >= 50
@@ -129,8 +152,8 @@ def test_rank_agreement():
         m = rng.randint(1, 7)
         n = rng.randint(1, 7)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        assert smith_normal_form(mat, with_transforms=False).rank \
-            == rank_fraction_free(mat)
+        assert smith_normal_form(*sparse_rows(mat), with_transforms=False) \
+            .rank == rank_fraction_free(mat)
 
 
 def test_kernel_basis():
@@ -144,7 +167,8 @@ def test_kernel_basis():
         n = rng.randint(1, 6)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         kb = kernel_basis(mat)
-        assert len(kb) == n - smith_normal_form(mat, with_transforms=False).rank
+        assert len(kb) == n - smith_normal_form(*sparse_rows(mat),
+                                                with_transforms=False).rank
         for v in kb:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in mat)
 
@@ -188,7 +212,7 @@ def in_span_snf(gens, v):
     """Independent membership oracle through the Smith form of the
     generators as columns."""
     A = [list(col) for col in zip(*gens)]
-    snf = smith_normal_form(A)
+    snf = smith_normal_form(*sparse_rows(A))
     uc = [sum(a * b for a, b in zip(row, v)) for row in snf.U]
     for i, val in enumerate(uc):
         if i < snf.rank:
@@ -203,10 +227,10 @@ def assert_echelon(lat, gens):
     """Each basis row's pivot, its first nonzero, is positive; pivots sit in
     strictly increasing columns, so each has only zeros to its left and
     below it.  The rank is the rational rank of the generators."""
-    basis = lat.basis_vectors()
+    basis = lat.sparse_basis()
     leads = []
     for row in basis:
-        lead = next(j for j, v in enumerate(row) if v)
+        lead = min(row)
         assert row[lead] > 0
         leads.append(lead)
     assert all(a < b for a, b in zip(leads, leads[1:]))
@@ -243,7 +267,8 @@ def test_lattice_coordinates_roundtrip(gens, data):
     assert_echelon(lat, gens)
 
     def assert_roundtrip(vecs):
-        basis = lat.basis_vectors()
+        basis = [[row.get(j, 0) for j in range(dim)]
+                 for row in lat.sparse_basis()]
         for g in vecs:
             coords = lat.coordinates(sparse(g))
             assert coords is not None
@@ -261,8 +286,8 @@ def test_lattice_coordinates_roundtrip(gens, data):
     assert_echelon(lat, gens + [extra])
     assert_roundtrip(gens + [extra])
     fresh = lattice_from_rows(gens + [extra], dim)
-    assert all(lat.contains(sparse(row)) for row in fresh.basis_vectors())
-    assert all(fresh.contains(sparse(row)) for row in lat.basis_vectors())
+    assert all(lat.contains(row) for row in fresh.sparse_basis())
+    assert all(fresh.contains(row) for row in lat.sparse_basis())
 
 
 @pytest.mark.parametrize("vec", [{2: 1}, {-1: 1}, {0: 1, 5: 0}])
@@ -283,7 +308,7 @@ def test_lattice_add_copies_its_input():
     lat = IntLattice(2)
     lat.add(vec)
     lat.add({0: 3, 1: 6})
-    assert lat.basis_vectors() == [[1, 2]]
+    assert lat.sparse_basis() == [{0: 1, 1: 2}]
     assert vec == {0: 2, 1: 4}
 
 

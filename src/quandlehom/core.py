@@ -200,9 +200,10 @@ def make_table(rows: Sequence[Sequence[int]],
     """Validate a raw 0-based table and wrap it; raises named axiom errors."""
     if require not in ("rack", "quandle"):
         raise ValueError("require must be 'rack' or 'quandle'")
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
-    _check_axioms_strict(rows, quandle=(require == "quandle"))
-    return QuandleTable(rows, _validated=True)
+    X = QuandleTable(rows)
+    if require == "quandle" and not X.is_quandle:
+        _check_axioms_strict(X.rows, quandle=True)
+    return X
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,11 @@ def is_connected(X: QuandleTable) -> bool:
 class PermutationGroup:
     """Finite permutation group closed from generators.
 
-    Elements are ordered lexicographically on image tuples.  The element set
-    is held as a numpy array; ``elements`` materializes Permutation objects on
-    first access (closures can reach 10^5+ elements).
+    ``generators`` holds the distinct generating permutations, sorted by
+    image tuple; for ``inner_group`` they are the translations of a rack
+    generating set.  Elements are ordered lexicographically on image tuples.
+    The element set is held as a numpy array; ``elements`` materializes
+    Permutation objects on first access (closures can reach 10^5+ elements).
     """
 
     __slots__ = ("generators", "order", "_array", "_elements")
@@ -352,74 +355,80 @@ class PermutationGroup:
 
 def close_permutations(generators: Sequence[Permutation], n: int,
                        closure_cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
-    """Breadth-first closure of a generator set under composition; products
-    are composed in vectorized batches and filtered through a byte-key set."""
+    """Breadth-first closure of a generator set under composition.
+
+    Each level is one numpy step: every generator is composed with the whole
+    frontier, the products are deduplicated with ``np.unique``, and those
+    already seen are dropped by ``searchsorted`` against the sorted keys of
+    the elements found so far.  A row's key is the byte string of its
+    big-endian int64 images, so byte order is lexicographic order on image
+    tuples.  ClosureBudgetExceeded is raised before a level would take the
+    element count past ``closure_cap``.
+    """
     gens_arr = np.array(sorted({g.images for g in generators}), dtype=np.int64)
     if gens_arr.size == 0:
         gens_arr = np.arange(n, dtype=np.int64)[None, :]
-    ident = np.arange(n, dtype=np.int64)
-    seen = {ident.tobytes()}
-    rows = [ident]
-    frontier = ident[None, :]
-    while frontier.shape[0]:
-        # batch compose: out[i, j] = gen_i o frontier_j
-        prod = gens_arr[:, frontier].reshape(-1, n)
-        fresh = []
-        for row in prod:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                if len(seen) > closure_cap:
-                    raise ClosureBudgetExceeded(closure_cap)
-                fresh.append(row)
-        if not fresh:
+    width = f"S{8 * n}"
+    frontier = np.arange(n, dtype=np.int64)[None, :]
+    seen = frontier.astype(">i8").view(width).ravel()
+    while True:
+        prod = np.ascontiguousarray(gens_arr[:, frontier], dtype=">i8")
+        fresh = np.unique(prod.view(width).ravel())
+        fresh = fresh[np.searchsorted(seen, fresh) ==
+                      np.searchsorted(seen, fresh, side="right")]
+        if not len(fresh):
             break
-        frontier = np.array(fresh, dtype=np.int64)
-        rows.extend(fresh)
-    arr = np.array(sorted(map(tuple, rows)), dtype=np.int64)
-    return PermutationGroup([Permutation(tuple(int(v) for v in g)) for g in gens_arr],
+        if len(seen) + len(fresh) > closure_cap:
+            raise ClosureBudgetExceeded(closure_cap)
+        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+        frontier = np.frombuffer(fresh.tobytes(), ">i8").reshape(-1, n)
+    arr = np.frombuffer(seen.tobytes(), ">i8").reshape(-1, n).astype(np.int64)
+    return PermutationGroup([Permutation(tuple(g.tolist())) for g in gens_arr],
                             arr)
 
 
 def inner_group(X: QuandleTable,
                 closure_cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
-    """Group generated by all right translations of the table."""
-    seen = set()
+    """Inn(X), the group generated by the right translations.
+
+    R_{b*c} = R_c R_b R_c^-1, so the translations of any rack generating set
+    generate it.  The set is grown greedily: each element outside the subset
+    closed under * that the set so far generates (a subrack) joins it, until
+    that subrack is all of X.  Only its translations are closed over.
+    """
+    T = X.np_table
+    inside = np.zeros(X.order, dtype=bool)
     gens = []
     for b in range(X.order):
-        col = X.column(b)
-        if col not in seen:
-            seen.add(col)
-            gens.append(Permutation(col))
+        if inside[b]:
+            continue
+        gens.append(translate(X, b))
+        inside[b] = True
+        size = 0
+        while size < inside.sum():
+            size = inside.sum()
+            members = np.flatnonzero(inside)
+            inside[T[np.ix_(members, members)]] = True
     return close_permutations(gens, X.order, closure_cap=closure_cap)
 
 
-def _point_periods(arr: np.ndarray) -> np.ndarray:
-    """Per-row cycle length of every point of a stack of permutations."""
-    count, n = arr.shape
-    pos = np.tile(np.arange(n, dtype=np.int64), (count, 1))
-    period = np.zeros((count, n), dtype=np.int64)
-    target = np.arange(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        pos = np.take_along_axis(arr, pos, axis=1)
-        closed = (pos == target) & (period == 0)
-        if closed.any():
-            period[closed] = k
-        if (period != 0).all():
-            break
-    return period
-
-
 def group_exponent(G: PermutationGroup) -> int:
-    """Least e with g^e = identity for every element."""
+    """Least e with g^e = identity for every element: the lcm of every cycle
+    length of every element.
+
+    Pointer doubling labels each point with the least flat index on its
+    cycle in ceil(log2 n) rounds; a bincount of the labels counts the points
+    of each cycle.
+    """
     arr = G.images_array()
-    if arr.shape[0] == 0:
-        return 1
-    orders = np.lcm.reduce(_point_periods(arr), axis=1)
-    out = 1
-    for v in np.unique(orders):
-        out = math.lcm(out, int(v))
-    return out
+    count, n = arr.shape
+    step = (arr + np.arange(0, count * n, n, dtype=np.int64)[:, None]).ravel()
+    label = np.arange(count * n, dtype=np.int64)
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    lengths = np.unique(np.bincount(label))
+    return math.lcm(*lengths[lengths > 0].tolist())
 
 
 def quandle_type(X: QuandleTable) -> int:

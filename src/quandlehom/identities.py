@@ -115,11 +115,12 @@ def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
     x over every element in the same order, so the witness is the full
     order's first violation and ``tuples_checked`` is its position there
     (n^(m+1) when the word holds).  The composition of the right translations
-    named by the word is computed for a whole block of letter tuples at once.
+    named by the word is computed for a whole block of letter tuples at once,
+    one flat gather from the transposed table per letter.
     """
     n = X.order
     m = w.letters
-    R = X.np_table.T          # R[y] = images of the right translation by y
+    Rf = X.np_table.T.ravel()     # Rf[y*n + x] = x*y
     target = np.arange(n, dtype=np.int64)
     inner = n ** (m - 1)      # letter tuples per value of y_1
     firsts = orbit_minima(X)
@@ -133,9 +134,9 @@ def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
         ys = np.empty((hi - lo, m), dtype=np.int64)
         for j, wt in enumerate(weights):
             ys[:, j] = (idx // wt) % n
-        comp = np.tile(target, (hi - lo, 1))
+        comp = target
         for t in w.tau:
-            comp = np.take_along_axis(R[ys[:, t]], comp, axis=1)
+            comp = Rf[ys[:, t, None] * n + comp]
         bad = comp != target
         if bad.any():
             rows_bad = bad.any(axis=1)

@@ -16,6 +16,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,6 +47,9 @@ EXIT_USAGE = 2
 
 # ------------------------------------------------------------------- file io
 
+_ENTRY = re.compile(r"-?\d+")
+
+
 def loads(text: str, convention: str = "right") -> QuandleTable:
     """Parse the 1-based matrix format; left convention transposes."""
     lines = text.splitlines()
@@ -65,18 +69,16 @@ def loads(text: str, convention: str = "right") -> QuandleTable:
         raise ParseError(
             f"expected {n * n} entries after the order, found {len(body)}",
             body[-1][0] if body else ln)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            ln, tok = body[i * n + j]
-            if not re.fullmatch(r"-?\d+", tok):
-                raise ParseError(f"bad entry {tok!r}", ln, j + 1)
-            v = int(tok) - 1
-            if not 0 <= v < n:
-                raise ParseError(f"entry {tok} outside 1..{n}", ln, j + 1)
-            row.append(v)
-        rows.append(row)
+    toks = [tok for _, tok in body]
+    ok = all(map(_ENTRY.fullmatch, toks))
+    vals = list(map(int, toks)) if ok else []
+    if not ok or not 1 <= min(vals) <= max(vals) <= n:
+        for k, (ln, tok) in enumerate(body):     # name the first bad entry
+            if not _ENTRY.fullmatch(tok):
+                raise ParseError(f"bad entry {tok!r}", ln, k % n + 1)
+            if not 1 <= int(tok) <= n:
+                raise ParseError(f"entry {tok} outside 1..{n}", ln, k % n + 1)
+    rows = [[v - 1 for v in vals[i * n:(i + 1) * n]] for i in range(n)]
     if convention == "left":
         rows = [list(col) for col in zip(*rows)]
     elif convention != "right":
@@ -447,6 +449,7 @@ def _emit_report(report: dict, as_json: bool):
     print(f"status: {report['status']}")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

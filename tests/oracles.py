@@ -10,7 +10,8 @@ not an independent oracle.  lattice_from_rows is a shorthand for filling the
 library's IntLattice with dense rows, sparse turns a dense vector into the
 {index: value} map the lattice takes, sparse_rows turns a dense matrix into
 the sparse rows and column count the Smith form takes, and relabelled
-renames a table's elements.
+renames a table's elements.  naive_inner_group closes over every distinct
+right translation by a plain loop, not over a generating set's.
 
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
@@ -111,6 +112,42 @@ def naive_is_medial(X):
     n = range(X.order)
     return all(T[T[x][y]][T[u][v]] == T[T[x][u]][T[y][v]]
                for x in n for y in n for u in n for v in n)
+
+
+def naive_inner_group(X):
+    """Inn(X) by a plain breadth-first closure over every distinct right
+    translation: the sorted image tuples of its elements."""
+    n = X.order
+    gens = {tuple(X.rows[x][y] for x in range(n)) for y in range(n)}
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return sorted(seen)
+
+
+def naive_group_exponent(elements):
+    """lcm of the element orders, each the lcm of its cycle lengths found by
+    walking every cycle once."""
+    out = 1
+    for p in elements:
+        seen = [False] * len(p)
+        for s in range(len(p)):
+            length, x = 0, s
+            while not seen[x]:
+                seen[x] = True
+                x = p[x]
+                length += 1
+            if length:
+                out = math.lcm(out, length)
+    return out
 
 
 def relabelled(X, perm):

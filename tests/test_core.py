@@ -110,8 +110,11 @@ def test_inner_group_deterministic_order(dih3):
 
 
 def test_inner_group_budget(dih3):
-    with pytest.raises(ClosureBudgetExceeded):
-        inner_group(dih3, closure_cap=3)
+    """The cap bounds the element count: |Inn(R3)| = 6 exceeds 3 and 5, not 6."""
+    for cap in (3, 5):
+        with pytest.raises(ClosureBudgetExceeded):
+            inner_group(dih3, closure_cap=cap)
+    assert len(inner_group(dih3, closure_cap=6).elements) == 6
 
 
 def test_group_exponent(dih3, triv2):

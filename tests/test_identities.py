@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (full_order_scan, naive_is_medial, naive_satisfies,
-                     relabelled)
+from oracles import (full_order_scan, naive_group_exponent, naive_inner_group,
+                     naive_is_medial, naive_satisfies, relabelled)
 from quandlehom.core import (group_exponent, inner_group, is_connected,
                              is_medial, make_table, orbit, orbit_minima,
                              product, quandle_type)
@@ -283,3 +283,42 @@ def test_orbit_scans_match_full_order(data):
             else (rep.witness.x, rep.witness.ys)
         assert (rep.satisfied, witness, rep.tuples_checked) \
             == full_order_scan(Y, w), (Y.rows, w.text)
+
+
+def assert_inner_group_matches_plain_closure(X):
+    G = inner_group(X)
+    want = naive_inner_group(X)
+    assert G.images_array().tolist() == [list(p) for p in want]
+    assert G.order == len(want)
+    assert group_exponent(G) == naive_group_exponent(want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inner_group_matches_plain_closure(data):
+    """Inn from the translations of a rack generating set holds the same
+    elements, in the same lexicographic order, as the closure over every
+    distinct translation, and its exponent is the lcm of element orders."""
+    X = data.draw(st.sampled_from(ORBIT_TABLES))
+    assert_inner_group_matches_plain_closure(
+        relabelled(X, data.draw(st.permutations(range(X.order)))))
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_inner_group_of_connected_quandles(order):
+    for X in enumerate_connected(order):
+        assert_inner_group_matches_plain_closure(X)
+
+
+def test_inner_group_of_a_long_cycle():
+    """x*y = sigma(x) with sigma a 300-cycle: Inn is cyclic of order 300, and
+    labels above one byte pin the lexicographic order of its elements."""
+    n = 300
+    X = make_table([[(x + 1) % n] * n for x in range(n)])
+    assert_inner_group_matches_plain_closure(X)
+    G = inner_group(X)
+    assert G.images_array()[:, 0].tolist() == list(range(n))
+    assert group_exponent(G) == n
+    perm = list(range(n))
+    random.Random(300).shuffle(perm)
+    assert_inner_group_matches_plain_closure(relabelled(X, perm))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 import quandlehom
 from quandlehom.constructions import alexander_zn, dihedral
 from quandlehom.errors import MissingDataset, ParseError
+from quandlehom import shell
 from quandlehom.linalg import IntLattice
 from quandlehom.shell import (cli, corpus, emit, load, load_dataset, loads,
                               run_reproduce, save)
@@ -45,6 +47,19 @@ def test_parse_errors():
         loads("3\n1 3 2\n3 2 1\n2 1 9\n")        # out of 1..n
     with pytest.raises(ParseError):
         loads("x\n1\n")
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("3\n1 3 2\n3 2 1\n2 1 9\n", "entry 9 outside 1..3", 4, 3),
+    ("3\n1 3 2\n3 x 1\n2 1 9\n", "bad entry 'x'", 3, 2),
+    ("3\n1 3 2\n3 0 1\n2 x 3\n", "entry 0 outside 1..3", 3, 2),
+    ("2\n1 1 2\n-1\n", "entry -1 outside 1..2", 3, 2),
+])
+def test_parse_errors_name_the_first_bad_entry(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    assert str(exc.value).startswith(message)
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_round_trip(tmp_path):
@@ -119,6 +134,25 @@ def test_cli_json_deterministic(tmp_path):
     r1.pop("wall_clock_s")
     r2.pop("wall_clock_s")
     assert r1 == r2
+
+
+def test_cli_parser_is_reused_across_calls(tmp_path):
+    """One parser serves every call of a process: a usage error and --help
+    in between leave the next report byte-identical to the first."""
+    path = tmp_path / "d3.txt"
+    path.write_text(DIH3_TEXT)
+
+    def without_clock(out):
+        return re.sub(r'\n  "wall_clock_s": [^\n]*', "", out)
+
+    code, first = run_cli(["info", str(path), "--json"])
+    assert code == 0 and '"wall_clock_s"' in first
+    assert run_cli(["info"])[0] == 2
+    code, text = run_cli(["--help"])
+    assert code == 0 and "usage:" in text
+    code, last = run_cli(["info", str(path), "--json"])
+    assert code == 0 and without_clock(last) == without_clock(first)
+    assert shell._build_parser() is shell._build_parser()
 
 
 def test_cli_gen_round_trip(tmp_path):

@@ -353,40 +353,6 @@ class PermutationGroup:
         return self.order
 
 
-def close_permutations(generators: Sequence[Permutation], n: int,
-                       closure_cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
-    """Breadth-first closure of a generator set under composition.
-
-    Each level is one numpy step: every generator is composed with the whole
-    frontier, the products are deduplicated with ``np.unique``, and those
-    already seen are dropped by ``searchsorted`` against the sorted keys of
-    the elements found so far.  A row's key is the byte string of its
-    big-endian int64 images, so byte order is lexicographic order on image
-    tuples.  ClosureBudgetExceeded is raised before a level would take the
-    element count past ``closure_cap``.
-    """
-    gens_arr = np.array(sorted({g.images for g in generators}), dtype=np.int64)
-    if gens_arr.size == 0:
-        gens_arr = np.arange(n, dtype=np.int64)[None, :]
-    width = f"S{8 * n}"
-    frontier = np.arange(n, dtype=np.int64)[None, :]
-    seen = frontier.astype(">i8").view(width).ravel()
-    while True:
-        prod = np.ascontiguousarray(gens_arr[:, frontier], dtype=">i8")
-        fresh = np.unique(prod.view(width).ravel())
-        fresh = fresh[np.searchsorted(seen, fresh) ==
-                      np.searchsorted(seen, fresh, side="right")]
-        if not len(fresh):
-            break
-        if len(seen) + len(fresh) > closure_cap:
-            raise ClosureBudgetExceeded(closure_cap)
-        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-        frontier = np.frombuffer(fresh.tobytes(), ">i8").reshape(-1, n)
-    arr = np.frombuffer(seen.tobytes(), ">i8").reshape(-1, n).astype(np.int64)
-    return PermutationGroup([Permutation(tuple(g.tolist())) for g in gens_arr],
-                            arr)
-
-
 def inner_group(X: QuandleTable,
                 closure_cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
     """Inn(X), the group generated by the right translations.
@@ -395,21 +361,52 @@ def inner_group(X: QuandleTable,
     generate it.  The set is grown greedily: each element outside the subset
     closed under * that the set so far generates (a subrack) joins it, until
     that subrack is all of X.  Only its translations are closed over.
+
+    Every element is a rack automorphism, so its images on the generating
+    set determine it, and those images are its key.  Each breadth-first
+    level is one numpy step: every generator is composed with the whole
+    frontier on the generating set alone, the keys are deduplicated with
+    ``np.unique``, those already seen are dropped by ``searchsorted``, and
+    only the new elements are composed in full.  A key is the byte string of
+    the int64 images.  ClosureBudgetExceeded is raised before a level would
+    take the element count past ``closure_cap``; the elements are sorted
+    lexicographically at the end.
     """
     T = X.np_table
     inside = np.zeros(X.order, dtype=bool)
-    gens = []
+    points = []
     for b in range(X.order):
         if inside[b]:
             continue
-        gens.append(translate(X, b))
+        points.append(b)
         inside[b] = True
         size = 0
         while size < inside.sum():
             size = inside.sum()
             members = np.flatnonzero(inside)
             inside[T[np.ix_(members, members)]] = True
-    return close_permutations(gens, X.order, closure_cap=closure_cap)
+    gens = np.array(sorted({X.column(b) for b in points}), dtype=np.int64)
+    width = f"S{8 * len(points)}"
+    frontier = np.arange(X.order, dtype=np.int64)[None, :]
+    found = [frontier]
+    seen = np.ascontiguousarray(frontier[:, points]).view(width).ravel()
+    while True:
+        keys = np.ascontiguousarray(gens[:, frontier[:, points]])
+        fresh, first = np.unique(keys.view(width).ravel(), return_index=True)
+        at = np.searchsorted(seen, fresh)
+        new = seen[np.minimum(at, len(seen) - 1)] != fresh
+        if not new.any():
+            break
+        fresh, first, at = fresh[new], first[new], at[new]
+        if len(seen) + len(fresh) > closure_cap:
+            raise ClosureBudgetExceeded(closure_cap)
+        seen = np.insert(seen, at, fresh)
+        g, f = np.divmod(first, len(frontier))
+        frontier = gens[g[:, None], frontier[f]]
+        found.append(frontier)
+    arr = np.concatenate(found)
+    return PermutationGroup([Permutation(g) for g in map(tuple, gens.tolist())],
+                            arr[np.lexsort(arr.T[::-1])])
 
 
 def group_exponent(G: PermutationGroup) -> int:

@@ -21,11 +21,8 @@ import numpy as np
 from .chains import (
     DEFAULT_SIZE_GUARD,
     FormalChain,
-    boundary_of_tuple,
     chain_vector,
-    degenerate_tuples,
     subcomplex_generators,
-    tuple_index,
     vector_chain,
 )
 from .core import QuandleTable
@@ -46,15 +43,16 @@ def _guard(n_basis: int, size_guard: int):
         raise SizeGuardExceeded(n_basis, size_guard)
 
 
-def rack_basis(order: int, degree: int) -> list[tuple[int, ...]]:
-    """Lexicographic tuple basis; degree 0 is the single empty tuple."""
-    return list(itertools.product(range(order), repeat=degree))
-
-
-def quandle_basis(order: int, degree: int) -> list[tuple[int, ...]]:
-    """Non-degenerate tuples (no equal adjacent entries)."""
-    return [t for t in rack_basis(order, degree)
-            if all(t[i] != t[i + 1] for i in range(degree - 1))]
+def _tuple_array(order: int, degree: int, complex: str) -> np.ndarray:
+    """The lexicographic tuple basis of one flavour, one tuple per row:
+    every tuple for rack, those with no two equal adjacent entries for
+    quandle, the others for degenerate.  Degree 0 is the empty tuple."""
+    tups = (np.arange(order ** degree)[:, None]
+            // order ** np.arange(degree - 1, -1, -1) % order)
+    if complex == "rack":
+        return tups
+    degenerate = (tups[:, 1:] == tups[:, :-1]).any(axis=1)
+    return tups[degenerate if complex == "degenerate" else ~degenerate]
 
 
 @dataclass(frozen=True)
@@ -88,25 +86,52 @@ def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
                           size_guard: int) -> BoundaryMatrix:
     n = X.order
     _guard(n ** degree, size_guard)
-    basis = {"rack": rack_basis, "quandle": quandle_basis,
-             "degenerate": degenerate_tuples}[complex]
-    cols, rows = basis(n, degree), basis(n, degree - 1)
-    row_index = {t: i for i, t in enumerate(rows)}
-    mat: list[dict[int, int]] = [{} for _ in rows]
-    for j, tup in enumerate(cols):
-        # a 1-tuple has the empty alternating sum as its boundary; the
-        # faces are distinct with nonzero coefficients
-        for t, c in boundary_of_tuple(X, tup).items():
-            if t in row_index:
-                mat[row_index[t]][j] = c
-            elif complex == "degenerate":
-                raise SubcomplexClosureViolated(FormalChain(degree, {tup: 1}))
-            elif complex == "rack":
-                raise AssertionError("boundary left the tuple basis")
-            # quandle: a degenerate target is projected out
+    col_tups = _tuple_array(n, degree, complex)
+    row_tups = _tuple_array(n, degree - 1, complex)
+    # both faces of every column at each h = k + 1 = 2..degree, as flat
+    # indices of (degree-1)-tuples: one table gather per h acts by *x_h on
+    # the k entries before it; a 1-tuple has the empty alternating sum as
+    # its boundary
+    weight = n ** np.arange(degree - 2, -1, -1)
+    T = X.np_table
+    faces = np.empty((degree - 1, 2, len(col_tups)), dtype=np.int64)
+    for k in range(1, degree):
+        head, x = col_tups[:, :k], col_tups[:, k:k + 1]
+        tail = col_tups[:, k + 1:] @ weight[k:]
+        faces[k - 1, 0] = head @ weight[:k] + tail
+        faces[k - 1, 1] = T[head, x] @ weight[:k] + tail
+    sign = (-1) ** np.arange(2, degree + 1)           # (-1)^h, plain face
+    signs = np.stack([sign, -sign], axis=1)[:, :, None]
+    # coincident faces of one column cancel: sum on (column, face) keys,
+    # sorted column-major so that every row fills in increasing column
+    # order; keys stay below n^(2 degree - 1), within int64 for any matrix
+    # whose face array fits in memory
+    width = n ** (degree - 1)
+    keys, where = np.unique((np.arange(len(col_tups)) * width + faces).ravel(),
+                            return_inverse=True)
+    coefs = np.bincount(where, np.broadcast_to(signs, faces.shape).ravel(),
+                        len(keys)).astype(np.int64)
+    col, face = np.divmod(keys[coefs != 0], width)
+    coefs = coefs[coefs != 0]
+    lookup = np.full(width, -1, dtype=np.int64)
+    lookup[row_tups @ weight] = np.arange(len(row_tups))
+    row = lookup[face]
+    outside = row < 0
+    if outside.any():
+        if complex == "degenerate":
+            first = tuple(col_tups[col[outside][0]].tolist())
+            raise SubcomplexClosureViolated(FormalChain(degree, {first: 1}))
+        if complex == "rack":
+            raise AssertionError("boundary left the tuple basis")
+        # quandle: a degenerate face is projected out
+        row, col, coefs = row[~outside], col[~outside], coefs[~outside]
+    mat: list[dict[int, int]] = [{} for _ in range(len(row_tups))]
+    for i, j, c in zip(row.tolist(), col.tolist(), coefs.tolist()):
+        mat[i][j] = c
     return BoundaryMatrix(complex=complex, degree=degree,
                           sparse_rows=tuple(mat),
-                          row_basis=tuple(rows), col_basis=tuple(cols))
+                          row_basis=tuple(map(tuple, row_tups.tolist())),
+                          col_basis=tuple(map(tuple, col_tups.tolist())))
 
 
 def _identity_matrix_for(X: QuandleTable, word: Word, degree: int,
@@ -335,14 +360,17 @@ def cocycle_space(X: QuandleTable, modulus: int,
     if mode not in ("rack", "quandle"):
         raise ValueError("mode must be 'rack' or 'quandle'")
     n = X.order
-    _guard(n ** 3, DEFAULT_SIZE_GUARD)
     unknowns = n * n
     image = IntLattice(unknowns)
     # the columns of the rack d_3 in both modes: the quandle-flavour d_3
     # describes the same cocycles only when X is a quandle
-    for tup in rack_basis(n, 3):
-        image.add({tuple_index(t, n): c
-                   for t, c in boundary_of_tuple(X, tup).items()})
+    d3 = boundary_matrix(X, "rack", 3)
+    columns: list[dict[int, int]] = [{} for _ in d3.col_basis]
+    for i, row in enumerate(d3.sparse_rows):
+        for j, c in row.items():
+            columns[j][i] = c
+    for col in columns:
+        image.add(col)
     if mode == "quandle":
         for x in range(n):
             image.add({x * n + x: 1})

@@ -2,14 +2,14 @@
 
 Everything is arbitrary-precision, and a matrix is its sparse rows, one
 {col: value} map of Python ints per row, plus a column count.  A Smith form
-without transforms eliminates +-1 pivots in least Markowitz cost order,
-each an invariant factor 1, and hands only the residual core, made dense,
-to the minimal-pivot elimination, which also serves every request for the
-transforms U and V.  The lattice class takes sparse {index: value} vectors,
-builds its echelon basis by one sparse minimal-pivot column elimination on
-the same row/column store, keeps only the sparse pivot rows, and reduces
-query vectors against them.  These are the only eliminations the library
-runs.
+without transforms eliminates +-1 pivots, each an invariant factor 1 and
+each picked by a limited Markowitz search over columns bucketed by count,
+and hands only the residual core, made dense, to the minimal-pivot
+elimination, which also serves every request for the transforms U and V.
+The lattice class takes sparse {index: value} vectors, builds its echelon
+basis by one sparse minimal-pivot column elimination on the same row/column
+store, keeps only the sparse pivot rows, and reduces query vectors against
+them.  These are the only eliminations the library runs.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int,
     implicit.  With transforms, the matrix is made dense once and goes whole
     through the minimal-pivot elimination, which accumulates U and V (ncols
     square).  Without them, entries equal to +-1 are eliminated one at a
-    time in least Markowitz cost order, each contributing an invariant
-    factor 1, and the dense elimination then runs only on the residual core
+    time, each contributing an invariant factor 1 and each the cheapest
+    Markowitz cost among the units of the first few shortest columns that
+    hold one, and the dense elimination then runs only on the residual core
     of rows and columns that are still nonzero.
     """
     if with_transforms:
@@ -125,46 +126,83 @@ def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int,
                      U=None, V=None)
 
 
+_SEARCH_COLUMNS = 8     # unit-holding columns one pivot search looks at
+
+
 def _eliminate_unit_pivots(mat: list[dict[int, int]]) -> tuple[int, Matrix]:
-    """Schur-complement elimination on +-1 pivots of least Markowitz cost.
+    """Schur-complement elimination on +-1 pivots picked by a limited
+    Markowitz search.
 
     A unit pivot keeps every entry integral and splits off one invariant
     factor 1, so the Smith form of the sparse rows is (1,) * count followed
-    by the Smith form of the returned dense core.  The rows are taken over
-    and changed in place, as by _sparse_store.
+    by the Smith form of the returned dense core.  Columns sit in buckets by
+    their count of rows, kept up to date from each pivot: only the columns
+    of the pivot row change.  A search walks the buckets from the least
+    count and weighs the +-1 entries of at most _SEARCH_COLUMNS columns that
+    hold one, taking the least cost (c-1)(r-1) among them and stopping at
+    once on a zero cost (Zlatev, SIAM J. Numer. Anal. 17 (1980)); a column
+    it finds without a unit leaves the buckets until a pivot row changes
+    it.  The rows are taken over and changed in place, as by _sparse_store.
     """
     rows, cols = _sparse_store(mat)
+    count: dict[int, int] = {}                  # column -> its bucket
+    buckets: dict[int, set[int]] = {}           # count -> columns
+    for j, held in cols.items():
+        _rebucket(buckets, count, j, len(held))
     units = 0
-    while rows:
-        # scan columns from the shortest up; a column of count c cannot beat
-        # (c-1) times the shortest row's cost factor
-        rmin = min(map(len, rows.values())) - 1
-        by_count: dict[int, list[int]] = {}
-        for j, held in cols.items():
-            if held:
-                by_count.setdefault(len(held), []).append(j)
-        best = None
-        for c in sorted(by_count):
-            if best is not None and (c - 1) * rmin >= best[0]:
-                break
-            for j in by_count[c]:
-                for i in cols[j]:
-                    v = rows[i][j]
-                    if v == 1 or v == -1:
-                        cost = (c - 1) * (len(rows[i]) - 1)
-                        if best is None or cost < best[0]:
-                            best = (cost, i, j)
-        if best is None:
-            break
-        _, p, q = best
+    while (best := _pick_unit_pivot(rows, cols, buckets, count)) is not None:
+        p, q = best
         prow = _take_row(rows, cols, p)
         u = prow.pop(q)
         for i in cols.pop(q):
             f = rows[i].pop(q) * u               # u is its own inverse
             _subtract_row(rows, cols, i, f, prow)
+        _rebucket(buckets, count, q, 0)
+        for j in prow:
+            _rebucket(buckets, count, j, len(cols[j]))
         units += 1
     live = sorted(j for j, held in cols.items() if held)
     return units, [[row.get(j, 0) for j in live] for row in rows.values()]
+
+
+def _pick_unit_pivot(rows, cols, buckets, count):
+    """(row, col) of the cheapest +-1 entry in the first _SEARCH_COLUMNS
+    unit-holding columns by count, or None when no entry is a unit.  A
+    column found to hold no unit leaves the buckets until a pivot row
+    changes it."""
+    best = None
+    looked = 0
+    dry = []
+    for c, j in ((c, j) for c in sorted(buckets) for j in buckets[c]):
+        holds = False
+        for i in cols[j]:
+            v = rows[i][j]
+            if v == 1 or v == -1:
+                holds = True
+                cost = (c - 1) * (len(rows[i]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+        if not holds:
+            dry.append(j)
+        elif best[0] == 0 or (looked := looked + 1) == _SEARCH_COLUMNS:
+            break
+    for j in dry:
+        _rebucket(buckets, count, j, 0)
+    return best and best[1:]
+
+
+def _rebucket(buckets, count, j: int, c: int) -> None:
+    """Move column j out of the bucket it sits in, if any, and into the
+    bucket of count c; a count of 0 leaves it out."""
+    old = count.pop(j, 0)
+    if old:
+        held = buckets[old]
+        held.discard(j)
+        if not held:
+            del buckets[old]
+    if c:
+        count[j] = c
+        buckets.setdefault(c, set()).add(j)
 
 
 def _sparse_store(mat: list[dict[int, int]]):
@@ -182,17 +220,20 @@ def _sparse_store(mat: list[dict[int, int]]):
 
 
 def _subtract_row(rows, cols, i: int, f: int, prow: dict[int, int]) -> None:
-    """rows[i] -= f * prow in the sparse store, keeping the column sets in
-    step; a row that becomes zero leaves the store."""
+    """rows[i] -= f * prow for a nonzero f in the sparse store, keeping the
+    column sets in step; a row that becomes zero leaves the store."""
     row = rows[i]
     for j, v in prow.items():
-        w = row.get(j, 0) - f * v
-        if w:
-            row[j] = w
+        d = f * v
+        w = row.get(j)
+        if w is None:
+            row[j] = -d
             cols[j].add(i)
-        else:
+        elif w == d:
             del row[j]
             cols[j].discard(i)
+        else:
+            row[j] = w - d
     if not row:
         del rows[i]
 

@@ -12,6 +12,8 @@ library's IntLattice with dense rows, sparse turns a dense vector into the
 the sparse rows and column count the Smith form takes, and relabelled
 renames a table's elements.  naive_inner_group closes over every distinct
 right translation by a plain loop, not over a generating set's.
+loop_boundary_matrix builds a tuple complex's boundary matrix tuple by
+tuple from boundary_of_tuple, where the library gathers whole face arrays.
 
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
@@ -23,9 +25,10 @@ import itertools
 import math
 
 from quandlehom.chains import (FormalChain, boundary, boundary_of_tuple,
-                               tuple_index)
+                               degenerate_tuples, tuple_index)
 from quandlehom.core import make_table
-from quandlehom.homology import evaluate_cocycle
+from quandlehom.errors import SubcomplexClosureViolated
+from quandlehom.homology import BoundaryMatrix, evaluate_cocycle
 from quandlehom.identities import Assignment
 from quandlehom.linalg import IntLattice, smith_normal_form
 
@@ -158,6 +161,35 @@ def relabelled(X, perm):
         for y in range(n):
             rows[perm[x]][perm[y]] = perm[X.rows[x][y]]
     return make_table(rows, require="rack")
+
+
+def loop_boundary_matrix(X, complex, degree):
+    """The rack, quandle or degenerate boundary matrix, one column tuple at
+    a time: each term of boundary_of_tuple goes to the row of its face.  A
+    degenerate column with a face outside the degenerate tuples raises
+    SubcomplexClosureViolated; a quandle face that is degenerate is
+    projected out."""
+    n = X.order
+    basis = {
+        "rack": lambda d: list(itertools.product(range(n), repeat=d)),
+        "quandle": lambda d: [t for t in itertools.product(range(n), repeat=d)
+                              if all(t[i] != t[i + 1] for i in range(d - 1))],
+        "degenerate": lambda d: degenerate_tuples(n, d),
+    }[complex]
+    cols, rows = basis(degree), basis(degree - 1)
+    row_index = {t: i for i, t in enumerate(rows)}
+    mat = [{} for _ in rows]
+    for j, tup in enumerate(cols):
+        for t, c in boundary_of_tuple(X, tup).items():
+            if t in row_index:
+                mat[row_index[t]][j] = c
+            elif complex == "degenerate":
+                raise SubcomplexClosureViolated(FormalChain(degree, {tup: 1}))
+            elif complex == "rack":
+                raise AssertionError("boundary left the tuple basis")
+    return BoundaryMatrix(complex=complex, degree=degree,
+                          sparse_rows=tuple(mat),
+                          row_basis=tuple(rows), col_basis=tuple(cols))
 
 
 def rank_fraction_free(mat):

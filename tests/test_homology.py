@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (kernel_basis, lattice_from_rows, rank_fraction_free,
-                     relabelled, sparse, sparse_rows)
+from oracles import (kernel_basis, lattice_from_rows, loop_boundary_matrix,
+                     rank_fraction_free, relabelled, sparse, sparse_rows)
 from quandlehom.chains import (FormalChain, _generators, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
@@ -57,6 +57,55 @@ def test_boundary_matrix_identity_solvable(dih3):
             for k, v in basis[i].items():
                 recon[k] += coef * v
         assert sparse(recon) == vec
+
+
+BUILD_CELL_BUDGET = 100_000     # rows * cols; larger matrices are skipped
+NON_QUANDLE_RACK = [[1, 1, 1], [0, 0, 0], [2, 2, 2]]
+PERMUTATION_RACK = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]      # x*y = x+1 mod 3
+
+
+def _build_or_raise(build, X, flavour, degree):
+    try:
+        return build(X, flavour, degree)
+    except SubcomplexClosureViolated as exc:
+        return exc.chain
+
+
+def test_boundary_matrix_matches_the_loop_builder():
+    """The array build gives the tuple-by-tuple build's sparse rows, entry
+    order included, and both bases, or raises on the same first offending
+    degenerate tuple; on every corpus table and a relabelled copy, and on
+    two racks that are not quandles."""
+    rng = random.Random(11)
+    tables = [make_table(NON_QUANDLE_RACK, require="rack"),
+              make_table(PERMUTATION_RACK, require="rack")]
+    for _name, X in corpus():
+        perm = list(range(X.order))
+        rng.shuffle(perm)
+        tables += [X, relabelled(X, perm)]
+    checked = raised = 0
+    for X in tables:
+        for flavour in ("rack", "quandle", "degenerate"):
+            for degree in (1, 2, 3, 4):
+                if X.order ** (2 * degree - 1) > BUILD_CELL_BUDGET:
+                    continue
+                got = _build_or_raise(boundary_matrix, X, flavour, degree)
+                want = _build_or_raise(loop_boundary_matrix, X, flavour,
+                                       degree)
+                if isinstance(want, FormalChain):
+                    assert got == want
+                    raised += 1
+                    continue
+                assert [list(row.items()) for row in got.sparse_rows] == \
+                    [list(row.items()) for row in want.sparse_rows]
+                assert got.row_basis == want.row_basis
+                assert got.col_basis == want.col_basis
+                checked += 1
+    assert checked >= 200 and raised == 6
+    perm_rack = tables[1]
+    with pytest.raises(SubcomplexClosureViolated) as exc:
+        boundary_matrix(perm_rack, "degenerate", 2)
+    assert exc.value.chain == FormalChain(2, {(0, 0): 1})
 
 
 def col(bm, j):

@@ -7,7 +7,7 @@ from oracles import (kernel_basis, lattice_from_rows,
                      naive_invariant_factors, rank_fraction_free, sparse,
                      sparse_rows)
 from quandlehom.homology import boundary_matrix
-from quandlehom.linalg import (IntLattice, _dense_smith,
+from quandlehom.linalg import (_SEARCH_COLUMNS, IntLattice, _dense_smith,
                                _eliminate_unit_pivots, det_bareiss,
                                smith_normal_form)
 from quandlehom.shell import corpus
@@ -112,6 +112,57 @@ def test_sparse_route_core_only(case):
     assert units == 0
     assert sum(map(any, core)) == sum(map(bool, rows))
     assert_routes_agree(rows, ncols)
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Sparse matrices of up to 40 x 60 with at least 20 unit pivots: beside
+    a random part, k >= 20 rows each get a column of their own holding only
+    a +-1 there.  That entry stays a unit until its row is taken as a pivot
+    row, so the unit stage takes every such row.  Optionally more columns
+    than one search looks at hold a single non-unit entry each: they fill
+    the least-count bucket, and the search must pass over them.  Columns
+    come in shuffled order."""
+    m = draw(st.integers(20, 40))
+    k = draw(st.integers(20, min(m, 30)))
+    extra = draw(st.sampled_from((0, _SEARCH_COLUMNS + 2)))
+    base = draw(st.integers(10, 60 - k - extra))
+    density = draw(st.sampled_from((0.1, 0.2, 0.35)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = base + k + extra
+    place = rng.sample(range(n), n)
+    rows = [{place[j]: rng.choice((-1, 1, -2, 2, 3)) for j in range(base)
+             if rng.random() < density} for _ in range(m)]
+    for i, j in zip(rng.sample(range(m), k), range(base, base + k)):
+        rows[i][place[j]] = rng.choice((-1, 1))
+    for j in range(base + k, n):
+        rows[rng.randrange(m)][place[j]] = rng.choice((-2, 2, 3))
+    return rows, n, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(unit_rich_matrices())
+def test_sparse_route_across_many_unit_pivots(case):
+    rows, ncols, k = case
+    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
+    assert units >= k >= 20
+    assert not any(v in (1, -1) for row in core for v in row)
+    assert_routes_agree(rows, ncols)
+
+
+def test_unit_search_passes_over_columns_without_units():
+    """More count-1 columns than one search looks at hold a 2 each, and the
+    only units sit in two count-2 columns: one unit pivot, after which the
+    Schur update leaves -2."""
+    k = _SEARCH_COLUMNS + 2
+    mat = [[2 if j == i else 0 for j in range(k + 2)] for i in range(k)]
+    mat += [[0] * k + [1, 1], [0] * k + [1, -1]]
+    rows, ncols = sparse_rows(mat)
+    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
+    assert units == 1 and len(core) == k + 1
+    assert_routes_agree(rows, ncols)
+    assert smith_normal_form(rows, ncols, with_transforms=False) \
+        .invariant_factors == (1,) + (2,) * (k + 1)
 
 
 @pytest.mark.parametrize("mat", [

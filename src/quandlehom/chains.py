@@ -6,12 +6,16 @@ A degree-n chain is a sparse integer combination of n-tuples.  Faces follow
 the rack convention: the plain face deletes entry h, the twisted face acts by
 *x_h on the first h-1 entries before deleting; the boundary is the
 alternating sum of their differences for h = 2..n.
+
+Subcomplex generators are held as arrays of flat tuple indices, built from
+the word's prefix products in whole-array gathers.  An identity span of
+degree d is the span one degree down tensored with C_1 plus the span of the
+generators whose letter slot is last, and its lattice is built that way.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -25,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     NotMedial,
     SizeGuardExceeded,
+    SubcomplexClosureViolated,
 )
 from .identities import _SCAN_CHUNK, Assignment, Word, satisfies_cached
 from .linalg import IntLattice
@@ -237,27 +242,134 @@ def medial_cycle(X: QuandleTable, x: int, y: int, u: int, v: int,
     return FormalChain(2, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Generators of a subcomplex degree, with provenance per chain."""
+    """Generators of one subcomplex degree, with provenance per chain.
+
+    The generators are held as one array of flat tuple indices
+    (``tuple_index``), one row per generator and one column per term, a tuple
+    that fills several columns counting once per column.  ``chains`` and
+    ``provenance`` are built from it on first access.  An identity set of
+    degree >= 3 reaches the set one degree down (``lower``): its lattice is
+    the lower lattice with each element appended, plus the generators whose
+    letter slot is last, and its boundary map is written in the two echelon
+    bases once (``identity_boundary``).
+    """
 
     order: int                      # element count of the underlying table
     degree: int
     kind: str                       # "degenerate" | "identity"
     word: Optional[Word]
-    chains: tuple[FormalChain, ...]
-    provenance: tuple[tuple, ...]
+    _table: QuandleTable = field(repr=False)
+    _first_slot: bool = field(repr=False)
+    _terms: np.ndarray = field(repr=False)      # generators x terms
+    _sources: np.ndarray = field(repr=False)    # enumeration row per generator
+
+    def __len__(self):
+        return len(self._terms)
+
+    @cached_property
+    def chains(self) -> tuple[FormalChain, ...]:
+        out = []
+        for row in _digits(self._terms, self.order, self.degree).tolist():
+            terms: dict = {}
+            for tup in map(tuple, row):
+                terms[tup] = terms.get(tup, 0) + 1
+            out.append(FormalChain(self.degree, terms))
+        return tuple(out)
+
+    @cached_property
+    def provenance(self) -> tuple[tuple, ...]:
+        """(first i with t_i = t_(i+1), t) per degenerate tuple t;
+        (j, xs, ys) per identity generator: letter slot j (0-based), the
+        other entries xs and the letter values ys."""
+        n, d = self.order, self.degree
+        if self.kind == "degenerate":
+            tups = _digits(self._sources, n, d)
+            first = (tups[:, 1:] == tups[:, :-1]).argmax(axis=1)
+            return tuple((i, tuple(t)) for i, t in
+                         zip(first.tolist(), tups.tolist()))
+        m = self.word.letters
+        slot, row = np.divmod(self._sources, n ** (d - 1 + m))
+        xs, ys = np.divmod(row, n ** m)
+        lo = 0 if self._first_slot else 1
+        return tuple((j + lo, tuple(x), tuple(y)) for j, x, y in zip(
+            slot.tolist(), _digits(xs, n, d - 1).tolist(),
+            _digits(ys, n, m).tolist()))
+
+    @property
+    def lower(self) -> Optional["GeneratorSet"]:
+        """The identity set one degree down (cached); None at degree 2 and
+        for the degeneracy kind."""
+        if self.kind != "identity" or self.degree == 2:
+            return None
+        return _generators(self._table, "identity", self.degree - 1,
+                           self.word, self._first_slot)
 
     @cached_property
     def lattice(self) -> IntLattice:
-        dim = self.order ** self.degree
-        lat = IntLattice(dim)
-        for chain in self.chains:
-            lat.add(chain_vector(chain, self.order))
+        """The span as an integer lattice.  A generator whose letter slot is
+        not last is a generator one degree down with one entry appended, so
+        from degree 3 on the lattice takes the lower echelon basis with each
+        z appended (index i -> i*n + z), then only the slot-last generators;
+        below that, every generator."""
+        n = self.order
+        lat = IntLattice(n ** self.degree)
+        rows = self._terms
+        lower = self.lower
+        if lower is not None:
+            for vec in lower.lattice.sparse_basis():
+                for z in range(n):
+                    lat.add({i * n + z: v for i, v in vec.items()})
+            # the slot-last generators come from the last slot's block of
+            # n^(degree-1+letters) enumeration rows
+            slots = self.degree - (1 if self._first_slot else 2)
+            rows = rows[self._sources >= slots * n ** (
+                self.degree - 1 + self.word.letters)]
+        for row in rows.tolist():
+            vec: dict = {}
+            for t in row:
+                vec[t] = vec.get(t, 0) + 1
+            lat.add(vec)
         return lat
 
-    def __len__(self):
-        return len(self.chains)
+    @cached_property
+    def basis(self) -> tuple[FormalChain, ...]:
+        """The lattice's echelon basis as chains, in pivot order."""
+        return tuple(vector_chain(v, self.order, self.degree)
+                     for v in self.lattice.sparse_basis())
+
+    @cached_property
+    def _boundary(self):
+        # the boundary map of an identity span in the echelon bases, or the
+        # first basis chain whose boundary leaves the span one degree down
+        lower = self.lower
+        row_basis = lower.basis if lower is not None else ()
+        rows: list[dict[int, int]] = [{} for _ in row_basis]
+        for j, chain in enumerate(self.basis):
+            b = boundary(self._table, chain)
+            if lower is not None:
+                coords = lower.lattice.coordinates(chain_vector(b, self.order))
+            else:       # C_1 of the identity subcomplex is 0
+                coords = [] if b.is_zero() else None
+            if coords is None:
+                return chain
+            for i, c in enumerate(coords):
+                if c:
+                    rows[i][j] = c
+        return tuple(rows), row_basis, self.basis
+
+    def identity_boundary(self):
+        """(sparse rows, row basis, column basis) of the identity boundary
+        map from this degree down, in the echelon bases of the two spans;
+        built once per set.  Raises SubcomplexClosureViolated with the
+        offending basis chain, on every call, when a boundary leaves the
+        span one degree down."""
+        out = self._boundary
+        if isinstance(out, FormalChain):
+            raise SubcomplexClosureViolated(out)
+        rows, row_basis, col_basis = out
+        return tuple(dict(r) for r in rows), row_basis, col_basis
 
 
 def tuple_index(tup: Sequence[int], order: int) -> int:
@@ -286,10 +398,10 @@ def vector_chain(vec: dict[int, int], order: int, degree: int) -> FormalChain:
                                 for idx, coef in sorted(vec.items())})
 
 
-def degenerate_tuples(order: int, degree: int) -> list[tuple[int, ...]]:
-    """All basis tuples with two equal adjacent entries, in lex order."""
-    return [t for t in itertools.product(range(order), repeat=degree)
-            if any(t[i] == t[i + 1] for i in range(degree - 1))]
+def _digits(idx: np.ndarray, order: int, width: int) -> np.ndarray:
+    """The tuples of flat indices, most significant entry first: one more
+    trailing axis of length width."""
+    return idx[..., None] // order ** np.arange(width - 1, -1, -1) % order
 
 
 def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
@@ -301,11 +413,15 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     For the identity kind, the distinguished letter slot sits at positions
     2..degree (j = 1..degree-1 prefix entries are pushed through the prefix
     products); include_first_slot adds the j = 0 variant where the slot is the
-    first entry.
+    first entry.  The generators come in the order (j, xs, ys), each
+    lexicographic, with a chain equal to an earlier one left out.  They are
+    built as whole arrays of term indices from the word's prefix products;
+    chains and provenance are formed on first access.
 
     The result is cached per process, so the subcomplex command and the
-    identity boundary matrices share one GeneratorSet per span, and its
-    lattice is eliminated once.  Treat it as read-only.
+    identity boundary matrices share one GeneratorSet per span: its lattice
+    is eliminated once, from the lower span's basis at degree >= 3, and its
+    boundary map is built once.  Treat it as read-only.
     """
     if degree < 2:
         raise DegreeTooSmall("subcomplex generators need degree >= 2")
@@ -320,44 +436,37 @@ def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
     # called with every argument positional, so each span has one cache key
     n = X.order
     if kind == "degenerate":
-        tups = degenerate_tuples(n, degree)
-        chains = tuple(FormalChain.of(t) for t in tups)
-        prov = tuple((next(i for i in range(degree - 1) if t[i] == t[i + 1]), t)
-                     for t in tups)
-        return GeneratorSet(order=n, degree=degree, kind="degenerate",
-                            word=None, chains=chains, provenance=prov)
+        tups = _digits(np.arange(n ** degree), n, degree)
+        keep = np.flatnonzero((tups[:, 1:] == tups[:, :-1]).any(axis=1))
+        return GeneratorSet(n, degree, "degenerate", None, X, False,
+                            keep[:, None], keep)
     if kind != "identity":
         raise ValueError("kind must be 'degenerate' or 'identity'")
     if word is None:
         raise ValueError("identity kind needs a word")
-    m = word.letters
-    rows = X.rows
-    seen: dict = {}
-    chains: list[FormalChain] = []
-    prov: list[tuple] = []
-    j_range = range(0 if include_first_slot else 1, degree)
-    for j in j_range:
-        free = degree - 1                     # tuple slots besides the letter slot
-        for xs in itertools.product(range(n), repeat=free):
-            left, right = xs[:j], xs[j:]
-            for ys in itertools.product(range(n), repeat=m):
-                terms: dict = {}
-                cur = list(left)
-                tup = tuple(cur) + (ys[word.tau[0]],) + right
-                terms[tup] = terms.get(tup, 0) + 1
-                for i in range(1, word.length):
-                    yv = ys[word.tau[i - 1]]
-                    cur = [rows[v][yv] for v in cur]
-                    tup = tuple(cur) + (ys[word.tau[i]],) + right
-                    terms[tup] = terms.get(tup, 0) + 1
-                chain = FormalChain(degree, terms)
-                key = (degree, frozenset(chain.terms.items()))
-                if key not in seen:
-                    seen[key] = True
-                    chains.append(chain)
-                    prov.append((j, xs, ys))
-    return GeneratorSet(order=n, degree=degree, kind="identity", word=word,
-                        chains=tuple(chains), provenance=tuple(prov))
+    # heads[i, y, x] = x*w_1*...*w_i for the letter tuple of index y, and
+    # letter[i, y] is the value of the letter at word position i
+    ys, P = zip(*prefix_products(X, word))
+    heads = np.concatenate(P, axis=1).reshape(word.length, -1, n)
+    letter = np.concatenate(ys)[::n, list(word.tau)].T
+    free = np.arange(n ** (degree - 1))
+    xs = _digits(free, n, degree - 1)
+    weight = n ** np.arange(degree - 1, -1, -1)
+    blocks = []
+    for j in range(0 if include_first_slot else 1, degree):
+        # term i of (j, xs, ys): (prefix_i of xs[:j], letter i, xs[j:]) as
+        # a flat index, for every xs (rows) and ys (columns)
+        idx = (letter[:, None, :] * weight[j]
+               + (free % n ** (degree - 1 - j))[None, :, None])
+        for p in range(j):
+            idx = idx + heads[:, :, xs[:, p]].transpose(0, 2, 1) * weight[p]
+        blocks.append(idx.reshape(word.length, -1).T)
+    terms = np.concatenate(blocks)
+    # a generator is the multiset of its terms: keep first occurrences
+    _, first = np.unique(np.sort(terms, axis=1), axis=0, return_index=True)
+    first.sort()
+    return GeneratorSet(n, degree, "identity", word, X, include_first_slot,
+                        terms[first], first)
 
 
 def in_span(chain: FormalChain, gens: GeneratorSet) -> bool:

@@ -360,7 +360,9 @@ def inner_group(X: QuandleTable,
     R_{b*c} = R_c R_b R_c^-1, so the translations of any rack generating set
     generate it.  The set is grown greedily: each element outside the subset
     closed under * that the set so far generates (a subrack) joins it, until
-    that subrack is all of X.  Only its translations are closed over.
+    that subrack is all of X.  Each pass of that growth forms only the
+    products with a member added by the pass before.  Only the generating
+    set's translations are closed over.
 
     Every element is a rack automorphism, so its images on the generating
     set determine it, and those images are its key.  Each breadth-first
@@ -380,11 +382,14 @@ def inner_group(X: QuandleTable,
             continue
         points.append(b)
         inside[b] = True
-        size = 0
-        while size < inside.sum():
-            size = inside.sum()
+        new = np.array([b])
+        while len(new):
+            # only products with a newcomer on one side can be new
             members = np.flatnonzero(inside)
-            inside[T[np.ix_(members, members)]] = True
+            hit = np.concatenate([T[np.ix_(new, members)].ravel(),
+                                  T[np.ix_(members, new)].ravel()])
+            new = np.unique(hit[~inside[hit]])
+            inside[new] = True
     gens = np.array(sorted({X.column(b) for b in points}), dtype=np.int64)
     width = f"S{8 * len(points)}"
     frontier = np.arange(X.order, dtype=np.int64)[None, :]

@@ -21,9 +21,7 @@ import numpy as np
 from .chains import (
     DEFAULT_SIZE_GUARD,
     FormalChain,
-    chain_vector,
     subcomplex_generators,
-    vector_chain,
 )
 from .core import QuandleTable
 from .errors import (
@@ -134,38 +132,6 @@ def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
                           col_basis=tuple(map(tuple, col_tups.tolist())))
 
 
-def _identity_matrix_for(X: QuandleTable, word: Word, degree: int,
-                         include_first_slot: bool,
-                         size_guard: int) -> BoundaryMatrix:
-    from .chains import boundary
-
-    n = X.order
-
-    def span(d: int):
-        lat = subcomplex_generators(X, "identity", d, word,
-                                    include_first_slot, size_guard).lattice
-        return lat, tuple(vector_chain(v, n, d) for v in lat.sparse_basis())
-
-    col_basis = span(degree)[1]
-    # C_1 of the identity subcomplex is 0: a boundary there must vanish
-    lat_lo, row_basis = span(degree - 1) if degree > 2 else (None, ())
-    mat: list[dict[int, int]] = [{} for _ in row_basis]
-    for j, chain in enumerate(col_basis):
-        b = boundary(X, chain)
-        if lat_lo is not None:
-            coords = lat_lo.coordinates(chain_vector(b, n))
-        else:
-            coords = [] if b.is_zero() else None
-        if coords is None:
-            raise SubcomplexClosureViolated(chain)
-        for i, c in enumerate(coords):
-            if c:
-                mat[i][j] = c
-    return BoundaryMatrix(complex="identity", degree=degree,
-                          sparse_rows=tuple(mat),
-                          row_basis=row_basis, col_basis=col_basis)
-
-
 def boundary_matrix(X: QuandleTable, complex: str, degree: int,
                     word: Optional[Word] = None,
                     include_first_slot: bool = False,
@@ -188,8 +154,13 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
         if degree < 2:
             return BoundaryMatrix(complex="identity", degree=degree,
                                   sparse_rows=(), row_basis=(), col_basis=())
-        return _identity_matrix_for(X, word, degree, include_first_slot,
-                                    size_guard)
+        # built once per span and kept on its cached GeneratorSet
+        rows, row_basis, col_basis = subcomplex_generators(
+            X, "identity", degree, word, include_first_slot,
+            size_guard).identity_boundary()
+        return BoundaryMatrix(complex="identity", degree=degree,
+                              sparse_rows=rows, row_basis=row_basis,
+                              col_basis=col_basis)
     return _tuple_complex_matrix(X, complex, degree, size_guard)
 
 

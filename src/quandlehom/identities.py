@@ -152,17 +152,6 @@ def satisfies_cached(X: QuandleTable, w: Word) -> bool:
     return satisfies(X, w).satisfied
 
 
-def word_permutation_holds(X: QuandleTable, w: Word, ys: Sequence[int]) -> bool:
-    """Equivalent formulation: the translation composite for one letter tuple
-    is the identity permutation."""
-    from .core import Permutation, translate
-
-    comp = Permutation.identity(X.order)
-    for t in w.tau:
-        comp = translate(X, ys[t]) * comp
-    return comp.is_identity
-
-
 def forces_triviality(w: Word) -> bool:
     """True when some letter occurs exactly once; then only trivial quandles
     can satisfy x*w = x."""

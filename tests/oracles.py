@@ -13,7 +13,11 @@ the sparse rows and column count the Smith form takes, and relabelled
 renames a table's elements.  naive_inner_group closes over every distinct
 right translation by a plain loop, not over a generating set's.
 loop_boundary_matrix builds a tuple complex's boundary matrix tuple by
-tuple from boundary_of_tuple, where the library gathers whole face arrays.
+tuple from boundary_of_tuple, where the library gathers whole face arrays;
+loop_identity_generators builds identity-subcomplex generators by a plain
+loop, where the library gathers whole arrays of term indices.
+word_permutation_holds is the translation-composite form of a word
+identity.
 
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
@@ -25,8 +29,8 @@ import itertools
 import math
 
 from quandlehom.chains import (FormalChain, boundary, boundary_of_tuple,
-                               degenerate_tuples, tuple_index)
-from quandlehom.core import make_table
+                               tuple_index)
+from quandlehom.core import Permutation, make_table, translate
 from quandlehom.errors import SubcomplexClosureViolated
 from quandlehom.homology import BoundaryMatrix, evaluate_cocycle
 from quandlehom.identities import Assignment
@@ -174,7 +178,9 @@ def loop_boundary_matrix(X, complex, degree):
         "rack": lambda d: list(itertools.product(range(n), repeat=d)),
         "quandle": lambda d: [t for t in itertools.product(range(n), repeat=d)
                               if all(t[i] != t[i + 1] for i in range(d - 1))],
-        "degenerate": lambda d: degenerate_tuples(n, d),
+        "degenerate": lambda d: [
+            t for t in itertools.product(range(n), repeat=d)
+            if any(t[i] == t[i + 1] for i in range(d - 1))],
     }[complex]
     cols, rows = basis(degree), basis(degree - 1)
     row_index = {t: i for i, t in enumerate(rows)}
@@ -190,6 +196,47 @@ def loop_boundary_matrix(X, complex, degree):
     return BoundaryMatrix(complex=complex, degree=degree,
                           sparse_rows=tuple(mat),
                           row_basis=tuple(rows), col_basis=tuple(cols))
+
+
+def loop_identity_generators(X, word, degree, include_first_slot=False):
+    """Identity-subcomplex generators by a plain triple loop over the slot
+    j, the other entries xs and the letter values ys, each chain built term
+    by term and kept unless an equal chain came earlier: (chains,
+    provenance) in that order."""
+    n = X.order
+    rows = X.rows
+    seen = set()
+    chains, prov = [], []
+    for j in range(0 if include_first_slot else 1, degree):
+        for xs in itertools.product(range(n), repeat=degree - 1):
+            left, right = xs[:j], xs[j:]
+            for ys in itertools.product(range(n), repeat=word.letters):
+                terms = {}
+                cur = list(left)
+                tup = tuple(cur) + (ys[word.tau[0]],) + right
+                terms[tup] = terms.get(tup, 0) + 1
+                for i in range(1, word.length):
+                    yv = ys[word.tau[i - 1]]
+                    cur = [rows[v][yv] for v in cur]
+                    tup = tuple(cur) + (ys[word.tau[i]],) + right
+                    terms[tup] = terms.get(tup, 0) + 1
+                chain = FormalChain(degree, terms)
+                key = frozenset(chain.terms.items())
+                if key not in seen:
+                    seen.add(key)
+                    chains.append(chain)
+                    prov.append((j, xs, ys))
+    return chains, prov
+
+
+def word_permutation_holds(X, w, ys):
+    """Equivalent formulation of x*w = x for one letter tuple: the
+    composite of the right translations along the word is the identity
+    permutation."""
+    comp = Permutation.identity(X.order)
+    for t in w.tau:
+        comp = translate(X, ys[t]) * comp
+    return comp.is_identity
 
 
 def rank_fraction_free(mat):

@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quandlehom.chains import (FormalChain, boundary, face, format_chain,
-                               identity_cycle, in_span, medial_cycle,
-                               subcomplex_generators)
-from quandlehom.core import product
+from oracles import loop_identity_generators, relabelled
+from quandlehom.chains import (FormalChain, boundary, chain_vector, face,
+                               format_chain, identity_cycle, in_span,
+                               medial_cycle, subcomplex_generators)
+from quandlehom.core import make_table, product
 from quandlehom.constructions import conjugation, trivial
+from quandlehom.linalg import IntLattice
+from quandlehom.shell import corpus
 from quandlehom.identities import Assignment, parse_word
 from quandlehom.errors import (DegreeMismatch, DegreeTooSmall,
                                IdentityNotSatisfied, IndexOutOfRange,
@@ -322,3 +326,74 @@ def test_permissive_medial_cycle_detects_failure():
             broken = True
             break
     assert broken
+
+
+NON_QUANDLE_RACKS = ([[1, 1, 1], [0, 0, 0], [2, 2, 2]],
+                     [[1, 1, 1], [2, 2, 2], [0, 0, 0]])    # x*y = x+1 mod 3
+GENERATOR_WORDS = ("aa", "aaa", "abab", "aabb", "abba", "aab")
+LOOP_BUDGET = 1_000      # (xs, ys) rows per letter slot; larger spans skipped
+
+
+def _generator_tables():
+    """Every corpus table, a relabelled copy of each, and two racks that are
+    not quandles."""
+    rng = random.Random(17)
+    tables = [make_table(rows, require="rack") for rows in NON_QUANDLE_RACKS]
+    for _name, X in corpus():
+        perm = list(range(X.order))
+        rng.shuffle(perm)
+        tables += [X, relabelled(X, perm)]
+    return tables
+
+
+GENERATOR_TABLES = _generator_tables()
+
+
+def test_identity_generators_match_the_loop():
+    """The array build gives the plain loop's chains in the same order, term
+    order within a chain included, the same provenance and the same count,
+    for degrees 2-4 with and without the first slot."""
+    checked = 0
+    for X in GENERATOR_TABLES:
+        for text in GENERATOR_WORDS:
+            w = parse_word(text)
+            for degree in (2, 3, 4):
+                if X.order ** (degree - 1 + w.letters) > LOOP_BUDGET:
+                    continue
+                for first in (False, True):
+                    gs = subcomplex_generators(X, "identity", degree, word=w,
+                                               include_first_slot=first)
+                    chains, prov = loop_identity_generators(X, w, degree,
+                                                            first)
+                    assert len(gs) == len(chains)
+                    assert [list(c.items()) for c in gs.chains] == \
+                        [list(c.items()) for c in chains]
+                    assert gs.provenance == tuple(prov)
+                    checked += 1
+    assert checked == 696
+
+
+def _contains_basis(lat, other):
+    return all(lat.contains(row) for row in other.sparse_basis())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_recursive_span_equals_the_span_of_all_chains(data):
+    """From degree 3 on, the lattice is built from the lower span's basis
+    with an element appended plus the slot-last generators; it and the
+    lattice of every generator contain each other's bases."""
+    X = data.draw(st.sampled_from([T for T in GENERATOR_TABLES
+                                   if T.order <= 5]))
+    w = parse_word(data.draw(st.sampled_from(GENERATOR_WORDS)))
+    degree = data.draw(st.sampled_from(
+        [d for d in (3, 4) if X.order ** (d - 1 + w.letters) <= 625]))
+    first = data.draw(st.booleans())
+    gs = subcomplex_generators(X, "identity", degree, word=w,
+                               include_first_slot=first)
+    full = IntLattice(X.order ** degree)
+    for chain in gs.chains:
+        full.add(chain_vector(chain, X.order))
+    assert _contains_basis(full, gs.lattice)
+    assert _contains_basis(gs.lattice, full)
+    assert gs.lattice.rank == full.rank

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (kernel_basis, lattice_from_rows, loop_boundary_matrix,
-                     rank_fraction_free, relabelled, sparse, sparse_rows)
+                     loop_identity_generators, rank_fraction_free, relabelled,
+                     sparse, sparse_rows)
 from quandlehom.chains import (FormalChain, _generators, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
@@ -511,6 +512,42 @@ def test_gf8_quandle_h3_against_ranks_mod_p(oct_b):
     d4 = boundary_matrix(oct_b, "quandle", 4).matrix
     assert len(h3.torsion) == _rank_mod(d4, 1_000_003) - _rank_mod(d4, 2)
     assert h3.torsion
+
+
+def test_z5_2_abab_degree4_span_rank_and_closure(az52):
+    """The degree-4 identity span of abab on alexander_zn(5,2), built from
+    the degree-3 span: its rank is the rank of the loop-built generator
+    matrix mod two primes, and its boundary lies in the degree-3 span."""
+    w = parse_word("abab")
+    chains, _ = loop_identity_generators(az52, w, 4)
+    dense = np.zeros((len(chains), 5 ** 4), dtype=np.int64)
+    for i, chain in enumerate(chains):
+        for tup, c in chain.items():
+            dense[i, ((tup[0] * 5 + tup[1]) * 5 + tup[2]) * 5 + tup[3]] = c
+    ranks = {_rank_mod(dense, p) for p in (1_000_003, 998_244_353)}
+    gens = subcomplex_generators(az52, "identity", 4, word=w)
+    assert ranks == {gens.lattice.rank}
+    bm = boundary_matrix(az52, "identity", 4, word=w)
+    assert bm.shape == (gens.lower.lattice.rank, gens.lattice.rank)
+
+
+def test_identity_boundary_is_built_once_and_a_violation_raises_each_call():
+    """Both boundary_matrix calls on one span read the same cached rows;
+    a span whose boundary leaves the lower span raises on every call."""
+    X = dihedral(3)
+    w = parse_word("aa")
+    first = boundary_matrix(X, "identity", 3, word=w)
+    gens = subcomplex_generators(X, "identity", 3, word=w)
+    again = boundary_matrix(X, "identity", 3, word=w)
+    assert first.sparse_rows == again.sparse_rows
+    assert first.col_basis is again.col_basis is gens.basis
+    assert first.row_basis is gens.lower.basis
+    rack = make_table(PERMUTATION_RACK, require="rack")
+    for _ in range(2):
+        with pytest.raises(SubcomplexClosureViolated) as exc:
+            boundary_matrix(rack, "identity", 2, word=w)
+        assert exc.value.chain in subcomplex_generators(
+            rack, "identity", 2, word=w).basis
 
 
 def _peak_mib(fn):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (full_order_scan, naive_group_exponent, naive_inner_group,
-                     naive_is_medial, naive_satisfies, relabelled)
+                     naive_is_medial, naive_satisfies, relabelled,
+                     word_permutation_holds)
 from quandlehom.core import (group_exponent, inner_group, is_connected,
                              is_medial, make_table, orbit, orbit_minima,
                              product, quandle_type)
 from quandlehom.identities import (Word, consecutive_type_bound,
                                    enumerate_words, forces_triviality,
                                    parse_word, satisfies, scan,
-                                   two_letter_universe, word_permutation_holds)
+                                   two_letter_universe)
 from quandlehom.constructions import (alexander_zn, dihedral,
                                       enumerate_connected, trivial)
 from quandlehom.errors import EmptyWord, NonLetterCharacter

@@ -43,9 +43,8 @@ h = homology(dih3, "degenerate", 2)
 print("H_2 of the degeneracy subcomplex on dihedral(3):", h)
 
 # ---------------------------------------------------------------------------
-# Smith form with verified transforms, from sparse rows and a column count
+# the Smith form of a small matrix, from sparse rows and a column count
 mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
 rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
 s = smith_normal_form(rows, 3)
-print("\nSNF of", mat, "->", s.invariant_factors,
-      "| reconstruction verified:", s.check(mat))
+print("\nSNF of", mat, "->", s.invariant_factors)

@@ -3,14 +3,14 @@
 The pipeline: validate operation tables and compute scalar invariants
 (core), test inner identities x*w = x (identities), build the attached
 two-cycles and identity/degeneracy subcomplexes (chains), compute integer
-homology with exact Smith forms and 2-cocycle spaces as Hom(coker d_3, Z_d)
-on the image lattice of the rack boundary d_3 (homology, linalg), form
-abelian extensions and check that they inherit identities exactly when the
-cocycle kills the two-cycles (extensions), and construct standard families
-plus enumerate small connected quandles (constructions).  File ingestion,
-the CLI, and the census harness live in shell, which is imported on first
-use of one of its names here, so that `python -m quandlehom.shell` runs it
-fresh.
+homology with exact Smith forms, and 2-cocycle spaces as Hom(coker d_3, Z_d)
+read off the same unit-pivot elimination of the rack boundary d_3 that its
+homology runs (homology, linalg), form abelian extensions and check that
+they inherit identities exactly when the cocycle kills the two-cycles
+(extensions), and construct standard families plus enumerate small
+connected quandles (constructions).  File ingestion, the CLI, and the
+census harness live in shell, which is imported on first use of one of its
+names here, so that `python -m quandlehom.shell` runs it fresh.
 """
 
 from .core import (

@@ -416,7 +416,10 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     first entry.  The generators come in the order (j, xs, ys), each
     lexicographic, with a chain equal to an earlier one left out.  They are
     built as whole arrays of term indices from the word's prefix products;
-    chains and provenance are formed on first access.
+    chains and provenance are formed on first access.  SizeGuardExceeded
+    is raised before any is built when the rows to enumerate, n^degree
+    tuples or slots * n^(degree - 1 + letters) identity rows, exceed
+    size_guard.
 
     The result is cached per process, so the subcomplex command and the
     identity boundary matrices share one GeneratorSet per span: its lattice
@@ -425,8 +428,16 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     """
     if degree < 2:
         raise DegreeTooSmall("subcomplex generators need degree >= 2")
-    if X.order ** degree > size_guard:
-        raise SizeGuardExceeded(X.order ** degree, size_guard)
+    # the rows enumerated before duplicates go: one per tuple, or one per
+    # (slot, entries, letters)
+    rows = X.order ** degree
+    if kind == "identity" and word is not None:
+        slots = degree if include_first_slot else degree - 1
+        rows = slots * X.order ** (degree - 1 + word.letters)
+    if rows > size_guard:
+        raise SizeGuardExceeded(
+            rows, size_guard,
+            f"{rows} generator rows exceed the guard {size_guard}")
     return _generators(X, kind, degree, word, include_first_slot)
 
 

@@ -327,24 +327,16 @@ class PermutationGroup:
     ``generators`` holds the distinct generating permutations, sorted by
     image tuple; for ``inner_group`` they are the translations of a rack
     generating set.  Elements are ordered lexicographically on image tuples.
-    The element set is held as a numpy array; ``elements`` materializes
-    Permutation objects on first access (closures can reach 10^5+ elements).
+    The element set is held as a numpy array, one image tuple per row, which
+    ``images_array`` returns (closures can reach 10^5+ elements).
     """
 
-    __slots__ = ("generators", "order", "_array", "_elements")
+    __slots__ = ("generators", "order", "_array")
 
     def __init__(self, generators: Sequence[Permutation], array: np.ndarray):
         self.generators = tuple(generators)
         self._array = array
         self.order = int(array.shape[0])
-        self._elements = None
-
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(
-                Permutation(tuple(int(v) for v in row)) for row in self._array)
-        return self._elements
 
     def images_array(self) -> np.ndarray:
         return self._array

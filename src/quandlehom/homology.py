@@ -5,8 +5,8 @@ Four complexes share one interface: the full rack complex on all tuples, the
 quandle quotient (degenerate tuples projected out), the degeneracy subcomplex,
 and the identity subcomplex of a satisfied word (worked in lattice coordinates
 of the generated span, not its saturation, so torsion is preserved exactly).
-A 2-cocycle space is Hom(coker d_3, Z_d), read off the Smith form of the
-image lattice of the rack boundary d_3.
+A 2-cocycle space is Hom(coker d_3, Z_d), read off the same unit-pivot
+elimination of the rack boundary d_3 that its homology runs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     SubcomplexClosureViolated,
 )
 from .identities import Word
-from .linalg import IntLattice, smith_normal_form
+from .linalg import left_kernel_mod, smith_normal_form
 
 COMPLEXES = ("rack", "quandle", "degenerate", "identity")
 
@@ -217,10 +217,8 @@ def homology(X: QuandleTable, complex: str, degree: int,
                           include_first_slot=include_first_slot,
                           size_guard=size_guard)
     dim = len(bn.col_basis)
-    rank_n = smith_normal_form(bn.sparse_rows, dim,
-                               with_transforms=False).rank
-    snf_up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis),
-                               with_transforms=False)
+    rank_n = smith_normal_form(bn.sparse_rows, dim).rank
+    snf_up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis))
     torsion = tuple(d for d in snf_up.invariant_factors if d > 1)
     return HomologyGroup(free_rank=dim - rank_n - snf_up.rank, torsion=torsion)
 
@@ -320,51 +318,32 @@ def cocycle_space(X: QuandleTable, modulus: int,
     """All Z_d-valued 2-cocycles, as Hom(coker d_3, Z_d).
 
     The cocycle condition phi(x,y) - phi(x,z) + phi(x*y,z) - phi(x*z,y*z) = 0
-    says phi(d(x,y,z)) = 0, so the cocycles are the maps on C_2 that kill the
-    image lattice of the rack d_3; quandle mode adds the chains (x, x) to that
-    lattice.  One Smith form of the lattice basis, U B V = D, gives them: the
-    columns of V scaled by d / gcd(f_i, d) over the invariant factors f_i,
-    and the remaining columns of V at full order d.
+    says phi(d(x,y,z)) = 0, so the cocycles are the phi on the rows of the
+    rack d_3 with phi d_3 = 0 (mod d); quandle mode adds a unit column at
+    each row (x, x).  They are read off the unit-pivot elimination of that
+    matrix, the one homology runs, by left_kernel_mod: the orders are the
+    nontrivial gcd(f, d) over the invariant factors f of its core, in chain
+    order, then d for every rank the matrix lacks.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if mode not in ("rack", "quandle"):
         raise ValueError("mode must be 'rack' or 'quandle'")
     n = X.order
-    unknowns = n * n
-    image = IntLattice(unknowns)
-    # the columns of the rack d_3 in both modes: the quandle-flavour d_3
-    # describes the same cocycles only when X is a quandle
+    # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
+    # cocycles only when X is a quandle
     d3 = boundary_matrix(X, "rack", 3)
-    columns: list[dict[int, int]] = [{} for _ in d3.col_basis]
-    for i, row in enumerate(d3.sparse_rows):
-        for j, c in row.items():
-            columns[j][i] = c
-    for col in columns:
-        image.add(col)
+    rows = list(d3.sparse_rows)
     if mode == "quandle":
+        width = len(d3.col_basis)
         for x in range(n):
-            image.add({x * n + x: 1})
-    snf = smith_normal_form(image.sparse_basis(), unknowns,
-                            with_transforms=True)
-    V = snf.V
-    gens: list[CocycleTable] = []
-    orders: list[int] = []
-    size = 1
-    for i in range(unknowns):
-        order = math.gcd(snf.invariant_factors[i], modulus) \
-            if i < snf.rank else modulus
-        if order == 1:
-            continue
-        scale = modulus // order
-        col = [V[r][i] * scale % modulus for r in range(unknowns)]
-        vals = tuple(tuple(col[x * n + y] for y in range(n)) for x in range(n))
-        gens.append(CocycleTable(modulus=modulus, values=vals))
-        orders.append(order)
-        size *= order
+            rows[x * n + x] = {**rows[x * n + x], width + x: 1}
+    vectors, orders = left_kernel_mod(rows, modulus)
+    gens = tuple(CocycleTable(modulus=modulus, values=tuple(
+        tuple(vec[x * n:(x + 1) * n]) for x in range(n))) for vec in vectors)
     space = CocycleSpace(base_order=n, modulus=modulus, mode=mode,
-                         generators=tuple(gens), orders=tuple(orders),
-                         size=size)
+                         generators=gens, orders=tuple(orders),
+                         size=math.prod(orders))
     for gen in space.generators:
         if not cocycle_condition_holds(X, gen, mode=mode):
             raise InvalidCocycle(

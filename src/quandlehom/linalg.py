@@ -1,11 +1,13 @@
-"""Exact integer linear algebra: the Smith normal form and integer lattices.
+"""Exact integer linear algebra: the Smith normal form, the left kernel of a
+matrix mod d, and integer lattices.
 
 Everything is arbitrary-precision, and a matrix is its sparse rows, one
 {col: value} map of Python ints per row, plus a column count.  A Smith form
-without transforms eliminates +-1 pivots, each an invariant factor 1 and
-each picked by a limited Markowitz search over columns bucketed by count,
-and hands only the residual core, made dense, to the minimal-pivot
-elimination, which also serves every request for the transforms U and V.
+eliminates +-1 pivots, each an invariant factor 1 and each picked by a
+limited Markowitz search over columns bucketed by count, and hands only the
+residual core, made dense, to the minimal-pivot elimination.  The left
+kernel mod d runs the same two stages, recording the row operations of the
+unit pivots and the core's row transform, and solves by back-substitution.
 The lattice class takes sparse {index: value} vectors, builds its echelon
 basis by one sparse minimal-pivot column elimination on the same row/column
 store, keeps only the sparse pivot rows, and reduces query vectors against
@@ -14,6 +16,7 @@ them.  These are the only eliminations the library runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,125 +27,104 @@ def identity_matrix(k: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def zeros_matrix(m: int, n: int) -> Matrix:
-    return [[0] * n for _ in range(m)]
-
-
-def copy_matrix(mat: Sequence[Sequence[int]]) -> Matrix:
-    return [list(map(int, row)) for row in mat]
-
-
-def transpose(mat: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*mat)] if mat else []
-
-
-def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
-    Bt = transpose(B)
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
-def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant; exact for integer matrices."""
-    A = copy_matrix(mat)
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SmithForm:
-    """U @ M @ V = D with D diagonal and d1 | d2 | ... ; U, V unimodular."""
+    """The invariant factors d1 | d2 | ... of an integer matrix."""
 
     shape: tuple[int, int]
     invariant_factors: tuple[int, ...]     # the nonzero diagonal, in chain order
-    U: Optional[Matrix]
-    V: Optional[Matrix]
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    def diagonal_matrix(self) -> Matrix:
-        m, n = self.shape
-        D = zeros_matrix(m, n)
-        for i, d in enumerate(self.invariant_factors):
-            D[i][i] = d
-        return D
 
-    def check(self, mat: Sequence[Sequence[int]]) -> bool:
-        """Exact verification: reconstruction, divisibility, unimodularity."""
-        facs = self.invariant_factors
-        for a, b in zip(facs, facs[1:]):
-            if a <= 0 or b % a:
-                return False
-        if self.U is None or self.V is None:
-            raise ValueError("transforms were not requested")
-        if abs(det_bareiss(self.U)) != 1 or abs(det_bareiss(self.V)) != 1:
-            return False
-        return mat_mul(mat_mul(self.U, copy_matrix(mat)), self.V) == \
-            self.diagonal_matrix()
-
-
-def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int,
-                      with_transforms: bool = True) -> SmithForm:
+def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int) -> SmithForm:
     """Smith normal form of an integer matrix, exactly.
 
     The matrix is its sparse rows, one {col: value} map per row, which stay
     unchanged, and its column count, which trailing zero columns leave
-    implicit.  With transforms, the matrix is made dense once and goes whole
-    through the minimal-pivot elimination, which accumulates U and V (ncols
-    square).  Without them, entries equal to +-1 are eliminated one at a
-    time, each contributing an invariant factor 1 and each the cheapest
-    Markowitz cost among the units of the first few shortest columns that
-    hold one, and the dense elimination then runs only on the residual core
-    of rows and columns that are still nonzero.
+    implicit.  Entries equal to +-1 are eliminated one at a time, each
+    contributing an invariant factor 1 and each the cheapest Markowitz cost
+    among the units of the first few shortest columns that hold one, and the
+    dense minimal-pivot elimination then runs only on the residual core of
+    rows and columns that are still nonzero.
     """
-    if with_transforms:
-        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-        return _dense_smith(dense, ncols, with_transforms=True)
     # the unit-pivot stage takes its rows over
     units, core = _eliminate_unit_pivots([dict(row) for row in rows])
-    facs = _dense_smith(core, len(core[0]) if core else 0,
-                        with_transforms=False).invariant_factors
+    facs = _dense_smith(list(core.values()))
     return SmithForm(shape=(len(rows), ncols),
-                     invariant_factors=(1,) * units + facs,
-                     U=None, V=None)
+                     invariant_factors=(1,) * units + facs)
+
+
+def left_kernel_mod(rows: Sequence[dict[int, int]],
+                    modulus: int) -> tuple[list[list[int]], list[int]]:
+    """Generators and their orders of the Z_d-module of phi with
+    phi A = 0 (mod d), for d = modulus >= 2 and the matrix A of the given
+    sparse rows, which stay unchanged: summing c_k * gen_k over
+    0 <= c_k < order_k gives every solution exactly once.  A generator is a
+    list of len(rows) values in 0..d-1.
+
+    This is the elimination of smith_normal_form read from the left.  Each
+    unit pivot (p, q), of unit u, subtracts f = A_iq * u times row p from
+    every other row i holding q; in the coordinates that these row
+    operations change to, phi_p = 0, which back-substitution in reverse
+    pivot order turns into phi_p = -sum_i f * phi_i.  The residual core C
+    goes to the dense elimination with its row transform U, U C V = D: row k
+    of U times d / gcd(f_k, d) solves the core at order gcd(f_k, d) for the
+    k-th invariant factor f_k (skipped at order 1), and each row of U past
+    the rank at order d.  A row neither taken as a pivot nor left in the
+    core is free, of order d.  The orders come out as the core's, in chain
+    order, then the d's.
+    """
+    steps: list[tuple[int, list[tuple[int, int]]]] = []
+    _, core = _eliminate_unit_pivots([dict(row) for row in rows], steps)
+    U = identity_matrix(len(core))
+    facs = _dense_smith(list(core.values()), U)
+    solved: list[tuple[int, dict[int, int]]] = []     # (order, phi's seeds)
+    for k, urow in enumerate(U):
+        order = math.gcd(facs[k], modulus) if k < len(facs) else modulus
+        if order > 1:
+            scale = modulus // order
+            solved.append((order, {i: v * scale % modulus
+                                   for i, v in zip(core, urow)}))
+    pivots = {p for p, _ in steps}
+    solved += [(modulus, {i: 1}) for i in range(len(rows))
+               if i not in pivots and i not in core]
+    gens = []
+    for _, seeds in solved:
+        phi = [0] * len(rows)
+        for i, v in seeds.items():
+            phi[i] = v
+        for p, updates in reversed(steps):
+            phi[p] = -sum(f * phi[i] for i, f in updates) % modulus
+        gens.append(phi)
+    return gens, [order for order, _ in solved]
 
 
 _SEARCH_COLUMNS = 8     # unit-holding columns one pivot search looks at
 
 
-def _eliminate_unit_pivots(mat: list[dict[int, int]]) -> tuple[int, Matrix]:
+def _eliminate_unit_pivots(mat: list[dict[int, int]],
+                           steps: Optional[list] = None
+                           ) -> tuple[int, dict[int, list[int]]]:
     """Schur-complement elimination on +-1 pivots picked by a limited
     Markowitz search.
 
     A unit pivot keeps every entry integral and splits off one invariant
     factor 1, so the Smith form of the sparse rows is (1,) * count followed
-    by the Smith form of the returned dense core.  Columns sit in buckets by
-    their count of rows, kept up to date from each pivot: only the columns
-    of the pivot row change.  A search walks the buckets from the least
-    count and weighs the +-1 entries of at most _SEARCH_COLUMNS columns that
-    hold one, taking the least cost (c-1)(r-1) among them and stopping at
-    once on a zero cost (Zlatev, SIAM J. Numer. Anal. 17 (1980)); a column
-    it finds without a unit leaves the buckets until a pivot row changes
-    it.  The rows are taken over and changed in place, as by _sparse_store.
+    by the Smith form of the returned dense core, given as row -> its
+    entries in the still nonzero columns, ascending.  Columns sit in buckets
+    by their count of rows, kept up to date from each pivot: only the
+    columns of the pivot row change.  A search walks the buckets from the
+    least count and weighs the +-1 entries of at most _SEARCH_COLUMNS
+    columns that hold one, taking the least cost (c-1)(r-1) among them and
+    stopping at once on a zero cost (Zlatev, SIAM J. Numer. Anal. 17
+    (1980)); a column it finds without a unit leaves the buckets until a
+    pivot row changes it.  Given a list, steps gets (p, [(i, f), ...]) for
+    each pivot row p, in pivot order: row i -= f * row p for every other
+    row i holding the pivot column.  The rows are taken over and changed in
+    place, as by _sparse_store.
     """
     rows, cols = _sparse_store(mat)
     count: dict[int, int] = {}                  # column -> its bucket
@@ -154,15 +136,18 @@ def _eliminate_unit_pivots(mat: list[dict[int, int]]) -> tuple[int, Matrix]:
         p, q = best
         prow = _take_row(rows, cols, p)
         u = prow.pop(q)
-        for i in cols.pop(q):
-            f = rows[i].pop(q) * u               # u is its own inverse
+        # u is its own inverse
+        updates = [(i, rows[i].pop(q) * u) for i in cols.pop(q)]
+        for i, f in updates:
             _subtract_row(rows, cols, i, f, prow)
+        if steps is not None:
+            steps.append((p, updates))
         _rebucket(buckets, count, q, 0)
         for j in prow:
             _rebucket(buckets, count, j, len(cols[j]))
         units += 1
     live = sorted(j for j, held in cols.items() if held)
-    return units, [[row.get(j, 0) for j in live] for row in rows.values()]
+    return units, {i: [row.get(j, 0) for j in live] for i, row in rows.items()}
 
 
 def _pick_unit_pivot(rows, cols, buckets, count):
@@ -246,12 +231,14 @@ def _take_row(rows, cols, i: int) -> dict[int, int]:
     return row
 
 
-def _dense_smith(A: Matrix, n: int, with_transforms: bool) -> SmithForm:
-    """Deterministic minimal-pivot elimination on a dense matrix of n
-    columns, which it takes over and changes in place."""
+def _dense_smith(A: Matrix, U: Optional[Matrix] = None) -> tuple[int, ...]:
+    """Invariant factors of a dense matrix by deterministic minimal-pivot
+    elimination, which takes A over and changes it in place.  Given U, of
+    one row per row of A, every row operation is also made on U, so that a
+    U that starts as the identity ends with U A V = D for a unimodular V
+    that is never formed."""
     m = len(A)
-    U = identity_matrix(m) if with_transforms else None
-    V = identity_matrix(n) if with_transforms else None
+    n = len(A[0]) if A else 0
 
     def row_sub(i, k, q):          # row_i -= q * row_k
         A[i] = [a - q * b for a, b in zip(A[i], A[k])]
@@ -261,9 +248,6 @@ def _dense_smith(A: Matrix, n: int, with_transforms: bool) -> SmithForm:
     def col_sub(j, k, q):          # col_j -= q * col_k
         for row in A:
             row[j] -= q * row[k]
-        if V is not None:
-            for row in V:
-                row[j] -= q * row[k]
 
     def row_swap(i, k):
         if i != k:
@@ -275,9 +259,6 @@ def _dense_smith(A: Matrix, n: int, with_transforms: bool) -> SmithForm:
         if j != k:
             for row in A:
                 row[j], row[k] = row[k], row[j]
-            if V is not None:
-                for row in V:
-                    row[j], row[k] = row[k], row[j]
 
     def row_negate(i):
         A[i] = [-a for a in A[i]]
@@ -340,8 +321,7 @@ def _dense_smith(A: Matrix, n: int, with_transforms: bool) -> SmithForm:
                 break
             row_sub(t, offender, -1)   # add the offending row to the pivot row
         t += 1
-    facs = tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
-    return SmithForm(shape=(m, n), invariant_factors=facs, U=U, V=V)
+    return tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
 
 
 class IntLattice:

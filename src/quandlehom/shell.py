@@ -717,41 +717,6 @@ def _dispatch(args, argv, started) -> int:
     raise AssertionError(f"unhandled command {args.cmd}")
 
 
-# the fewest parameters each gen kind reads
-_GEN_PARAMS = {"trivial": 1, "dihedral": 1, "alexander_zn": 2,
-               "alexander_poly": 2, "burnside": 3, "conjugation": 1,
-               "gen_alexander": 2}
-
-
-def _gen_from_params(kind: str, params: Sequence[str]) -> QuandleTable:
-    need = _GEN_PARAMS.get(kind, 0)
-    if len(params) < need:
-        raise ValueError(f"gen {kind} needs {need} parameter"
-                         f"{'s' if need > 1 else ''}, got {len(params)}")
-    if kind == "trivial":
-        return trivial(int(params[0]))
-    if kind == "dihedral":
-        return dihedral(int(params[0]))
-    if kind == "alexander_zn":
-        return alexander_zn(int(params[0]), int(params[1]))
-    if kind == "alexander_poly":
-        p = int(params[0])
-        modulus = [int(t) for t in params[1].split(",")]
-        unit = [int(t) for t in params[2].split(",")] if len(params) > 2 \
-            else [0, 1]
-        return alexander_poly(p, modulus, unit)
-    if kind == "burnside":
-        return burnside_family(int(params[0]), int(params[1]), int(params[2]))
-    if kind == "conjugation":
-        rows = _read_zero_based_matrix(params[0])
-        return constructions.conjugation(rows)
-    if kind == "gen_alexander":
-        rows = _read_zero_based_matrix(params[0])
-        images = [int(t) for t in params[1].split(",")]
-        return constructions.generalized_alexander(rows, images)
-    raise ValueError(f"unknown kind {kind}")
-
-
 def _read_zero_based_matrix(path: str) -> list[list[int]]:
     """Cayley tables use the same format as quandle files (1-based, first
     line the order), shifted down on load."""
@@ -762,6 +727,33 @@ def _read_zero_based_matrix(path: str) -> list[list[int]]:
     for ln in lines[1:n + 1]:
         rows.append([int(t) - 1 for t in ln.split()])
     return rows
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+# how gen reads each kind's parameters, in the order constructions.make
+# takes them, and the text of those that may be left out at the end
+_GEN_PARAMS = {"trivial": (int,), "dihedral": (int,),
+               "alexander_zn": (int, int),
+               "alexander_poly": (int, _int_list, _int_list),
+               "burnside": (int, int, int),
+               "conjugation": (_read_zero_based_matrix,),
+               "gen_alexander": (_read_zero_based_matrix, _int_list)}
+_GEN_DEFAULTS = {"alexander_poly": ("0,1",)}       # the unit t
+
+
+def _gen_from_params(kind: str, params: Sequence[str]) -> QuandleTable:
+    readers = _GEN_PARAMS.get(kind, ())
+    defaults = _GEN_DEFAULTS.get(kind, ())
+    need = len(readers) - len(defaults)
+    if len(params) < need:
+        raise ValueError(f"gen {kind} needs {need} parameter"
+                         f"{'s' if need > 1 else ''}, got {len(params)}")
+    texts = [*params[:len(readers)], *defaults[len(params) - need:]]
+    return constructions.make(
+        kind, *(read(text) for read, text in zip(readers, texts)))
 
 
 def main() -> None:

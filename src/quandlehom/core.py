@@ -28,6 +28,7 @@ from .errors import (
 
 DEFAULT_CLOSURE_CAP = 10**6
 MEDIALITY_SCAN_LIMIT = 64
+_AXIOM_BLOCK = 1 << 18          # cells per block of the distributivity check
 
 
 @dataclass(frozen=True)
@@ -102,21 +103,29 @@ class QuandleTable:
 
     Construct through :func:`make_table` (raises the named axiom errors) or a
     constructions helper; direct ``QuandleTable(rows)`` also validates.
+    ``rows`` may be an int64 array: the table keeps it as ``np_table``,
+    marked read-only, and takes ``rows`` from its ``tolist()``.
     """
 
     __slots__ = ("order", "rows", "is_quandle", "_hash", "_np",
                  "_orbit_minima")
 
-    def __init__(self, rows: Sequence[Sequence[int]],
+    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray,
                  _validated: bool = False):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        if isinstance(rows, np.ndarray):
+            T = _table_array(rows)
+            rows = tuple(map(tuple, T.tolist()))
+        else:
+            rows = tuple(tuple(map(int, row)) for row in rows)
+            T = _table_array(rows)
         if not _validated:
-            _check_axioms_strict(rows, quandle=False)
+            _check_axioms_strict(T, quandle=False)
+        T.setflags(write=False)
         self.rows = rows
         self.order = len(rows)
         self.is_quandle = all(rows[x][x] == x for x in range(self.order))
         self._hash = hash(rows)
-        self._np = None
+        self._np = T
         self._orbit_minima = None
 
     # -- value semantics ----------------------------------------------------
@@ -136,10 +145,6 @@ class QuandleTable:
 
     @property
     def np_table(self) -> np.ndarray:
-        if self._np is None:
-            arr = np.array(self.rows, dtype=np.int64)
-            arr.setflags(write=False)
-            self._np = arr
         return self._np
 
     def column(self, y: int) -> tuple[int, ...]:
@@ -150,42 +155,70 @@ def _shape_check(rows) -> int:
     n = len(rows)
     if n < 1:
         raise ValueError("table must have at least one row")
+    if isinstance(rows, np.ndarray):
+        if rows.shape != (n, n):
+            raise ValueError("table must be square")
+        return n
     for row in rows:
         if len(row) != n:
             raise ValueError("table must be square")
     return n
 
 
+def _table_array(rows) -> np.ndarray:
+    """A square table as an int64 array; an int64 array comes back as it is.
+
+    The shape is checked before any array is built, so a ragged table raises
+    ValueError.  An entry beyond int64 lies outside 0..n-1: OutOfRangeEntry
+    names the first out-of-range entry, row-major.
+    """
+    n = _shape_check(rows)
+    if isinstance(rows, np.ndarray):
+        return np.ascontiguousarray(rows, dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        x, y = next((x, y) for x in range(n) for y in range(n)
+                    if not 0 <= rows[x][y] < n)
+        raise OutOfRangeEntry(x, y, rows[x][y], n) from None
+
+
 def _first_axiom_violation(rows, quandle: bool):
     """Return the first axiom violation as an exception instance, or None.
 
     Witness order: range entries row-major, then columns left to right, then
-    distributivity triples (a,b,c) lexicographic, then idempotency.
+    distributivity triples (a,b,c) lexicographic, then idempotency.  The
+    triples are compared a block of a at a time, at most ``_AXIOM_BLOCK``
+    cells a block.
     """
-    n = _shape_check(rows)
-    for x in range(n):
-        for y in range(n):
-            v = rows[x][y]
-            if not 0 <= v < n:
-                return OutOfRangeEntry(x, y, v, n)
-    T = np.array(rows, dtype=np.int64)
+    try:
+        T = _table_array(rows)
+    except OutOfRangeEntry as err:
+        return err
+    n = len(T)
+    out = (T < 0) | (T >= n)
+    if out.any():
+        x, y = divmod(int(np.argmax(out)), n)
+        return OutOfRangeEntry(x, y, int(T[x, y]), n)
     # axiom 1: every column is a permutation
     colsort = np.sort(T, axis=0)
     bad = (colsort != np.arange(n)[:, None]).any(axis=0)
     if bad.any():
         return ColumnNotBijective(int(np.argmax(bad)))
-    # axiom 2: (a*b)*c == (a*c)*(b*c), scanned per a to keep memory flat
-    for a in range(n):
-        lhs = T[T[a, :], :]            # lhs[b, c] = (a*b)*c
-        rhs = T[T[a, :][None, :], T]   # rhs[b, c] = T[a*c, b*c] = (a*c)*(b*c)
+    # axiom 2: (a*b)*c == (a*c)*(b*c) over a block of a at a time
+    step = max(1, _AXIOM_BLOCK // (n * n))
+    for lo in range(0, n, step):
+        A = T[lo:lo + step]
+        lhs = T[A]                         # lhs[a, b, c] = (a*b)*c
+        rhs = T[A[:, None, :], T[None]]    # rhs[a, b, c] = (a*c)*(b*c)
         ne = lhs != rhs
         if ne.any():
-            b, c = map(int, np.argwhere(ne)[0])
-            return SelfDistributivityFails(a, b, c)
+            a, b, c = map(int, np.argwhere(ne)[0])
+            return SelfDistributivityFails(lo + a, b, c)
     if quandle:
-        for x in range(n):
-            if rows[x][x] != x:
-                return IdempotencyFails(x)
+        off = np.flatnonzero(np.diagonal(T) != np.arange(n))
+        if off.size:
+            return IdempotencyFails(int(off[0]))
     return None
 
 
@@ -195,14 +228,14 @@ def _check_axioms_strict(rows, quandle: bool):
         raise err
 
 
-def make_table(rows: Sequence[Sequence[int]],
+def make_table(rows: Sequence[Sequence[int]] | np.ndarray,
                require: str = "rack") -> QuandleTable:
     """Validate a raw 0-based table and wrap it; raises named axiom errors."""
     if require not in ("rack", "quandle"):
         raise ValueError("require must be 'rack' or 'quandle'")
     X = QuandleTable(rows)
     if require == "quandle" and not X.is_quandle:
-        _check_axioms_strict(X.rows, quandle=True)
+        _check_axioms_strict(X.np_table, quandle=True)
     return X
 
 

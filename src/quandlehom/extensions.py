@@ -62,7 +62,7 @@ def extend(spec: ExtensionSpec) -> QuandleTable:
     # block[x, a, y] = (x*y, a + phi(x,y)); the column repeats over b
     block = spec.base.np_table[:, None, :] * d + (a + phi[:, None, :]) % d
     big = np.repeat(block, d, axis=2).reshape(n * d, n * d)
-    return QuandleTable(big.tolist(), _validated=True)
+    return QuandleTable(big, _validated=True)
 
 
 @dataclass(frozen=True)

@@ -295,22 +295,30 @@ class CocycleSpace:
     size: int
 
     def members(self, limit: int = 1_000_000):
+        """Every member, combos of generator coefficients in
+        ``itertools.product`` order, a block of combos at a time as one
+        matrix product with the stacked generators, mod d."""
         if self.size > limit:
             raise SizeGuardExceeded(
                 self.size, limit,
                 f"{self.size} cocycles exceed the members limit {limit}")
         n = self.base_order
         d = self.modulus
-        for combo in itertools.product(*(range(o) for o in self.orders)):
-            vals = [[0] * n for _ in range(n)]
-            for c, gen in zip(combo, self.generators):
-                if c:
-                    for x in range(n):
-                        row = gen.values[x]
-                        vx = vals[x]
-                        for y in range(n):
-                            vx[y] = (vx[y] + c * row[y]) % d
-            yield CocycleTable(modulus=d, values=tuple(tuple(r) for r in vals))
+        g = len(self.generators)
+        # exact int64 while every sum of g products c * value stays below
+        # 2^63, with coefficients below their orders and values reduced mod d
+        top = max(self.orders, default=1) - 1
+        dtype = np.int64 if g * top * (d - 1) < 2 ** 63 else object
+        G = np.array([[v % d for row in gen.values for v in row]
+                      for gen in self.generators],
+                     dtype=dtype).reshape(g, n * n)
+        combos = itertools.product(*(range(o) for o in self.orders))
+        block = max(1, (1 << 16) // (n * n))
+        while chunk := list(itertools.islice(combos, block)):
+            combo = np.array(chunk, dtype=dtype).reshape(len(chunk), g)
+            for member in ((combo @ G) % d).reshape(-1, n, n).tolist():
+                yield CocycleTable(modulus=d,
+                                   values=tuple(map(tuple, member)))
 
 
 def cocycle_space(X: QuandleTable, modulus: int,

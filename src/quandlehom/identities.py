@@ -1,12 +1,16 @@
-"""Inner identities x y_1 y_2 ... y_k = x over a finite letter alphabet.
+"""Inner identities x*y_tau(1)*y_tau(2)*...*y_tau(k) = x, the product taken
+left to right, over a finite letter alphabet.
 
-A word is a surjection tau: positions 1..k -> letters 1..m, held in canonical
-form: letters are numbered by first occurrence, so "ba" and "ab" are the same
-word.  Satisfaction on a table is decided by a scan of the n^(m+1)
-assignments of x and the letter values, with the first letter restricted to
-Inn-orbit minima: on a rack the violating assignments form a union of
-diagonal Inn-orbits, so this finds a violation exactly when one exists, and
-the first one it finds is the full scan's first, with the same position.
+A word is a surjection tau from the k positions onto m letters, held in
+canonical form: ``tau`` lists 0-based letter indices numbered by first
+occurrence, so "ba" and "ab" are the same word.  :func:`satisfies_all` is
+the one satisfaction kernel; :func:`satisfies` and :func:`scan` call it.  It
+scans the n^(m+1) assignments of x and the letter values with the first
+letter restricted to Inn-orbit minima: on a rack the violating assignments
+form a union of diagonal Inn-orbits, so this finds a violation exactly when
+one exists, and the first one it finds is the full scan's first, with the
+same position.  The words of a list that share a letter count share the
+scan, and the composites of their common prefixes.
 """
 
 from __future__ import annotations
@@ -105,7 +109,15 @@ class SatisfactionReport:
 
 
 def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
-    """Test x*w = x, reporting the first violation in the full scan order.
+    """Test x*w = x, reporting the first violation in the full scan order;
+    the one-word case of :func:`satisfies_all`."""
+    return satisfies_all(X, [w])[0]
+
+
+def satisfies_all(X: QuandleTable,
+                  words: Sequence[Word]) -> list[SatisfactionReport]:
+    """Test x*w = x for every word of a list, one report per word in input
+    order, each the first violation in the full scan order.
 
     The full order runs over all n^(m+1) assignments, letter tuples
     lexicographically with x fastest.  Every element of Inn(X) is an
@@ -114,12 +126,29 @@ def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
     the minimum of its orbit.  Only those y_1 are scanned, with y_2..y_m and
     x over every element in the same order, so the witness is the full
     order's first violation and ``tuples_checked`` is its position there
-    (n^(m+1) when the word holds).  The composition of the right translations
-    named by the word is computed for a whole block of letter tuples at once,
-    one flat gather from the transposed table per letter.
+    (n^(m+1) when the word holds).
+
+    Words with the same letter count m scan the same letter tuples in the
+    same blocks.  Within a block the composites of right translations are
+    formed over the trie of the words' tau prefixes: each trie node is one
+    flat gather from the transposed table, shared by every word under it.  A
+    word is decided at its own node in the first block that shows a
+    violation there; subtrees with no undecided word are skipped, and the
+    scan of a letter count stops once every one of its words is decided.
     """
+    by_letters: dict[int, set[tuple[int, ...]]] = {}
+    for w in words:
+        by_letters.setdefault(w.letters, set()).add(w.tau)
+    reports: dict[tuple[int, ...], SatisfactionReport] = {}
+    for m, taus in by_letters.items():
+        reports.update(_scan_prefix_trie(X, m, taus))
+    return [reports[w.tau] for w in words]
+
+
+def _scan_prefix_trie(X: QuandleTable, m: int,
+                      taus: set[tuple[int, ...]]) -> dict:
+    """Reports for distinct words on exactly m letters, keyed by tau."""
     n = X.order
-    m = w.letters
     Rf = X.np_table.T.ravel()     # Rf[y*n + x] = x*y
     target = np.arange(n, dtype=np.int64)
     inner = n ** (m - 1)      # letter tuples per value of y_1
@@ -127,6 +156,16 @@ def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
     total = len(firsts) * inner
     block = max(1, _SCAN_CHUNK // max(1, n))
     weights = [n ** (m - 1 - j) for j in range(m)]
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    under: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for tau in taus:
+        for k in range(1, len(tau) + 1):
+            if tau[:k] not in under:
+                under[tau[:k]] = []
+                children.setdefault(tau[:k - 1], []).append(tau[:k])
+            under[tau[:k]].append(tau)
+    undecided = set(taus)
+    reports = {}
     for lo in range(0, total, block):
         hi = min(total, lo + block)
         pos = np.arange(lo, hi, dtype=np.int64)
@@ -134,17 +173,29 @@ def satisfies(X: QuandleTable, w: Word) -> SatisfactionReport:
         ys = np.empty((hi - lo, m), dtype=np.int64)
         for j, wt in enumerate(weights):
             ys[:, j] = (idx // wt) % n
-        comp = target
-        for t in w.tau:
-            comp = Rf[ys[:, t, None] * n + comp]
-        bad = comp != target
-        if bad.any():
-            rows_bad = bad.any(axis=1)
-            r = int(np.argmax(rows_bad))
-            x = int(np.argmax(bad[r]))
-            witness = Assignment(x=x, ys=tuple(int(v) for v in ys[r]))
-            return SatisfactionReport(False, witness, int(idx[r]) * n + x + 1)
-    return SatisfactionReport(True, None, n ** (m + 1))
+        cols = ys.T[:, :, None] * n     # cols[t] = ys[:, t, None] * n
+        stack = [((), target)]
+        while stack:
+            prefix, comp = stack.pop()
+            for node in children.get(prefix, ()):
+                if undecided.isdisjoint(under[node]):
+                    continue
+                here = Rf[cols[node[-1]] + comp]
+                if node in undecided:
+                    bad = here != target
+                    if bad.any():
+                        r = int(np.argmax(bad.any(axis=1)))
+                        x = int(np.argmax(bad[r]))
+                        witness = Assignment(x=x, ys=tuple(ys[r].tolist()))
+                        reports[node] = SatisfactionReport(
+                            False, witness, int(idx[r]) * n + x + 1)
+                        undecided.discard(node)
+                stack.append((node, here))
+        if not undecided:
+            break
+    for tau in undecided:
+        reports[tau] = SatisfactionReport(True, None, n ** (m + 1))
+    return reports
 
 
 @lru_cache(maxsize=65536)
@@ -238,7 +289,8 @@ def scan(corpus: Sequence[QuandleTable], words: Sequence[Word],
     if names is None:
         names = tuple(f"#{i}" for i in range(len(corpus)))
     matrix = tuple(
-        tuple(satisfies(X, w).satisfied for w in words) for X in corpus)
+        tuple(rep.satisfied for rep in satisfies_all(X, words))
+        for X in corpus)
     counts = tuple(sum(row[j] for row in matrix) for j in range(len(words)))
     return ScanReport(words=words, names=tuple(names), matrix=matrix,
                       counts=counts)

@@ -20,6 +20,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import censusdata
 from .chains import (FormalChain, boundary, format_chain, identity_cycle,
                      identity_cycle_failures, in_span, subcomplex_generators)
@@ -30,8 +32,8 @@ from .errors import (InvalidCocycle, MissingDataset, ParseError, QuandleError,
 from .extensions import ExtensionSpec, check_extension_identity, extend
 from .homology import (CocycleTable, boundary_matrix, cocycle_space,
                        homology)
-from .identities import (Assignment, Word, enumerate_words, parse_word,
-                         satisfies, two_letter_universe)
+from .identities import (Assignment, ScanReport, Word, enumerate_words,
+                         parse_word, satisfies_all, scan, two_letter_universe)
 from . import constructions
 from .constructions import (alexander_poly, alexander_zn, burnside_family,
                             dihedral, trivial)
@@ -78,12 +80,12 @@ def loads(text: str, convention: str = "right") -> QuandleTable:
                 raise ParseError(f"bad entry {tok!r}", ln, k % n + 1)
             if not 1 <= int(tok) <= n:
                 raise ParseError(f"entry {tok} outside 1..{n}", ln, k % n + 1)
-    rows = [[v - 1 for v in vals[i * n:(i + 1) * n]] for i in range(n)]
+    table = np.array(vals, dtype=np.int64).reshape(n, n) - 1
     if convention == "left":
-        rows = [list(col) for col in zip(*rows)]
+        table = table.T
     elif convention != "right":
         raise ValueError("convention must be 'right' or 'left'")
-    return make_table(rows, require="rack")
+    return make_table(table, require="rack")
 
 
 def load(path: str | Path, convention: str = "right") -> QuandleTable:
@@ -186,9 +188,16 @@ def reproduce_exponents(entries: Sequence[DatasetEntry]) -> dict:
                     expected=[list(p) for p in censusdata.EXPONENT_CENSUS])
 
 
+def _scan_entries(entries: Sequence[DatasetEntry],
+                  words: Sequence[Word]) -> ScanReport:
+    """One satisfaction kernel call per catalogue table for a word list."""
+    return scan([e.table for e in entries], words,
+                names=[e.name for e in entries])
+
+
 def reproduce_length4(entries: Sequence[DatasetEntry]) -> dict:
-    w = parse_word("abab")
-    hits = [e for e in entries if satisfies(e.table, w).satisfied]
+    rep = _scan_entries(entries, [parse_word("abab")])
+    hits = [e for e, row in zip(entries, rep.matrix) if row[0]]
     idents = {e.ident for e in hits if e.ident}
     keis = [e.name for e in hits if quandle_type(e.table) == 2]
     ok = (len(hits) == len(censusdata.ABAB_SATISFIERS)
@@ -203,10 +212,8 @@ def reproduce_length4(entries: Sequence[DatasetEntry]) -> dict:
 def reproduce_length5(entries: Sequence[DatasetEntry]) -> dict:
     words = [parse_word(t) for t in censusdata.LENGTH5_OPEN_WORDS]
     expected = set(enumerate_words(5, 2, filter="nontrivial_candidates"))
-    counts = {}
-    for w in words:
-        counts[w.text] = sum(
-            1 for e in entries if satisfies(e.table, w).satisfied)
+    rep = _scan_entries(entries, words)
+    counts = {w.text: c for w, c in zip(words, rep.counts)}
     ok = (set(words) == expected and all(c == 0 for c in counts.values()))
     return _section("length5_scan", "pass" if ok else "fail", counts=counts)
 
@@ -214,11 +221,11 @@ def reproduce_length5(entries: Sequence[DatasetEntry]) -> dict:
 def reproduce_length6(entries: Sequence[DatasetEntry]) -> dict:
     details: dict = {}
     ok = True
-    triple_sets = []
-    for text in censusdata.LENGTH6_TRIPLE:
-        w = parse_word(text)
-        hit = frozenset(e.name for e in entries if satisfies(e.table, w).satisfied)
-        triple_sets.append(hit)
+    triple = censusdata.LENGTH6_TRIPLE
+    texts = [*triple, censusdata.LENGTH6_REPEAT_WORD,
+             *censusdata.LENGTH6_OPEN_WORDS]
+    rep = _scan_entries(entries, [parse_word(t) for t in texts])
+    triple_sets = [frozenset(rep.satisfied_by(j)) for j in range(len(triple))]
     same = triple_sets[0] == triple_sets[1] == triple_sets[2]
     kei_names = {e.name for e in entries if quandle_type(e.table) == 2}
     details["triple_count"] = len(triple_sets[0])
@@ -226,18 +233,14 @@ def reproduce_length6(entries: Sequence[DatasetEntry]) -> dict:
     details["triple_keis"] = len(triple_sets[0] & kei_names)
     ok &= same and len(triple_sets[0]) == censusdata.LENGTH6_TRIPLE_COUNT
     ok &= details["triple_keis"] == censusdata.LENGTH6_TRIPLE_KEI_COUNT
-    w = parse_word(censusdata.LENGTH6_REPEAT_WORD)
-    rep_hits = [e for e in entries if satisfies(e.table, w).satisfied]
+    rep_hits = [e for e, row in zip(entries, rep.matrix) if row[len(triple)]]
     details["repeat_count"] = len(rep_hits)
     details["repeat_keis"] = sum(
         1 for e in rep_hits if quandle_type(e.table) == 2)
     ok &= details["repeat_count"] == censusdata.LENGTH6_REPEAT_COUNT
     ok &= details["repeat_keis"] == censusdata.LENGTH6_REPEAT_KEI_COUNT
-    open_counts = {}
-    for text in censusdata.LENGTH6_OPEN_WORDS:
-        w = parse_word(text)
-        open_counts[text] = sum(
-            1 for e in entries if satisfies(e.table, w).satisfied)
+    open_counts = dict(zip(censusdata.LENGTH6_OPEN_WORDS,
+                           rep.counts[len(triple) + 1:]))
     details["open_counts"] = open_counts
     ok &= all(c == 0 for c in open_counts.values())
     return _section("length6_scan", "pass" if ok else "fail", **details)
@@ -257,7 +260,8 @@ def reproduce_length7() -> dict:
     details: dict = {"candidates": len(cands)}
     for modulus, family in censusdata.LENGTH7_BY_MODULUS.items():
         X = alexander_poly(2, modulus, (0, 1))
-        sat = sorted(w.text for w in cands if satisfies(X, w).satisfied)
+        sat = sorted(w.text for w, rep in zip(cands, satisfies_all(X, cands))
+                     if rep.satisfied)
         key = "t:" + ",".join(map(str, modulus))
         details[key] = sat
         ok &= sat == sorted(family)
@@ -270,7 +274,8 @@ def reproduce_length7_dataset(entries: Sequence[DatasetEntry]) -> dict:
     cands = length7_candidates()
     per_entry: dict[str, list[str]] = {}
     for e in entries:
-        sat = [w.text for w in cands if satisfies(e.table, w).satisfied]
+        sat = [w.text for w, rep in zip(cands, satisfies_all(e.table, cands))
+               if rep.satisfied]
         if sat:
             per_entry[e.name] = sorted(sat)
     families = {tuple(sorted(censusdata.LENGTH7_FAMILY_A)),
@@ -289,9 +294,10 @@ def reproduce_cycle_checks(max_len: int = 7) -> dict:
     per assignment that they cancel."""
     checked = 0
     failures = []
+    words = two_letter_universe(max_len)
     for name, X in corpus():
-        for w in two_letter_universe(max_len):
-            if not satisfies(X, w).satisfied:
+        for w, rep in zip(words, satisfies_all(X, words)):
+            if not rep.satisfied:
                 continue
             failures.extend((name, w.text, a.x, a.ys)
                             for a in identity_cycle_failures(X, w))
@@ -347,11 +353,12 @@ def reproduce_subcomplex_checks() -> dict:
     degree down, for small corpus members and short satisfied words."""
     failures = []
     checked = 0
+    words = two_letter_universe(4)
     for name, X in corpus():
         if X.order > 5:
             continue
-        for w in two_letter_universe(4):
-            if not satisfies(X, w).satisfied:
+        for w, rep in zip(words, satisfies_all(X, words)):
+            if not rep.satisfied:
                 continue
             gens = {d: subcomplex_generators(X, "identity", d, word=w)
                     for d in (2, 3)}

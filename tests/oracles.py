@@ -20,7 +20,11 @@ tuple from boundary_of_tuple, where the library gathers whole face arrays;
 loop_identity_generators builds identity-subcomplex generators by a plain
 loop, where the library gathers whole arrays of term indices.
 word_permutation_holds is the translation-composite form of a word
-identity.
+identity.  loop_satisfies is the orbit-minima block scan of one word alone,
+every letter's composite formed afresh, the reference for the library's
+shared-prefix satisfies_all; loop_first_axiom_violation checks
+distributivity by one pass per a, the reference for the library's blocked
+axiom check.
 
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
@@ -35,11 +39,17 @@ from typing import Sequence
 
 from quandlehom.chains import (FormalChain, boundary, boundary_of_tuple,
                                tuple_index)
-from quandlehom.core import Permutation, make_table, translate
-from quandlehom.errors import SubcomplexClosureViolated
+import numpy as np
+
+from quandlehom.core import (Permutation, _shape_check, make_table,
+                             orbit_minima, translate)
+from quandlehom.errors import (ColumnNotBijective, IdempotencyFails,
+                               OutOfRangeEntry, SelfDistributivityFails,
+                               SubcomplexClosureViolated)
 from quandlehom.homology import (BoundaryMatrix, CocycleSpace, CocycleTable,
                                  boundary_matrix, evaluate_cocycle)
-from quandlehom.identities import Assignment
+from quandlehom.identities import (_SCAN_CHUNK, Assignment,
+                                   SatisfactionReport)
 from quandlehom.linalg import IntLattice, Matrix, identity_matrix
 
 
@@ -287,6 +297,68 @@ def full_order_scan(X, w):
 
 def naive_satisfies(X, w):
     return full_order_scan(X, w)[0]
+
+
+def loop_satisfies(X, w):
+    """One word alone: the orbit-minima block scan with every letter's
+    composite recomputed per word, the reference for satisfies_all."""
+    n = X.order
+    m = w.letters
+    Rf = X.np_table.T.ravel()     # Rf[y*n + x] = x*y
+    target = np.arange(n, dtype=np.int64)
+    inner = n ** (m - 1)      # letter tuples per value of y_1
+    firsts = orbit_minima(X)
+    total = len(firsts) * inner
+    block = max(1, _SCAN_CHUNK // max(1, n))
+    weights = [n ** (m - 1 - j) for j in range(m)]
+    for lo in range(0, total, block):
+        hi = min(total, lo + block)
+        pos = np.arange(lo, hi, dtype=np.int64)
+        idx = firsts[pos // inner] * inner + pos % inner
+        ys = np.empty((hi - lo, m), dtype=np.int64)
+        for j, wt in enumerate(weights):
+            ys[:, j] = (idx // wt) % n
+        comp = target
+        for t in w.tau:
+            comp = Rf[ys[:, t, None] * n + comp]
+        bad = comp != target
+        if bad.any():
+            rows_bad = bad.any(axis=1)
+            r = int(np.argmax(rows_bad))
+            x = int(np.argmax(bad[r]))
+            witness = Assignment(x=x, ys=tuple(int(v) for v in ys[r]))
+            return SatisfactionReport(False, witness, int(idx[r]) * n + x + 1)
+    return SatisfactionReport(True, None, n ** (m + 1))
+
+
+def loop_first_axiom_violation(rows, quandle):
+    """The first axiom violation by one Python pass per a for
+    distributivity, the reference for the library's blocked check."""
+    n = _shape_check(rows)
+    for x in range(n):
+        for y in range(n):
+            v = rows[x][y]
+            if not 0 <= v < n:
+                return OutOfRangeEntry(x, y, v, n)
+    T = np.array(rows, dtype=np.int64)
+    # axiom 1: every column is a permutation
+    colsort = np.sort(T, axis=0)
+    bad = (colsort != np.arange(n)[:, None]).any(axis=0)
+    if bad.any():
+        return ColumnNotBijective(int(np.argmax(bad)))
+    # axiom 2: (a*b)*c == (a*c)*(b*c), scanned per a to keep memory flat
+    for a in range(n):
+        lhs = T[T[a, :], :]            # lhs[b, c] = (a*b)*c
+        rhs = T[T[a, :][None, :], T]   # rhs[b, c] = T[a*c, b*c] = (a*c)*(b*c)
+        ne = lhs != rhs
+        if ne.any():
+            b, c = map(int, np.argwhere(ne)[0])
+            return SelfDistributivityFails(a, b, c)
+    if quandle:
+        for x in range(n):
+            if rows[x][x] != x:
+                return IdempotencyFails(x)
+    return None
 
 
 def naive_is_medial(X):

@@ -2,13 +2,21 @@ import itertools
 import math
 import random
 
-import pytest
+from unittest import mock
 
-from quandlehom.core import (Permutation, group_exponent, inner_group,
-                             inner_representation, invariants, is_connected,
-                             is_medial, make_table, orbit, product,
-                             quandle_type, translate, validate)
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import loop_first_axiom_violation
+from quandlehom import core
+from quandlehom.core import (Permutation, QuandleTable,
+                             _first_axiom_violation, group_exponent,
+                             inner_group, inner_representation, invariants,
+                             is_connected, is_medial, make_table, orbit,
+                             product, quandle_type, translate, validate)
 from quandlehom.constructions import alexander_zn, conjugation
+from quandlehom.shell import corpus
 from quandlehom.errors import (ClosureBudgetExceeded, ColumnNotBijective,
                                IdempotencyFails, OutOfRangeEntry,
                                SelfDistributivityFails)
@@ -279,3 +287,91 @@ def test_exponent_cross_checks():
     CQ = make_table(rows, require="quandle")
     G = inner_group(CQ)
     assert G.order == 24 and group_exponent(G) == 12
+
+
+def violation_fields(err):
+    return None if err is None else (type(err), err.args, vars(err))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_axiom_witnesses_match_the_loop(data):
+    """The blocked check names the same first violation as one pass per a,
+    on corpus tables with an entry out of range, a column made
+    non-bijective, or two entries of a column swapped, which keeps every
+    column a permutation and can break distributivity.  Blocks of a are
+    drawn down to one a each, so a witness may sit in any block."""
+    X = data.draw(st.sampled_from([X for _, X in corpus()]))
+    n = X.order
+    rows = [list(r) for r in X.rows]
+    kind = data.draw(st.sampled_from(["range", "column", "swap", "none"]))
+    x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if kind == "range":
+        rows[x][y] = data.draw(st.sampled_from([-1, n, n + 3, -10 ** 30,
+                                                10 ** 30]))
+    elif kind == "column":
+        rows[x][y] = rows[data.draw(st.integers(0, n - 1))][y]
+    elif kind == "swap":
+        z = data.draw(st.integers(0, n - 1))
+        rows[x][y], rows[z][y] = rows[z][y], rows[x][y]
+    quandle = data.draw(st.booleans())
+    require = "quandle" if quandle else "rack"
+    want = loop_first_axiom_violation(rows, quandle)
+    block = data.draw(st.sampled_from([1, 2 * n * n, core._AXIOM_BLOCK]))
+    with mock.patch.object(core, "_AXIOM_BLOCK", block):
+        assert violation_fields(_first_axiom_violation(rows, quandle)) \
+            == violation_fields(want)
+        if want is None:
+            make_table(rows, require=require)
+            return
+        with pytest.raises(type(want)) as raised:
+            make_table(rows, require=require)
+    assert violation_fields(raised.value) == violation_fields(want)
+
+
+def test_distributivity_witness_in_a_later_block():
+    """Beside a trivial part of order 70, which acts trivially and is acted
+    on trivially, a non-distributive 3-element part with bijective columns
+    puts every broken triple at a >= 70: past the first block of 49 a."""
+    k, part = 70, [[1, 0, 0], [2, 1, 1], [0, 2, 2]]
+    rows = ([[x] * (k + 3) for x in range(k)]
+            + [[k + i] * k + [k + v for v in part[i]] for i in range(3)])
+    want = loop_first_axiom_violation(rows, False)
+    assert isinstance(want, SelfDistributivityFails) and want.a >= k
+    for block in (1, core._AXIOM_BLOCK):
+        with mock.patch.object(core, "_AXIOM_BLOCK", block):
+            assert violation_fields(_first_axiom_violation(rows, False)) \
+                == violation_fields(want)
+
+
+def test_ragged_table_raises_before_any_array():
+    for build in (make_table, QuandleTable, validate):
+        with pytest.raises(ValueError, match="table must be square"):
+            build([[0, 0], [0]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 10 ** 30], [1, 1]],
+    [[0, -1], [-10 ** 30, 1]],          # an entry inside int64 comes first
+    [[0, 1], [1, 10 ** 30]],
+], ids=["huge", "negative-first", "huge-last"])
+def test_entries_beyond_int64_raise_the_first_out_of_range(rows):
+    err = loop_first_axiom_violation(rows, False)
+    assert isinstance(err, OutOfRangeEntry)
+    for build in (make_table, QuandleTable):
+        with pytest.raises(OutOfRangeEntry) as raised:
+            build(rows)
+        assert violation_fields(raised.value) == violation_fields(err)
+    assert violation_fields(validate(rows).violation) \
+        == violation_fields(err)
+
+
+def test_table_keeps_an_int64_array():
+    T = np.array(DIH3, dtype=np.int64)
+    X = make_table(T)
+    assert X.np_table is T and not T.flags.writeable
+    assert X.rows == tuple(map(tuple, DIH3)) and X == make_table(DIH3)
+    with pytest.raises(ColumnNotBijective):
+        make_table(np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="table must be square"):
+        make_table(np.zeros((2, 3), dtype=np.int64))

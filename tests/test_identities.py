@@ -4,16 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (full_order_scan, naive_group_exponent, naive_inner_group,
-                     naive_is_medial, naive_satisfies, relabelled,
-                     word_permutation_holds)
+from oracles import (full_order_scan, loop_satisfies, naive_group_exponent,
+                     naive_inner_group, naive_is_medial, naive_satisfies,
+                     relabelled, word_permutation_holds)
 from quandlehom.core import (group_exponent, inner_group, is_connected,
                              is_medial, make_table, orbit, orbit_minima,
                              product, quandle_type)
-from quandlehom.identities import (Word, consecutive_type_bound,
+from quandlehom.identities import (_SCAN_CHUNK, Word, consecutive_type_bound,
                                    enumerate_words, forces_triviality,
-                                   parse_word, satisfies, scan,
-                                   two_letter_universe)
+                                   parse_word, satisfies, satisfies_all,
+                                   scan, two_letter_universe)
 from quandlehom.constructions import (alexander_zn, dihedral,
                                       enumerate_connected, trivial)
 from quandlehom.errors import EmptyWord, NonLetterCharacter
@@ -284,6 +284,72 @@ def test_orbit_scans_match_full_order(data):
             else (rep.witness.x, rep.witness.ys)
         assert (rep.satisfied, witness, rep.tuples_checked) \
             == full_order_scan(Y, w), (Y.rows, w.text)
+
+
+def report_fields(rep):
+    witness = None if rep.witness is None else (rep.witness.x, rep.witness.ys)
+    return rep.satisfied, witness, rep.tuples_checked
+
+
+def assert_kernel_matches_the_loop(X, words):
+    got = [report_fields(rep) for rep in satisfies_all(X, words)]
+    assert got == [report_fields(loop_satisfies(X, w)) for w in words], \
+        (X.rows, [w.text for w in words])
+
+
+# corpus tables and the two racks that are not quandles
+KERNEL_TABLES = ([X for _, X in corpus()]
+                 + [make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]), P2_Q6])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_satisfies_all_matches_the_loop(data):
+    """One kernel call over a word list reports, word by word, what the
+    single-word loop reports: on corpus tables, their relabellings and the
+    non-quandle racks, for lists mixing 1-, 2- and 3-letter words with
+    duplicates and words that are prefixes of others."""
+    X = data.draw(st.sampled_from(KERNEL_TABLES))
+    if data.draw(st.booleans()):
+        X = relabelled(X, data.draw(st.permutations(range(X.order))))
+    words = data.draw(st.lists(short_words(), min_size=1, max_size=8))
+    # a prefix of a drawn word, and a repeat of one, ride along
+    w = data.draw(st.sampled_from(words))
+    k = data.draw(st.integers(1, w.length))
+    words += [Word.canonical(w.tau[:k]), data.draw(st.sampled_from(words))]
+    assert_kernel_matches_the_loop(X, words)
+
+
+def test_satisfies_all_on_shared_prefixes_and_duplicates(dih3, az52, gf4):
+    texts = ["abab", "ababab", "aa", "abab", "a", "ab", "aab", "abc",
+             "abcabc", "abacbc", "aabbcc", "ababab", "abb"]
+    words = [parse_word(t) for t in texts]
+    for X in (dih3, az52, gf4, P2_Q6):
+        assert_kernel_matches_the_loop(X, words)
+    assert satisfies_all(dih3, []) == []
+
+
+def test_satisfies_all_across_scan_blocks():
+    """Order 47 with 3-letter words takes 2209 letter tuples per orbit
+    minimum against blocks of 1394: on alexander_zn(47, 46) the satisfied
+    words cross the block boundary beside words decided at once, and beside
+    the trivial quandle of order 44 the first violations of dihedral(3) lie
+    many blocks in."""
+    words = [parse_word(t) for t in
+             ("abcabc", "abacbc", "aabbcc", "abcbca", "abab", "aabb",
+              "abcacb", "aabbccaabbcc")]
+    assert 47 ** 2 > _SCAN_CHUNK // 47
+    for t in (5, 46):
+        assert_kernel_matches_the_loop(alexander_zn(47, t), words)
+    reps = satisfies_all(alexander_zn(47, 46), words)
+    assert {w.text for w, r in zip(words, reps) if r.satisfied} \
+        == {"abcabc", "aabbcc", "aabb", "aabbccaabbcc"}
+    Y = disjoint_union(trivial(44), dihedral(3))
+    assert_kernel_matches_the_loop(Y, words)
+    reps = satisfies_all(Y, words)
+    assert any(r.satisfied for r in reps)
+    assert any(not r.satisfied and r.tuples_checked > 47 * _SCAN_CHUNK
+               for r in reps)
 
 
 def assert_inner_group_matches_plain_closure(X):

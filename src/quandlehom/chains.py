@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import QuandleTable
+from .core import QuandleTable, digits
 from .errors import (
     DegreeMismatch,
     DegreeTooSmall,
@@ -175,10 +175,7 @@ def prefix_products(X: QuandleTable, w: Word, lo: int = 0,
     T = X.np_table
     for start in range(lo, hi, _SCAN_CHUNK):
         idx = np.arange(start, min(hi, start + _SCAN_CHUNK), dtype=np.int64)
-        ys = np.empty((len(idx), w.letters), dtype=np.int64)
-        rest = idx // n
-        for j in reversed(range(w.letters)):
-            rest, ys[:, j] = np.divmod(rest, n)
+        ys = digits(idx // n, n, w.letters)
         P = np.empty((w.length, len(idx)), dtype=np.int64)
         P[0] = idx % n
         for i in range(1, w.length):
@@ -271,7 +268,7 @@ class GeneratorSet:
     @cached_property
     def chains(self) -> tuple[FormalChain, ...]:
         out = []
-        for row in _digits(self._terms, self.order, self.degree).tolist():
+        for row in digits(self._terms, self.order, self.degree).tolist():
             terms: dict = {}
             for tup in map(tuple, row):
                 terms[tup] = terms.get(tup, 0) + 1
@@ -285,7 +282,7 @@ class GeneratorSet:
         other entries xs and the letter values ys."""
         n, d = self.order, self.degree
         if self.kind == "degenerate":
-            tups = _digits(self._sources, n, d)
+            tups = digits(self._sources, n, d)
             first = (tups[:, 1:] == tups[:, :-1]).argmax(axis=1)
             return tuple((i, tuple(t)) for i, t in
                          zip(first.tolist(), tups.tolist()))
@@ -294,8 +291,8 @@ class GeneratorSet:
         xs, ys = np.divmod(row, n ** m)
         lo = 0 if self._first_slot else 1
         return tuple((j + lo, tuple(x), tuple(y)) for j, x, y in zip(
-            slot.tolist(), _digits(xs, n, d - 1).tolist(),
-            _digits(ys, n, m).tolist()))
+            slot.tolist(), digits(xs, n, d - 1).tolist(),
+            digits(ys, n, m).tolist()))
 
     @property
     def lower(self) -> Optional["GeneratorSet"]:
@@ -398,12 +395,6 @@ def vector_chain(vec: dict[int, int], order: int, degree: int) -> FormalChain:
                                 for idx, coef in sorted(vec.items())})
 
 
-def _digits(idx: np.ndarray, order: int, width: int) -> np.ndarray:
-    """The tuples of flat indices, most significant entry first: one more
-    trailing axis of length width."""
-    return idx[..., None] // order ** np.arange(width - 1, -1, -1) % order
-
-
 def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
                           word: Optional[Word] = None,
                           include_first_slot: bool = False,
@@ -447,7 +438,7 @@ def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
     # called with every argument positional, so each span has one cache key
     n = X.order
     if kind == "degenerate":
-        tups = _digits(np.arange(n ** degree), n, degree)
+        tups = digits(np.arange(n ** degree), n, degree)
         keep = np.flatnonzero((tups[:, 1:] == tups[:, :-1]).any(axis=1))
         return GeneratorSet(n, degree, "degenerate", None, X, False,
                             keep[:, None], keep)
@@ -461,7 +452,7 @@ def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
     heads = np.concatenate(P, axis=1).reshape(word.length, -1, n)
     letter = np.concatenate(ys)[::n, list(word.tau)].T
     free = np.arange(n ** (degree - 1))
-    xs = _digits(free, n, degree - 1)
+    xs = digits(free, n, degree - 1)
     weight = n ** np.arange(degree - 1, -1, -1)
     blocks = []
     for j in range(0 if include_first_slot else 1, degree):

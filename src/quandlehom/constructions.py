@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import QuandleTable, is_connected, make_table
+from .core import QuandleTable, cycle_lengths, is_connected, make_table
 from .errors import (
     CapExceeded,
     NotAnAutomorphism,
@@ -415,22 +415,6 @@ def are_isomorphic(X: QuandleTable, Y: QuandleTable,
     return canonical_form(X, cap) == canonical_form(Y, cap)
 
 
-def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
-    n = len(images)
-    seen = [False] * n
-    lens = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        ln, x = 0, s
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            ln += 1
-        lens.append(ln)
-    return tuple(sorted(lens))
-
-
 def _partial_distributivity_ok(T: list[list[Optional[int]]], n: int,
                                assigned: int) -> bool:
     """Check all triples whose entries are defined by columns 0..assigned."""
@@ -464,17 +448,18 @@ def enumerate_connected(order: int, cap: int = ENUMERATION_CAP) -> list[QuandleT
     if order == 1:
         return [trivial(1)]
     n = order
-    # candidate columns per diagonal point, grouped by cycle type
-    perms_fixing = {y: [p for p in itertools.permutations(range(n))
-                        if p[y] == y] for y in range(n)}
+    # each permutation's cycle type, as its sorted per-point cycle lengths,
+    # and the candidate columns per diagonal point
+    perms = list(itertools.permutations(range(n)))
+    lengths = np.sort(cycle_lengths(np.array(perms)), axis=1)
+    cycle_type = dict(zip(perms, map(tuple, lengths.tolist())))
+    perms_fixing = {y: [p for p in perms if p[y] == y] for y in range(n)}
     found: dict[tuple, QuandleTable] = {}
 
     type_reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     for p in perms_fixing[0]:
-        ct = _cycle_type(p)
-        if ct == tuple([1] * n):
-            continue                     # identity column forces triviality
-        type_reps.setdefault(ct, p)
+        if cycle_type[p] != (1,) * n:    # identity column forces triviality
+            type_reps.setdefault(cycle_type[p], p)
 
     def search(T, col: int, ct):
         if col == n:
@@ -488,7 +473,7 @@ def enumerate_connected(order: int, cap: int = ENUMERATION_CAP) -> list[QuandleT
                         _validated=True)
             return
         for p in perms_fixing[col]:
-            if _cycle_type(p) != ct:
+            if cycle_type[p] != ct:
                 continue
             for x in range(n):
                 T[x][col] = p[x]

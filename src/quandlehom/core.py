@@ -67,19 +67,7 @@ class Permutation:
         return all(i == v for i, v in enumerate(self.images))
 
     def order(self) -> int:
-        n = len(self.images)
-        seen = [False] * n
-        out = 1
-        for s in range(n):
-            if seen[s]:
-                continue
-            length, x = 0, s
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x]
-                length += 1
-            out = math.lcm(out, length)
-        return out
+        return _lcm_of_cycles(np.array([self.images], dtype=np.int64))
 
     def cycle_string(self) -> str:
         n = len(self.images)
@@ -107,8 +95,7 @@ class QuandleTable:
     marked read-only, and takes ``rows`` from its ``tolist()``.
     """
 
-    __slots__ = ("order", "rows", "is_quandle", "_hash", "_np",
-                 "_orbit_minima")
+    __slots__ = ("order", "rows", "is_quandle", "_hash", "_np", "_orbits")
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray,
                  _validated: bool = False):
@@ -126,7 +113,7 @@ class QuandleTable:
         self.is_quandle = all(rows[x][x] == x for x in range(self.order))
         self._hash = hash(rows)
         self._np = T
-        self._orbit_minima = None
+        self._orbits = None
 
     # -- value semantics ----------------------------------------------------
     def __eq__(self, other):
@@ -293,6 +280,12 @@ def validate(rows, mode: str = "rack",
 
 # ---------------------------------------------------------------- operations
 
+def digits(idx: np.ndarray, order: int, width: int) -> np.ndarray:
+    """The tuples of flat indices, most significant entry first: one more
+    trailing axis of length width (width 0 gives the empty tuple)."""
+    return idx[..., None] // order ** np.arange(width - 1, -1, -1) % order
+
+
 def translate(X: QuandleTable, b: int) -> Permutation:
     """Right translation R_b, the column x -> x*b."""
     if not 0 <= b < X.order:
@@ -311,43 +304,38 @@ def product(X: QuandleTable, x: int, ys: Iterable[int]) -> int:
     return x
 
 
-def orbit(X: QuandleTable, start: int) -> frozenset[int]:
-    """Orbit of a point under the group generated by all right translations."""
-    seen = {start}
-    frontier = [start]
-    rows = X.rows
-    n = X.order
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = rows[x]
-            for y in range(n):
-                z = row[y]
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def orbit_minima(X: QuandleTable) -> np.ndarray:
-    """Least element of every Inn-orbit, ascending.
+def _orbits(X: QuandleTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every element's Inn-orbit label, the least element of its orbit, and
+    the labels in use, ascending.
 
     Min-label propagation: each element repeatedly takes the least label among
     itself and its images under the right translations until nothing changes,
     so every label settles at the minimum of its orbit (forward images reach
-    the whole orbit, as each translation permutes a finite set).  The result
-    is cached on the table, read-only, as ``np_table`` is.
+    the whole orbit, as each translation permutes a finite set).  Both arrays
+    are cached on the table, read-only, as ``np_table`` is.
     """
-    if X._orbit_minima is None:
+    if X._orbits is None:
         T = X.np_table
         lab = np.arange(X.order, dtype=np.int64)
         nxt = np.minimum(lab, lab[T].min(axis=1))
         while not np.array_equal(nxt, lab):
             lab, nxt = nxt, np.minimum(nxt, nxt[T].min(axis=1))
-        X._orbit_minima = np.flatnonzero(lab == np.arange(X.order))
-        X._orbit_minima.setflags(write=False)
-    return X._orbit_minima
+        minima = np.flatnonzero(lab == np.arange(X.order))
+        lab.setflags(write=False)
+        minima.setflags(write=False)
+        X._orbits = lab, minima
+    return X._orbits
+
+
+def orbit(X: QuandleTable, start: int) -> frozenset[int]:
+    """Orbit of a point under the group generated by all right translations."""
+    lab = _orbits(X)[0]
+    return frozenset(np.flatnonzero(lab == lab[start]).tolist())
+
+
+def orbit_minima(X: QuandleTable) -> np.ndarray:
+    """Least element of every Inn-orbit, ascending, cached on the table."""
+    return _orbits(X)[1]
 
 
 def is_connected(X: QuandleTable) -> bool:
@@ -439,36 +427,37 @@ def inner_group(X: QuandleTable,
                             arr[np.lexsort(arr.T[::-1])])
 
 
-def group_exponent(G: PermutationGroup) -> int:
-    """Least e with g^e = identity for every element: the lcm of every cycle
-    length of every element.
+def cycle_lengths(perms: np.ndarray) -> np.ndarray:
+    """The length of every point's cycle, for each row of a 2-d array of
+    permutations given by their images; the result has the input's shape.
 
     Pointer doubling labels each point with the least flat index on its
     cycle in ceil(log2 n) rounds; a bincount of the labels counts the points
     of each cycle.
     """
-    arr = G.images_array()
-    count, n = arr.shape
-    step = (arr + np.arange(0, count * n, n, dtype=np.int64)[:, None]).ravel()
+    perms = np.asarray(perms, dtype=np.int64)
+    count, n = perms.shape
+    step = (perms + np.arange(0, count * n, n, dtype=np.int64)[:, None]).ravel()
     label = np.arange(count * n, dtype=np.int64)
     for _ in range((n - 1).bit_length()):
         label = np.minimum(label, label[step])
         step = step[step]
-    lengths = np.unique(np.bincount(label))
-    return math.lcm(*lengths[lengths > 0].tolist())
+    return np.bincount(label, minlength=count * n)[label].reshape(count, n)
+
+
+def _lcm_of_cycles(perms: np.ndarray) -> int:
+    return math.lcm(*np.unique(cycle_lengths(perms)).tolist())
+
+
+def group_exponent(G: PermutationGroup) -> int:
+    """Least e with g^e = identity for every element: the lcm of every cycle
+    length of every element."""
+    return _lcm_of_cycles(G.images_array())
 
 
 def quandle_type(X: QuandleTable) -> int:
     """Least t with x *^t y = x for all x, y: lcm of column permutation orders."""
-    out = 1
-    seen = set()
-    for b in range(X.order):
-        col = X.column(b)
-        if col in seen:
-            continue
-        seen.add(col)
-        out = math.lcm(out, Permutation(col).order())
-    return out
+    return _lcm_of_cycles(X.np_table.T)
 
 
 def is_faithful(X: QuandleTable) -> bool:

@@ -23,7 +23,7 @@ from .chains import (
     FormalChain,
     subcomplex_generators,
 )
-from .core import QuandleTable
+from .core import QuandleTable, digits
 from .errors import (
     DegreeMismatch,
     InvalidCocycle,
@@ -45,8 +45,7 @@ def _tuple_array(order: int, degree: int, complex: str) -> np.ndarray:
     """The lexicographic tuple basis of one flavour, one tuple per row:
     every tuple for rack, those with no two equal adjacent entries for
     quandle, the others for degenerate.  Degree 0 is the empty tuple."""
-    tups = (np.arange(order ** degree)[:, None]
-            // order ** np.arange(degree - 1, -1, -1) % order)
+    tups = digits(np.arange(order ** degree), order, degree)
     if complex == "rack":
         return tups
     degenerate = (tups[:, 1:] == tups[:, :-1]).any(axis=1)

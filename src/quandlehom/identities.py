@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import QuandleTable, orbit_minima
+from .core import QuandleTable, digits, orbit_minima
 from .errors import EmptyWord, NonLetterCharacter
 
 _SCAN_CHUNK = 1 << 16
@@ -155,7 +155,6 @@ def _scan_prefix_trie(X: QuandleTable, m: int,
     firsts = orbit_minima(X)
     total = len(firsts) * inner
     block = max(1, _SCAN_CHUNK // max(1, n))
-    weights = [n ** (m - 1 - j) for j in range(m)]
     children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     under: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for tau in taus:
@@ -170,9 +169,7 @@ def _scan_prefix_trie(X: QuandleTable, m: int,
         hi = min(total, lo + block)
         pos = np.arange(lo, hi, dtype=np.int64)
         idx = firsts[pos // inner] * inner + pos % inner
-        ys = np.empty((hi - lo, m), dtype=np.int64)
-        for j, wt in enumerate(weights):
-            ys[:, j] = (idx // wt) % n
+        ys = digits(idx, n, m)
         cols = ys.T[:, :, None] * n     # cols[t] = ys[:, t, None] * n
         stack = [((), target)]
         while stack:

@@ -28,7 +28,7 @@ from .chains import (FormalChain, boundary, format_chain, identity_cycle,
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
 from .errors import (InvalidCocycle, MissingDataset, ParseError, QuandleError,
-                     SubcomplexClosureViolated, ValidationError)
+                     SubcomplexClosureViolated)
 from .extensions import ExtensionSpec, check_extension_identity, extend
 from .homology import (CocycleTable, boundary_matrix, cocycle_space,
                        homology)
@@ -52,8 +52,10 @@ EXIT_USAGE = 2
 _ENTRY = re.compile(r"-?\d+")
 
 
-def loads(text: str, convention: str = "right") -> QuandleTable:
-    """Parse the 1-based matrix format; left convention transposes."""
+def _read_matrix(text: str) -> np.ndarray:
+    """The 0-based n x n array of the 1-based matrix format.  ParseError
+    names the line, and the column where there is one, of the first fault:
+    no order, too few or too many entries, a bad entry or one outside 1..n."""
     lines = text.splitlines()
     tokens_per_line = [line.split() for line in lines]
     flat = [(ln, tok) for ln, toks in enumerate(tokens_per_line, start=1)
@@ -80,12 +82,19 @@ def loads(text: str, convention: str = "right") -> QuandleTable:
                 raise ParseError(f"bad entry {tok!r}", ln, k % n + 1)
             if not 1 <= int(tok) <= n:
                 raise ParseError(f"entry {tok} outside 1..{n}", ln, k % n + 1)
-    table = np.array(vals, dtype=np.int64).reshape(n, n) - 1
-    if convention == "left":
-        table = table.T
-    elif convention != "right":
+    return np.array(vals, dtype=np.int64).reshape(n, n) - 1
+
+
+def _oriented(table: np.ndarray, convention: str) -> np.ndarray:
+    if convention not in ("right", "left"):
         raise ValueError("convention must be 'right' or 'left'")
-    return make_table(table, require="rack")
+    return table.T if convention == "left" else table
+
+
+def loads(text: str, convention: str = "right") -> QuandleTable:
+    """Parse the 1-based matrix format; left convention transposes."""
+    return make_table(_oriented(_read_matrix(text), convention),
+                      require="rack")
 
 
 def load(path: str | Path, convention: str = "right") -> QuandleTable:
@@ -422,17 +431,17 @@ def run_reproduce(target: str, dataset: Optional[str],
 
 # ----------------------------------------------------------------------- cli
 
-def _report(args, results: dict, status: str, started: float,
-            inputs: Optional[dict] = None, seed: int = 0) -> dict:
+def _report(args, results: dict, passed: bool, started: float,
+            inputs: dict, seed: int) -> dict:
     return {
         "schema": SCHEMA,
         "tool": TOOL,
         "version": VERSION,
         "command": list(args),
-        "inputs": inputs or {},
+        "inputs": inputs,
         "seed": seed,
         "results": results,
-        "status": status,
+        "status": "pass" if passed else "fail",
         "wall_clock_s": round(time.time() - started, 6),
     }
 
@@ -458,6 +467,9 @@ def _emit_report(report: dict, as_json: bool):
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand sets ``run`` to its handler.  A handler returns
+    (results, passed, input digests) for ``cli`` to report, or None when it
+    has written its own output."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report on stdout")
@@ -468,20 +480,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations on finite racks and quandles")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_table_arg(p, with_convention=True):
-        p.add_argument("table", help="matrix file (1-based)")
-        if with_convention:
-            p.add_argument("--convention", choices=("right", "left"),
-                           default="right")
+    def command(name, run, help, table=True):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        if table:
+            p.add_argument("table", help="matrix file (1-based)")
+            add_convention(p)
+        return p
 
-    p = sub.add_parser("validate", parents=[common], help="check the rack/quandle axioms")
-    add_table_arg(p)
+    def add_convention(p, default="right"):
+        p.add_argument("--convention", choices=("right", "left"),
+                       default=default)
+
+    p = command("validate", _run_validate, "check the rack/quandle axioms")
     p.add_argument("--mode", choices=("rack", "quandle"), default="quandle")
 
-    p = sub.add_parser("info", parents=[common], help="invariant report for a table")
-    add_table_arg(p)
+    command("info", _run_info, "invariant report for a table")
 
-    p = sub.add_parser("gen", parents=[common], help="construct a table and print its matrix")
+    p = command("gen", _run_gen, "construct a table and print its matrix",
+                table=False)
     p.add_argument("kind", choices=("trivial", "dihedral", "alexander_zn",
                                     "alexander_poly", "burnside",
                                     "conjugation", "gen_alexander"))
@@ -491,53 +508,50 @@ def _build_parser() -> argparse.ArgumentParser:
                         "group kinds take a Cayley matrix file")
     p.add_argument("--out", help="write to a file instead of stdout")
 
-    p = sub.add_parser("scan", parents=[common], help="satisfaction of words over tables")
+    p = command("scan", _run_scan, "satisfaction of words over tables",
+                table=False)
     p.add_argument("tables", nargs="*", help="matrix files")
     p.add_argument("--dataset", help="directory of matrix files")
     p.add_argument("--word", action="append", required=True,
                    help="word like abab (repeatable)")
-    p.add_argument("--convention", choices=("right", "left"), default="right")
+    add_convention(p)
 
-    p = sub.add_parser("cycle", parents=[common], help="two-cycle attached to a satisfied word")
-    add_table_arg(p)
+    p = command("cycle", _run_cycle, "two-cycle attached to a satisfied word")
     p.add_argument("--word", required=True)
     p.add_argument("--x", type=int, required=True, help="1-based start element")
     p.add_argument("--ys", required=True,
                    help="comma-separated 1-based letter values")
 
-    p = sub.add_parser("subcomplex", parents=[common], help="subcomplex generators at a degree")
-    add_table_arg(p)
+    p = command("subcomplex", _run_subcomplex,
+                "subcomplex generators at a degree")
     p.add_argument("--kind", choices=("identity", "degenerate"),
                    default="identity")
     p.add_argument("--word")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("homology", parents=[common], help="homology of a chain complex")
-    add_table_arg(p)
+    p = command("homology", _run_homology, "homology of a chain complex")
     p.add_argument("--complex", choices=("rack", "quandle", "degenerate",
                                          "identity"), default="rack")
     p.add_argument("--word")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
 
-    p = sub.add_parser("cocycles", parents=[common], help="2-cocycle space mod d")
-    add_table_arg(p)
+    p = command("cocycles", _run_cocycles, "2-cocycle space mod d")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--mode", choices=("rack", "quandle"), default="quandle")
 
-    p = sub.add_parser("extend", parents=[common], help="abelian extension by a cocycle file")
-    add_table_arg(p)
+    p = command("extend", _run_extend, "abelian extension by a cocycle file")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--cocycle", required=True,
                    help="file with n rows of n residues (0-based values)")
     p.add_argument("--out", help="write the extension matrix to a file")
 
-    p = sub.add_parser("reproduce", parents=[common], help="re-run the bundled verification "
-                                         "suites and census scans")
+    p = command("reproduce", _run_reproduce, "re-run the bundled verification "
+                "suites and census scans", table=False)
     p.add_argument("target", nargs="?", default="all",
                    choices=REPRODUCE_TARGETS)
     p.add_argument("--dataset", help="directory with catalogue matrices")
-    p.add_argument("--convention", choices=("right", "left"), default="left")
+    add_convention(p, default="left")
     return parser
 
 
@@ -549,7 +563,13 @@ def cli(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _dispatch(args, argv, started)
+        out = args.run(args)
+        if out is None:
+            return EXIT_OK
+        results, passed, inputs = out
+        _emit_report(_report(argv, results, passed, started, inputs,
+                             args.seed), args.json)
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except BrokenPipeError:
         return EXIT_OK             # the reader closed early, as `| head` does
     except (ParseError, MissingDataset, OSError, ValueError) as exc:
@@ -562,178 +582,130 @@ def cli(argv: Sequence[str]) -> int:
 
 def _load_table(args) -> tuple[QuandleTable, dict]:
     path = Path(args.table)
-    table = load(path, convention=getattr(args, "convention", "right"))
+    table = load(path, convention=args.convention)
     return table, {str(path): _sha256(path)}
 
 
-def _dispatch(args, argv, started) -> int:
-    as_json = args.json
-    seed = args.seed
-    if args.cmd == "validate":
-        path = Path(args.table)
-        digests = {str(path): _sha256(path)}
-        try:
-            table = load(path, convention=args.convention)
-        except ValidationError as exc:
-            rep = _report(argv, {"valid": False, "violation": str(exc)},
-                          "fail", started, digests, seed=seed)
-            _emit_report(rep, as_json)
-            return EXIT_CHECK_FAILED
-        report = validate(table.rows, mode=args.mode)
-        ok = report.is_quandle if args.mode == "quandle" else report.is_rack
-        rep = _report(argv, {"valid": bool(ok), **report.as_dict()},
-                      "pass" if ok else "fail", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-    if args.cmd == "info":
-        table, digests = _load_table(args)
-        report = invariants(table)
-        rep = _report(argv, report.as_dict(), "pass", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK
-
-    if args.cmd == "gen":
-        table = _gen_from_params(args.kind, args.params)
-        text = emit(table)
-        if args.out:
-            Path(args.out).write_text(text)
-            if as_json:
-                print(json.dumps(_report(argv, {"order": table.order,
-                                                "out": args.out},
-                                         "pass", started), indent=2,
-                                 sort_keys=True))
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-
-    if args.cmd == "scan":
-        from .identities import scan as scan_words
-        words = [parse_word(w) for w in args.word]
-        names = []
-        tables = []
-        digests = {}
-        if args.dataset:
-            for e in load_dataset(args.dataset, convention=args.convention):
-                names.append(e.name)
-                tables.append(e.table)
-        for f in args.tables:
-            names.append(f)
-            tables.append(load(f, convention=args.convention))
-            digests[f] = _sha256(Path(f))
-        if not tables:
-            raise MissingDataset("scan needs table files or --dataset")
-        rep_scan = scan_words(tables, words, names=names)
-        results = {
-            "words": [w.text for w in rep_scan.words],
-            "counts": list(rep_scan.counts),
-            "satisfied_by": {w.text: rep_scan.satisfied_by(j)
-                             for j, w in enumerate(rep_scan.words)},
-        }
-        rep = _report(argv, results, "pass", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK
-
-    if args.cmd == "cycle":
-        table, digests = _load_table(args)
-        w = parse_word(args.word)
-        ys = tuple(int(v) - 1 for v in args.ys.split(","))
-        cyc = identity_cycle(table, w, Assignment(args.x - 1, ys))
-        bd = boundary(table, cyc)
-        rep = _report(argv, {"word": w.text, "cycle": format_chain(cyc),
-                             "boundary": format_chain(bd),
-                             "is_cycle": bd.is_zero()},
-                      "pass" if bd.is_zero() else "fail", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK if bd.is_zero() else EXIT_CHECK_FAILED
-
-    if args.cmd == "subcomplex":
-        table, digests = _load_table(args)
-        word = parse_word(args.word) if args.word else None
-        gens = subcomplex_generators(table, args.kind, args.degree, word=word)
-        # the boundary matrix solves each basis boundary one degree down
-        try:
-            boundary_matrix(table, args.kind, args.degree, word=word)
-            closure_ok = True
-        except SubcomplexClosureViolated:
-            closure_ok = False
-        rep = _report(argv, {"kind": args.kind, "degree": args.degree,
-                             "generators": len(gens),
-                             "span_rank": gens.lattice.rank,
-                             "boundary_in_lower_span": closure_ok},
-                      "pass" if closure_ok else "fail", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK if closure_ok else EXIT_CHECK_FAILED
-
-    if args.cmd == "homology":
-        table, digests = _load_table(args)
-        word = parse_word(args.word) if args.word else None
-        group = homology(table, args.complex, args.degree, word=word,
-                         max_degree=args.max_degree)
-        rep = _report(argv, {"complex": args.complex, "degree": args.degree,
-                             "group": str(group),
-                             "free_rank": group.free_rank,
-                             "torsion": list(group.torsion)},
-                      "pass", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK
-
-    if args.cmd == "cocycles":
-        table, digests = _load_table(args)
-        space = cocycle_space(table, args.mod, mode=args.mode)
-        rep = _report(argv, {"modulus": args.mod, "mode": args.mode,
-                             "generators": len(space.generators),
-                             "generator_orders": list(space.orders),
-                             "size": space.size},
-                      "pass", started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return EXIT_OK
-
-    if args.cmd == "extend":
-        table, digests = _load_table(args)
-        if args.mod < 2:
-            raise InvalidCocycle("modulus must be >= 2")
-        vals = []
-        text = Path(args.cocycle).read_text()
-        for line in text.splitlines():
-            if line.strip():
-                vals.append(tuple(int(t) % args.mod for t in line.split()))
-        phi = CocycleTable(modulus=args.mod, values=tuple(vals))
-        ext = extend(ExtensionSpec(table, args.mod, phi))
-        out_text = emit(ext)
-        if args.out:
-            Path(args.out).write_text(out_text)
-        else:
-            sys.stdout.write(out_text)
-        return EXIT_OK
-
-    if args.cmd == "reproduce":
-        code, sections = run_reproduce(args.target, args.dataset,
-                                       convention=args.convention,
-                                       seed=args.seed)
-        status = "fail" if code else "pass"
-        digests = {}
-        if args.dataset:
-            d = Path(args.dataset)
-            digests = {str(p): _sha256(p) for p in sorted(d.iterdir())
-                       if p.is_file()}
-        rep = _report(argv, {"sections": sections}, status, started, digests, seed=seed)
-        _emit_report(rep, as_json)
-        return code
-
-    raise AssertionError(f"unhandled command {args.cmd}")
+def _run_validate(args):
+    path = Path(args.table)
+    digests = {str(path): _sha256(path)}
+    report = validate(_oriented(_read_matrix(path.read_text()),
+                                args.convention), mode=args.mode)
+    if not report.is_rack:
+        return {"valid": False, "violation": str(report.violation)}, \
+            False, digests
+    ok = args.mode == "rack" or report.is_quandle
+    return {"valid": ok, **report.as_dict()}, ok, digests
 
 
-def _read_zero_based_matrix(path: str) -> list[list[int]]:
-    """Cayley tables use the same format as quandle files (1-based, first
-    line the order), shifted down on load."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(lines[0].split()[0])
-    rows = []
-    for ln in lines[1:n + 1]:
-        rows.append([int(t) - 1 for t in ln.split()])
-    return rows
+def _run_info(args):
+    table, digests = _load_table(args)
+    return invariants(table).as_dict(), True, digests
+
+
+def _run_gen(args):
+    table = _gen_from_params(args.kind, args.params)
+    if not args.out:
+        sys.stdout.write(emit(table))
+        return None
+    save(table, args.out)
+    return ({"order": table.order, "out": args.out}, True, {}) \
+        if args.json else None
+
+
+def _run_scan(args):
+    words = [parse_word(w) for w in args.word]
+    entries = (load_dataset(args.dataset, convention=args.convention)
+               if args.dataset else [])
+    tables = [e.table for e in entries]
+    tables += [load(f, convention=args.convention) for f in args.tables]
+    if not tables:
+        raise MissingDataset("scan needs table files or --dataset")
+    rep = scan(tables, words, names=[e.name for e in entries] + args.tables)
+    return {
+        "words": [w.text for w in rep.words],
+        "counts": list(rep.counts),
+        "satisfied_by": {w.text: rep.satisfied_by(j)
+                         for j, w in enumerate(rep.words)},
+    }, True, {f: _sha256(Path(f)) for f in args.tables}
+
+
+def _run_cycle(args):
+    table, digests = _load_table(args)
+    w = parse_word(args.word)
+    ys = tuple(int(v) - 1 for v in args.ys.split(","))
+    cyc = identity_cycle(table, w, Assignment(args.x - 1, ys))
+    bd = boundary(table, cyc)
+    return {"word": w.text, "cycle": format_chain(cyc),
+            "boundary": format_chain(bd),
+            "is_cycle": bd.is_zero()}, bd.is_zero(), digests
+
+
+def _run_subcomplex(args):
+    table, digests = _load_table(args)
+    word = parse_word(args.word) if args.word else None
+    gens = subcomplex_generators(table, args.kind, args.degree, word=word)
+    # the boundary matrix solves each basis boundary one degree down
+    try:
+        boundary_matrix(table, args.kind, args.degree, word=word)
+        closure_ok = True
+    except SubcomplexClosureViolated:
+        closure_ok = False
+    return {"kind": args.kind, "degree": args.degree,
+            "generators": len(gens), "span_rank": gens.lattice.rank,
+            "boundary_in_lower_span": closure_ok}, closure_ok, digests
+
+
+def _run_homology(args):
+    table, digests = _load_table(args)
+    word = parse_word(args.word) if args.word else None
+    group = homology(table, args.complex, args.degree, word=word,
+                     max_degree=args.max_degree)
+    return {"complex": args.complex, "degree": args.degree,
+            "group": str(group), "free_rank": group.free_rank,
+            "torsion": list(group.torsion)}, True, digests
+
+
+def _run_cocycles(args):
+    table, digests = _load_table(args)
+    space = cocycle_space(table, args.mod, mode=args.mode)
+    return {"modulus": args.mod, "mode": args.mode,
+            "generators": len(space.generators),
+            "generator_orders": list(space.orders),
+            "size": space.size}, True, digests
+
+
+def _run_extend(args):
+    table, _ = _load_table(args)
+    if args.mod < 2:
+        raise InvalidCocycle("modulus must be >= 2")
+    vals = [tuple(int(t) % args.mod for t in line.split())
+            for line in Path(args.cocycle).read_text().splitlines()
+            if line.strip()]
+    phi = CocycleTable(modulus=args.mod, values=tuple(vals))
+    ext = extend(ExtensionSpec(table, args.mod, phi))
+    if args.out:
+        save(ext, args.out)
+    else:
+        sys.stdout.write(emit(ext))
+    return None
+
+
+def _run_reproduce(args):
+    code, sections = run_reproduce(args.target, args.dataset,
+                                   convention=args.convention,
+                                   seed=args.seed)
+    digests = {}
+    if args.dataset:
+        digests = {str(p): _sha256(p)
+                   for p in sorted(Path(args.dataset).iterdir())
+                   if p.is_file()}
+    return {"sections": sections}, code == EXIT_OK, digests
+
+
+def _read_cayley(path: str) -> list[list[int]]:
+    """Cayley tables use the quandle file format and its checks, 0-based."""
+    return _read_matrix(Path(path).read_text()).tolist()
 
 
 def _int_list(text: str) -> list[int]:
@@ -746,8 +718,8 @@ _GEN_PARAMS = {"trivial": (int,), "dihedral": (int,),
                "alexander_zn": (int, int),
                "alexander_poly": (int, _int_list, _int_list),
                "burnside": (int, int, int),
-               "conjugation": (_read_zero_based_matrix,),
-               "gen_alexander": (_read_zero_based_matrix, _int_list)}
+               "conjugation": (_read_cayley,),
+               "gen_alexander": (_read_cayley, _int_list)}
 _GEN_DEFAULTS = {"alexander_poly": ("0,1",)}       # the unit t
 
 

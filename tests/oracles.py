@@ -14,7 +14,10 @@ library's IntLattice with dense rows, sparse turns a dense vector into the
 {index: value} map the lattice takes, sparse_rows turns a dense matrix into
 the sparse rows and column count the Smith form takes, and relabelled
 renames a table's elements.  naive_inner_group closes over every distinct
-right translation by a plain loop, not over a generating set's.
+right translation by a plain loop, not over a generating set's, and
+walk_cycle_lengths walks each cycle of a permutation, where the library
+doubles pointers over whole arrays.  orbit finds an Inn-orbit by
+breadth-first search, where the library propagates least labels.
 loop_boundary_matrix builds a tuple complex's boundary matrix tuple by
 tuple from boundary_of_tuple, where the library gathers whole face arrays;
 loop_identity_generators builds identity-subcomplex generators by a plain
@@ -388,21 +391,41 @@ def naive_inner_group(X):
     return sorted(seen)
 
 
+def walk_cycle_lengths(p):
+    """The length of every point's cycle in the permutation p, found by
+    walking each cycle once."""
+    lengths = [0] * len(p)
+    for s in range(len(p)):
+        if lengths[s]:
+            continue
+        cycle, x = [s], p[s]
+        while x != s:
+            cycle.append(x)
+            x = p[x]
+        for x in cycle:
+            lengths[x] = len(cycle)
+    return lengths
+
+
 def naive_group_exponent(elements):
-    """lcm of the element orders, each the lcm of its cycle lengths found by
-    walking every cycle once."""
-    out = 1
-    for p in elements:
-        seen = [False] * len(p)
-        for s in range(len(p)):
-            length, x = 0, s
-            while not seen[x]:
-                seen[x] = True
-                x = p[x]
-                length += 1
-            if length:
-                out = math.lcm(out, length)
-    return out
+    """lcm of the element orders, each the lcm of its walked cycle lengths."""
+    return math.lcm(*(k for p in elements for k in walk_cycle_lengths(p)))
+
+
+def orbit(X, start):
+    """Orbit of a point under the group the right translations generate, by
+    breadth-first search over the table rows."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for z in X.rows[x]:
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def relabelled(X, perm):

@@ -1,14 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import loop_identity_generators, relabelled
 from quandlehom.chains import (FormalChain, boundary, chain_vector, face,
                                format_chain, identity_cycle, in_span,
-                               medial_cycle, subcomplex_generators)
-from quandlehom.core import make_table, product
+                               index_tuple, medial_cycle,
+                               subcomplex_generators, tuple_index)
+from quandlehom.core import digits, make_table, product
 from quandlehom.constructions import alexander_zn, conjugation, trivial
 from quandlehom.linalg import IntLattice
 from quandlehom.shell import corpus
@@ -418,3 +420,16 @@ def test_recursive_span_equals_the_span_of_all_chains(data):
     assert _contains_basis(full, gs.lattice)
     assert _contains_basis(gs.lattice, full)
     assert gs.lattice.rank == full.rank
+
+
+def test_digits_round_trip_with_the_tuple_index():
+    """Width 0 is the degree-0 basis: one empty tuple."""
+    for order in range(1, 8):
+        for width in range(5):
+            count = order ** width
+            tups = digits(np.arange(count), order, width)
+            assert tups.shape == (count, width)
+            assert [tuple_index(t, order) for t in tups.tolist()] \
+                == list(range(count))
+            assert [index_tuple(i, order, width) for i in range(count)] \
+                == list(map(tuple, tups.tolist()))

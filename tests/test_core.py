@@ -6,9 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import loop_first_axiom_violation
+from oracles import loop_first_axiom_violation, relabelled, walk_cycle_lengths
 from quandlehom import core
 from quandlehom.core import (Permutation, QuandleTable,
                              _first_axiom_violation, group_exponent,
@@ -287,6 +287,35 @@ def test_exponent_cross_checks():
     CQ = make_table(rows, require="quandle")
     G = inner_group(CQ)
     assert G.order == 24 and group_exponent(G) == 12
+
+
+@st.composite
+def permutation_rows(draw):
+    """Random permutations of one size, with an identity row and an n-cycle."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.permutations(range(n)), max_size=6))
+    return draw(st.permutations([*rows, list(range(n)), [*range(1, n), 0]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(perms=permutation_rows())
+@example(perms=[[0]])
+def test_cycle_lengths_match_the_walk(perms):
+    got = core.cycle_lengths(np.array(perms, dtype=np.int64))
+    assert got.tolist() == [walk_cycle_lengths(p) for p in perms]
+
+
+def test_type_is_the_lcm_of_walked_column_cycles():
+    """On the corpus, a relabelling of each table, and two racks that are not
+    quandles."""
+    rng = random.Random(0)
+    racks = [make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]),
+             make_table([[1, 1, 1], [2, 2, 2], [0, 0, 0]])]
+    for X in [X for _, X in corpus()] + racks:
+        for Y in (X, relabelled(X, rng.sample(range(X.order), X.order))):
+            assert quandle_type(Y) == math.lcm(
+                *(k for b in range(Y.order)
+                  for k in walk_cycle_lengths(Y.column(b))))
 
 
 def violation_fields(err):

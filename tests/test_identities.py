@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (full_order_scan, loop_satisfies, naive_group_exponent,
                      naive_inner_group, naive_is_medial, naive_satisfies,
-                     relabelled, word_permutation_holds)
+                     orbit, relabelled, word_permutation_holds)
 from quandlehom.core import (group_exponent, inner_group, is_connected,
-                             is_medial, make_table, orbit, orbit_minima,
-                             product, quandle_type)
+                             is_medial, make_table, orbit_minima, product,
+                             quandle_type)
 from quandlehom.identities import (_SCAN_CHUNK, Word, consecutive_type_bound,
                                    enumerate_words, forces_triviality,
                                    parse_word, satisfies, satisfies_all,

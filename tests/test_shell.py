@@ -284,6 +284,32 @@ def test_cli_bad_parameters_give_one_error_line(tmp_path, args, code, message):
     assert err.decode() == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind", [["conjugation"], ["gen_alexander", "0,2,1"]],
+                         ids=["conjugation", "gen_alexander"])
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file (line 1)"),
+    ("3\n1 2 3\n2 3\n3 1 2\n",
+     "expected 9 entries after the order, found 8 (line 4)"),
+    ("3\n1 2 3\n2 x 1\n3 1 2\n", "bad entry 'x' (line 3, column 2)"),
+    ("3\n1 2 3\n2 3 1\n3 1 4\n", "entry 4 outside 1..3 (line 4, column 3)"),
+    ("3\n1 2 3\n2 3 1\n3 1 2\n1 2 3\n",
+     "expected 9 entries after the order, found 12 (line 5)"),
+], ids=["empty", "short-row", "non-integer", "out-of-range", "trailing-line"])
+def test_cli_malformed_cayley_file_gives_one_error_line(tmp_path, kind, text,
+                                                        message):
+    """Cayley files go through the matrix-file parser and its checks: a
+    usage error (exit 2) naming the line, and the column where there is one,
+    with no traceback."""
+    cayley = tmp_path / "g.txt"
+    cayley.write_text(text)
+    proc = _module_cli(["gen", kind[0], str(cayley), *kind[1:]],
+                       stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.decode() == f"error: {message}\n"
+
+
 def test_cli_subcomplex_and_homology_share_one_echelon_per_span(
         tmp_path, monkeypatch):
     """subcomplex --degree 3 and then homology --complex identity --degree 2

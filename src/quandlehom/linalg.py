@@ -8,10 +8,12 @@ limited Markowitz search over columns bucketed by count, and hands only the
 residual core, made dense, to the minimal-pivot elimination.  The left
 kernel mod d runs the same two stages, recording the row operations of the
 unit pivots and the core's row transform, and solves by back-substitution.
-The lattice class takes sparse {index: value} vectors, builds its echelon
-basis by one sparse minimal-pivot column elimination on the same row/column
-store, keeps only the sparse pivot rows, and reduces query vectors against
-them.  These are the only eliminations the library runs.
+The lattice class takes sparse {index: value} vectors and builds its
+echelon basis on the same row/column store, unit pivots first, then minimal
+pivot: the unit-pivot loop of the Smith form, whose row operations keep the
+lattice, and then a minimal-pivot column elimination of the rows left.  It
+keeps only the sparse pivot rows and reduces query vectors against them.
+These are the only eliminations the library runs.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int) -> SmithForm:
     dense minimal-pivot elimination then runs only on the residual core of
     rows and columns that are still nonzero.
     """
-    # the unit-pivot stage takes its rows over
-    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
-    facs = _dense_smith(list(core.values()))
+    store = _sparse_store([dict(row) for row in rows])
+    units = sum(1 for _ in _eliminate_unit_pivots(*store))
+    facs = _dense_smith(list(_dense_core(*store).values()))
     return SmithForm(shape=(len(rows), ncols),
                      invariant_factors=(1,) * units + facs)
 
@@ -77,8 +79,10 @@ def left_kernel_mod(rows: Sequence[dict[int, int]],
     core is free, of order d.  The orders come out as the core's, in chain
     order, then the d's.
     """
-    steps: list[tuple[int, list[tuple[int, int]]]] = []
-    _, core = _eliminate_unit_pivots([dict(row) for row in rows], steps)
+    store = _sparse_store([dict(row) for row in rows])
+    steps = [(p, updates) for p, _, _, _, updates
+             in _eliminate_unit_pivots(*store)]
+    core = _dense_core(*store)
     U = identity_matrix(len(core))
     facs = _dense_smith(list(core.values()), U)
     solved: list[tuple[int, dict[int, int]]] = []     # (order, phi's seeds)
@@ -105,33 +109,29 @@ def left_kernel_mod(rows: Sequence[dict[int, int]],
 _SEARCH_COLUMNS = 8     # unit-holding columns one pivot search looks at
 
 
-def _eliminate_unit_pivots(mat: list[dict[int, int]],
-                           steps: Optional[list] = None
-                           ) -> tuple[int, dict[int, list[int]]]:
+def _eliminate_unit_pivots(rows, cols):
     """Schur-complement elimination on +-1 pivots picked by a limited
-    Markowitz search.
+    Markowitz search, in place on a sparse store of _sparse_store.
 
-    A unit pivot keeps every entry integral and splits off one invariant
-    factor 1, so the Smith form of the sparse rows is (1,) * count followed
-    by the Smith form of the returned dense core, given as row -> its
-    entries in the still nonzero columns, ascending.  Columns sit in buckets
-    by their count of rows, kept up to date from each pivot: only the
-    columns of the pivot row change.  A search walks the buckets from the
-    least count and weighs the +-1 entries of at most _SEARCH_COLUMNS
-    columns that hold one, taking the least cost (c-1)(r-1) among them and
-    stopping at once on a zero cost (Zlatev, SIAM J. Numer. Anal. 17
-    (1980)); a column it finds without a unit leaves the buckets until a
-    pivot row changes it.  Given a list, steps gets (p, [(i, f), ...]) for
-    each pivot row p, in pivot order: row i -= f * row p for every other
-    row i holding the pivot column.  The rows are taken over and changed in
-    place, as by _sparse_store.
+    Yields (p, q, u, prow, updates) per pivot, in pivot order: row p, taken
+    out of the store, held the unit u at column q and prow in its other
+    columns, and row i -= f * row p for each (i, f) of updates cleared q
+    from every other row.  These are row operations, so the pivot rows and
+    the rows left span the lattice of the rows given; and a unit pivot
+    splits off one invariant factor 1, so the Smith form is (1,) * the pivot
+    count followed by that of the residue left once no entry is a unit.
+    Columns sit in buckets by their count of rows, kept up to date from
+    each pivot: only the columns of the pivot row change.  A search walks
+    the buckets from the least count and weighs the +-1 entries of at most
+    _SEARCH_COLUMNS columns that hold one, taking the least cost
+    (c-1)(r-1) among them and stopping at once on a zero cost (Zlatev, SIAM
+    J. Numer. Anal. 17 (1980)); a column it finds without a unit leaves the
+    buckets until a pivot row changes it.
     """
-    rows, cols = _sparse_store(mat)
     count: dict[int, int] = {}                  # column -> its bucket
     buckets: dict[int, set[int]] = {}           # count -> columns
     for j, held in cols.items():
         _rebucket(buckets, count, j, len(held))
-    units = 0
     while (best := _pick_unit_pivot(rows, cols, buckets, count)) is not None:
         p, q = best
         prow = _take_row(rows, cols, p)
@@ -140,14 +140,17 @@ def _eliminate_unit_pivots(mat: list[dict[int, int]],
         updates = [(i, rows[i].pop(q) * u) for i in cols.pop(q)]
         for i, f in updates:
             _subtract_row(rows, cols, i, f, prow)
-        if steps is not None:
-            steps.append((p, updates))
         _rebucket(buckets, count, q, 0)
         for j in prow:
             _rebucket(buckets, count, j, len(cols[j]))
-        units += 1
+        yield p, q, u, prow, updates
+
+
+def _dense_core(rows, cols) -> dict[int, list[int]]:
+    """The rows of a sparse store made dense: row -> its entries in the
+    still nonzero columns, ascending."""
     live = sorted(j for j, held in cols.items() if held)
-    return units, {i: [row.get(j, 0) for j in live] for i, row in rows.items()}
+    return {i: [row.get(j, 0) for j in live] for i, row in rows.items()}
 
 
 def _pick_unit_pivot(rows, cols, buckets, count):
@@ -330,13 +333,14 @@ class IntLattice:
     Vectors go in as sparse {index: value} maps with indices in 0..dim-1;
     zero values may be present and are dropped.  Generators accumulate
     through add(), which copies them; the echelon basis is built in one
-    batch pass on first query.  The pass is a sparse minimal-pivot column
-    elimination in exact Python integers: column by column, the rows holding
-    the column are reduced against the one with the least absolute entry
-    until a single row, made positive, is left as that column's pivot row.
-    Picking the least entry keeps coefficients small, unlike naive
-    incremental insertion.  Only the sparse pivot rows are kept;
-    sparse_basis() returns copies of them.
+    batch pass on first query, in exact Python integers: unit pivots first,
+    then minimal pivot.  The unit-pivot loop of smith_normal_form takes the
+    +-1 entries, each pivot row kept made positive; then, column by column,
+    the rows left holding the column are reduced against the one with the
+    least absolute entry until a single row, made positive, is left as that
+    column's pivot row.  Each pivot column is zero in every later pivot
+    row.  Only the sparse pivot rows are kept; sparse_basis() returns copies
+    of them.
     """
 
     _exact = True        # rows are Python ints; read by the bench tracer
@@ -356,7 +360,7 @@ class IntLattice:
     def _rows(self) -> list[list[int]]:
         # the nonzero values of each basis row, for the rank and entry-bit
         # counters of qhbench/spans.py; delete once the tracer reads a
-        # recorder instead (ROADMAP item 3)
+        # recorder instead (ROADMAP item 7)
         return [list(row.values()) for _, row in self._pivots]
 
     def sparse_basis(self) -> list[dict[int, int]]:
@@ -386,8 +390,12 @@ class IntLattice:
         rows, cols = _sparse_store(self._pending)
         self._pending = []
         self._final = True
-        for col in range(self.dim):
-            held = cols.get(col)
+        for _, q, u, prow, _ in _eliminate_unit_pivots(rows, cols):
+            base = {j: u * v for j, v in prow.items()}
+            base[q] = 1
+            self._pivots.append((q, base))
+        for col in sorted(cols):
+            held = cols[col]
             if not held:
                 continue
             while True:

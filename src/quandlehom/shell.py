@@ -85,6 +85,28 @@ def _read_matrix(text: str) -> np.ndarray:
     return np.array(vals, dtype=np.int64).reshape(n, n) - 1
 
 
+def _read_cocycle(text: str, order: int) -> list[list[int]]:
+    """The integer rows of a cocycle file, one nonblank line of `order`
+    entries per element.  ParseError names the line, and the column where
+    there is one, of the first fault: a bad entry, a row of the wrong
+    length, or too few or too many rows."""
+    rows = [(ln, line.split()) for ln, line
+            in enumerate(text.splitlines(), start=1) if line.strip()]
+    for ln, toks in rows:
+        for col, tok in enumerate(toks, start=1):
+            if not _ENTRY.fullmatch(tok):
+                raise ParseError(f"bad entry {tok!r}", ln, col)
+        if len(toks) != order:
+            raise ParseError(f"expected {order} entries, found {len(toks)}",
+                             ln, min(len(toks), order) + 1)
+    if len(rows) != order:
+        # the first extra row, or the line a missing one would take
+        raise ParseError(f"expected {order} rows, found {len(rows)}",
+                         rows[order][0] if rows[order:]
+                         else len(text.splitlines()) + 1)
+    return [list(map(int, toks)) for _, toks in rows]
+
+
 def _oriented(table: np.ndarray, convention: str) -> np.ndarray:
     if convention not in ("right", "left"):
         raise ValueError("convention must be 'right' or 'left'")
@@ -679,9 +701,8 @@ def _run_extend(args):
     table, _ = _load_table(args)
     if args.mod < 2:
         raise InvalidCocycle("modulus must be >= 2")
-    vals = [tuple(int(t) % args.mod for t in line.split())
-            for line in Path(args.cocycle).read_text().splitlines()
-            if line.strip()]
+    vals = [tuple(v % args.mod for v in row) for row in
+            _read_cocycle(Path(args.cocycle).read_text(), table.order)]
     phi = CocycleTable(modulus=args.mod, values=tuple(vals))
     ext = extend(ExtensionSpec(table, args.mod, phi))
     if args.out:

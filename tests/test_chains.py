@@ -11,7 +11,9 @@ from quandlehom.chains import (FormalChain, boundary, chain_vector, face,
                                index_tuple, medial_cycle,
                                subcomplex_generators, tuple_index)
 from quandlehom.core import digits, make_table, product
-from quandlehom.constructions import alexander_zn, conjugation, trivial
+from quandlehom.constructions import (alexander_zn, conjugation, dihedral,
+                                      trivial)
+from quandlehom.homology import homology
 from quandlehom.linalg import IntLattice
 from quandlehom.shell import corpus
 from quandlehom.identities import Assignment, parse_word
@@ -420,6 +422,33 @@ def test_recursive_span_equals_the_span_of_all_chains(data):
     assert _contains_basis(full, gs.lattice)
     assert _contains_basis(gs.lattice, full)
     assert gs.lattice.rank == full.rank
+
+
+@pytest.mark.parametrize("X, text, rank", [
+    (dihedral(7), "aaabba", 259), (dihedral(7), "aaaabb", 259),
+    (alexander_zn(7, 5), "abbabb", 337),
+], ids=["R7-aaabba", "R7-aaaabb", "Z7_5-abbabb"])
+def test_order7_degree3_spans_do_not_depend_on_labels(X, text, rank):
+    """Under natural labels and three seeded relabellings, the degree-3
+    span keeps its rank, its boundary stays in the degree-2 span, identity
+    H2 stays Z, and the recursive span and the flat span of every loop
+    generator contain each other's bases."""
+    w = parse_word(text)
+    tables = [X] + [relabelled(X, random.Random(seed).sample(range(X.order),
+                                                             X.order))
+                    for seed in (1, 2, 3)]
+    for T in tables:
+        gs = subcomplex_generators(T, "identity", 3, word=w)
+        assert gs.lattice.rank == rank
+        gs.identity_boundary()       # raises when closure fails
+        h2 = homology(T, "identity", 2, word=w)
+        assert (h2.free_rank, h2.torsion) == (1, ())
+        chains, _ = loop_identity_generators(T, w, 3)
+        flat = IntLattice(T.order ** 3)
+        for chain in chains:
+            flat.add(chain_vector(chain, T.order))
+        assert _contains_basis(flat, gs.lattice)
+        assert _contains_basis(gs.lattice, flat)
 
 
 def test_digits_round_trip_with_the_tuple_index():

@@ -9,8 +9,9 @@ from oracles import (det_bareiss, kernel_basis, lattice_from_rows,
                      naive_invariant_factors, rank_fraction_free, sparse,
                      sparse_rows, transform_smith)
 from quandlehom.homology import boundary_matrix
-from quandlehom.linalg import (_SEARCH_COLUMNS, IntLattice, _dense_smith,
-                               _eliminate_unit_pivots, left_kernel_mod,
+from quandlehom.linalg import (_SEARCH_COLUMNS, IntLattice, _dense_core,
+                               _dense_smith, _eliminate_unit_pivots,
+                               _sparse_store, left_kernel_mod,
                                smith_normal_form)
 from quandlehom.shell import corpus
 
@@ -61,6 +62,14 @@ def test_snf_permutation_invariance():
 
 
 # ------------------------------- sparse route against the dense route
+
+def unit_stage(rows):
+    """The unit-pivot stage on copies of the sparse rows: (pivot count,
+    the residue made dense)."""
+    store = _sparse_store([dict(row) for row in rows])
+    units = sum(1 for _ in _eliminate_unit_pivots(*store))
+    return units, _dense_core(*store)
+
 
 def assert_routes_agree(rows, ncols):
     """The sparse unit-pivot route gives the invariant factors of the
@@ -117,7 +126,7 @@ def test_sparse_route_matches_dense(case):
 def test_sparse_route_core_only(case):
     """No entry is a unit, so the dense core does all the work."""
     rows, ncols = case
-    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
+    units, core = unit_stage(rows)
     assert units == 0
     assert sum(map(any, core.values())) == sum(map(bool, rows))
     assert_routes_agree(rows, ncols)
@@ -153,7 +162,7 @@ def unit_rich_matrices(draw):
 @given(unit_rich_matrices())
 def test_sparse_route_across_many_unit_pivots(case):
     rows, ncols, k = case
-    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
+    units, core = unit_stage(rows)
     assert units >= k >= 20
     assert not any(v in (1, -1) for row in core.values() for v in row)
     assert_routes_agree(rows, ncols)
@@ -167,7 +176,7 @@ def test_unit_search_passes_over_columns_without_units():
     mat = [[2 if j == i else 0 for j in range(k + 2)] for i in range(k)]
     mat += [[0] * k + [1, 1], [0] * k + [1, -1]]
     rows, ncols = sparse_rows(mat)
-    units, core = _eliminate_unit_pivots([dict(row) for row in rows])
+    units, core = unit_stage(rows)
     assert units == 1 and len(core) == k + 1
     assert_routes_agree(rows, ncols)
     assert smith_normal_form(rows, ncols).invariant_factors \
@@ -334,16 +343,17 @@ def in_span_snf(gens, v):
 
 
 def assert_echelon(lat, gens):
-    """Each basis row's pivot, its first nonzero, is positive; pivots sit in
-    strictly increasing columns, so each has only zeros to its left and
-    below it.  The rank is the rational rank of the generators."""
+    """The basis is triangular in pivot order: each row's pivot entry is
+    positive and its pivot column is zero in every later row, so the pivot
+    columns are distinct.  The rank is the rational rank of the
+    generators."""
     basis = lat.sparse_basis()
-    leads = []
-    for row in basis:
-        lead = min(row)
-        assert row[lead] > 0
-        leads.append(lead)
-    assert all(a < b for a, b in zip(leads, leads[1:]))
+    pivots = [col for col, _ in lat._pivots]
+    assert [dict(row) for _, row in lat._pivots] == basis
+    for k, (col, row) in enumerate(zip(pivots, basis)):
+        assert row.get(col, 0) > 0
+        assert all(col not in later for later in basis[k + 1:])
+    assert len(set(pivots)) == len(pivots)
     assert lat.rank == len(basis) == rank_fraction_free(gens)
 
 
@@ -369,9 +379,9 @@ def test_lattice_vs_snf_membership(gens, data):
     assert lat.contains(sparse(v)) == in_span_snf(gens, v)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(lattice_generators(max_rows=10, max_dim=8), st.data())
-def test_lattice_coordinates_roundtrip(gens, data):
+def assert_lattice_roundtrip(gens, data):
+    """The echelon shape and coordinate round trips, before and after an
+    add() that follows a query."""
     dim = len(gens[0])
     lat = lattice_from_rows(gens, dim)
     assert_echelon(lat, gens)
@@ -398,6 +408,55 @@ def test_lattice_coordinates_roundtrip(gens, data):
     fresh = lattice_from_rows(gens + [extra], dim)
     assert all(lat.contains(row) for row in fresh.sparse_basis())
     assert all(fresh.contains(row) for row in lat.sparse_basis())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lattice_generators(max_rows=10, max_dim=8), st.data())
+def test_lattice_coordinates_roundtrip(gens, data):
+    assert_lattice_roundtrip(gens, data)
+
+
+@st.composite
+def two_stage_generators(draw):
+    """Generators whose echelon runs both stages.  Unit rows each hold a
+    +-1 in a late column of their own, beside small entries elsewhere but
+    in column 0; even rows hold only even entries, the first of them a
+    nonzero one in column 0.  Updates by unit pivot rows keep an even row
+    even, and no pivot row reaches column 0, so the first even row is left
+    to the minimal-pivot stage.  Rows come in shuffled order."""
+    base = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 4))
+    dim = base + k
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    small = (0, 0, 1, -1, 2, -3, 4)
+    gens = []
+    for i in range(k):
+        row = [0] + [rng.choice(small) for _ in range(dim - 1)]
+        row[base + i] = rng.choice((-1, 1))
+        gens.append(row)
+    for i in range(draw(st.integers(1, 4))):
+        row = [2 * rng.randint(-3, 3) for _ in range(dim)]
+        if i == 0:
+            row[0] = rng.choice((-4, -2, 2, 6))
+        gens.append(row)
+    rng.shuffle(gens)
+    return gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(two_stage_generators(), st.data())
+def test_lattice_unit_and_minimal_pivot_stages(gens, data):
+    units, residue = unit_stage([sparse(g) for g in gens])
+    assert units >= 1 and residue
+    assert_lattice_roundtrip(gens, data)
+    dim = len(gens[0])
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                max_size=len(gens)))
+    v = combination(gens, coeffs, dim)
+    if data.draw(st.booleans()):
+        v = [a + data.draw(st.integers(-4, 4)) for a in v]
+    assert lattice_from_rows(gens, dim).contains(sparse(v)) \
+        == in_span_snf(gens, v)
 
 
 @pytest.mark.parametrize("vec", [{2: 1}, {-1: 1}, {0: 1, 5: 0}])

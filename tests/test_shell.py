@@ -214,25 +214,6 @@ def test_cli_cocycles_and_extend(tmp_path):
     assert E.order == 9 and E.is_quandle
 
 
-@pytest.mark.parametrize("text", [
-    "0 0\n0 0\n0 0\n", "0 0 0 0\n0 0 0 0\n0 0 0 0\n", "0 0 0\n0 0\n0 0 0\n",
-], ids=["3x2", "3x4", "ragged"])
-def test_cli_extend_rejects_a_non_square_cocycle(tmp_path, text):
-    """A cocycle file that is not n x n is a failed check (exit 1) with one
-    error line, neither a traceback nor a usage error."""
-    path = tmp_path / "r3.txt"
-    path.write_text(DIH3_TEXT)
-    coc = tmp_path / "phi.txt"
-    coc.write_text(text)
-    proc = _module_cli(["extend", str(path), "--cocycle", str(coc),
-                        "--mod", "3"], stdout=subprocess.PIPE)
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert out == b""
-    assert err.decode() == "error: cocycle must be 3x3, the size of the " \
-                           "base table\n"
-
-
 @pytest.mark.parametrize("x, ys", [("0", "1"), ("1", "4")])
 def test_cli_cycle_rejects_a_label_out_of_range(tmp_path, x, ys):
     """Labels run 1..n: label 0 or n+1 is a failed check (exit 1) with one
@@ -304,6 +285,32 @@ def test_cli_malformed_cayley_file_gives_one_error_line(tmp_path, kind, text,
     cayley.write_text(text)
     proc = _module_cli(["gen", kind[0], str(cayley), *kind[1:]],
                        stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.decode() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n0 0\n0 0\n", "expected 3 entries, found 2 (line 1, column 3)"),
+    ("0 0 0 0\n0 0 0 0\n0 0 0 0\n",
+     "expected 3 entries, found 4 (line 1, column 4)"),
+    ("0 0 0\n0 0\n0 0 0\n", "expected 3 entries, found 2 (line 2, column 3)"),
+    ("0 0 0\n0 x 0\n0 0 0\n", "bad entry 'x' (line 2, column 2)"),
+    ("0 0 0\n0 0 0\n", "expected 3 rows, found 2 (line 3)"),
+    ("0 0 0\n0 0 0\n0 0 0\n1 1 1\n", "expected 3 rows, found 4 (line 4)"),
+], ids=["3x2", "3x4", "ragged", "non-integer", "missing-row", "extra-row"])
+def test_cli_malformed_cocycle_file_gives_one_error_line(tmp_path, text,
+                                                         message):
+    """A cocycle file that is not the table order's rows of integers is a
+    usage error (exit 2) naming the line, and the column where there is
+    one, with no traceback."""
+    table = tmp_path / "d3.txt"
+    table.write_text(DIH3_TEXT)
+    cocycle = tmp_path / "phi.txt"
+    cocycle.write_text(text)
+    proc = _module_cli(["extend", str(table), "--mod", "3", "--cocycle",
+                        str(cocycle)], stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert out == b""

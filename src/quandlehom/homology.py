@@ -26,6 +26,7 @@ from .chains import (
 from .core import QuandleTable, digits
 from .errors import (
     DegreeMismatch,
+    IdempotencyFails,
     InvalidCocycle,
     SizeGuardExceeded,
     SubcomplexClosureViolated,
@@ -200,9 +201,22 @@ def homology(X: QuandleTable, complex: str, degree: int,
     """H_degree = ker(boundary) / im(boundary from one degree up).
 
     Free rank is dim - rank(d_n) - rank(d_{n+1}); torsion is the nontrivial
-    invariant factors of d_{n+1} (the kernel is a pure sublattice, so those
-    factors present the quotient exactly).
+    invariant factors of d_{n+1}, taken on the rows of d_{n+1} that the unit
+    pivots of d_n leave.  Let A = d_n and (P, Q) its unit pivot rows and
+    columns, Q' the other columns.  A[P,Q] is unimodular, its determinant
+    the product of the +-1 pivots of successive Schur complements, so rows P
+    give x_Q = -A[P,Q]^-1 A[P,Q'] x_Q' for x in ker A: projecting ker A to
+    the coordinates Q' is injective, and its image L is the kernel of the
+    Schur complement, a pure sublattice.  As d_n d_{n+1} = 0, im d_{n+1} lies
+    in ker A, so H_n = L / im d_{n+1}[Q',:]; L being pure, the torsion is
+    the non-unit invariant factors of d_{n+1}[Q',:], whose rank is that of
+    d_{n+1}.  The quandle flavour is a quotient complex only on a quandle,
+    so a rack that is not one raises IdempotencyFails at its least x with
+    x*x != x.
     """
+    if complex == "quandle" and not X.is_quandle:
+        raise IdempotencyFails(next(x for x in range(X.order)
+                                    if X.rows[x][x] != x))
     cap = max_degree if max_degree is not None else _degree_cap(X.order)
     if degree > cap:
         raise SizeGuardExceeded(
@@ -216,10 +230,13 @@ def homology(X: QuandleTable, complex: str, degree: int,
                           include_first_slot=include_first_slot,
                           size_guard=size_guard)
     dim = len(bn.col_basis)
-    rank_n = smith_normal_form(bn.sparse_rows, dim).rank
-    snf_up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis))
+    snf_n = smith_normal_form(bn.sparse_rows, dim)
+    snf_up = smith_normal_form([row for i, row in enumerate(bn1.sparse_rows)
+                                if i not in snf_n.unit_columns],
+                               len(bn1.col_basis))
     torsion = tuple(d for d in snf_up.invariant_factors if d > 1)
-    return HomologyGroup(free_rank=dim - rank_n - snf_up.rank, torsion=torsion)
+    return HomologyGroup(free_rank=dim - snf_n.rank - snf_up.rank,
+                         torsion=torsion)
 
 
 # ------------------------------------------------------------------ cocycles

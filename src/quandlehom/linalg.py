@@ -5,9 +5,11 @@ Everything is arbitrary-precision, and a matrix is its sparse rows, one
 {col: value} map of Python ints per row, plus a column count.  A Smith form
 eliminates +-1 pivots, each an invariant factor 1 and each picked by a
 limited Markowitz search over columns bucketed by count, and hands only the
-residual core, made dense, to the minimal-pivot elimination.  The left
-kernel mod d runs the same two stages, recording the row operations of the
-unit pivots and the core's row transform, and solves by back-substitution.
+residual core, made dense, to the minimal-pivot elimination; it reports the
+columns of its unit pivots, the cells that homology drops from the boundary
+one degree up.  The left kernel mod d runs the same two stages, recording
+the row operations of the unit pivots and the core's row transform, and
+solves by back-substitution.
 The lattice class takes sparse {index: value} vectors and builds its
 echelon basis on the same row/column store, unit pivots first, then minimal
 pivot: the unit-pivot loop of the Smith form, whose row operations keep the
@@ -31,10 +33,13 @@ def identity_matrix(k: int) -> Matrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """The invariant factors d1 | d2 | ... of an integer matrix."""
+    """The invariant factors d1 | d2 | ... of an integer matrix, and the
+    columns of its +-1 pivots: those that the unit-pivot loop paired off
+    with a row, one per leading invariant factor 1 it split off."""
 
     shape: tuple[int, int]
     invariant_factors: tuple[int, ...]     # the nonzero diagonal, in chain order
+    unit_columns: frozenset[int] = frozenset()
 
     @property
     def rank(self) -> int:
@@ -50,13 +55,15 @@ def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int) -> SmithForm:
     contributing an invariant factor 1 and each the cheapest Markowitz cost
     among the units of the first few shortest columns that hold one, and the
     dense minimal-pivot elimination then runs only on the residual core of
-    rows and columns that are still nonzero.
+    rows and columns that are still nonzero.  The columns of the unit
+    pivots come back as unit_columns.
     """
     store = _sparse_store([dict(row) for row in rows])
-    units = sum(1 for _ in _eliminate_unit_pivots(*store))
+    units = frozenset(q for _, q, _, _, _ in _eliminate_unit_pivots(*store))
     facs = _dense_smith(list(_dense_core(*store).values()))
     return SmithForm(shape=(len(rows), ncols),
-                     invariant_factors=(1,) * units + facs)
+                     invariant_factors=(1,) * len(units) + facs,
+                     unit_columns=units)
 
 
 def left_kernel_mod(rows: Sequence[dict[int, int]],

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -55,7 +56,9 @@ _ENTRY = re.compile(r"-?\d+")
 def _read_matrix(text: str) -> np.ndarray:
     """The 0-based n x n array of the 1-based matrix format.  ParseError
     names the line, and the column where there is one, of the first fault:
-    no order, too few or too many entries, a bad entry or one outside 1..n."""
+    no order, too few or too many entries, a bad entry or one outside 1..n.
+    On a wrong entry count the line is the first one whose entries are not
+    n, or the last line when every line holds n."""
     lines = text.splitlines()
     tokens_per_line = [line.split() for line in lines]
     flat = [(ln, tok) for ln, toks in enumerate(tokens_per_line, start=1)
@@ -70,9 +73,11 @@ def _read_matrix(text: str) -> np.ndarray:
         raise ParseError("order must be >= 1", ln)
     body = flat[1:]
     if len(body) != n * n:
+        held = Counter(ln for ln, _ in body)
         raise ParseError(
             f"expected {n * n} entries after the order, found {len(body)}",
-            body[-1][0] if body else ln)
+            next((ln for ln, k in held.items() if k != n),
+                 body[-1][0] if body else ln))
     toks = [tok for _, tok in body]
     ok = all(map(_ENTRY.fullmatch, toks))
     vals = list(map(int, toks)) if ok else []

@@ -270,12 +270,15 @@ def test_cli_bad_parameters_give_one_error_line(tmp_path, args, code, message):
 @pytest.mark.parametrize("text, message", [
     ("", "empty file (line 1)"),
     ("3\n1 2 3\n2 3\n3 1 2\n",
-     "expected 9 entries after the order, found 8 (line 4)"),
+     "expected 9 entries after the order, found 8 (line 3)"),
+    ("3\n1 2\n2 3 1\n3 1 2\n",
+     "expected 9 entries after the order, found 8 (line 2)"),
     ("3\n1 2 3\n2 x 1\n3 1 2\n", "bad entry 'x' (line 3, column 2)"),
     ("3\n1 2 3\n2 3 1\n3 1 4\n", "entry 4 outside 1..3 (line 4, column 3)"),
     ("3\n1 2 3\n2 3 1\n3 1 2\n1 2 3\n",
      "expected 9 entries after the order, found 12 (line 5)"),
-], ids=["empty", "short-row", "non-integer", "out-of-range", "trailing-line"])
+], ids=["empty", "short-row", "short-first-row", "non-integer",
+        "out-of-range", "trailing-line"])
 def test_cli_malformed_cayley_file_gives_one_error_line(tmp_path, kind, text,
                                                         message):
     """Cayley files go through the matrix-file parser and its checks: a

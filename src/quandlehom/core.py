@@ -427,13 +427,15 @@ def inner_group(X: QuandleTable,
                             arr[np.lexsort(arr.T[::-1])])
 
 
-def cycle_lengths(perms: np.ndarray) -> np.ndarray:
-    """The length of every point's cycle, for each row of a 2-d array of
-    permutations given by their images; the result has the input's shape.
+def cycle_labels(perms: np.ndarray) -> np.ndarray:
+    """The least flat index on every point's cycle, for each row of a 2-d
+    array of permutations given by their images; the result has the input's
+    shape, and a point is the least of its cycle where its label is its own
+    flat index.
 
-    Pointer doubling labels each point with the least flat index on its
-    cycle in ceil(log2 n) rounds; a bincount of the labels counts the points
-    of each cycle.
+    Pointer doubling: after r rounds a label is the least index among the
+    first 2^r points of the cycle from it, so ceil(log2 n) rounds cover
+    every cycle.
     """
     perms = np.asarray(perms, dtype=np.int64)
     count, n = perms.shape
@@ -442,7 +444,15 @@ def cycle_lengths(perms: np.ndarray) -> np.ndarray:
     for _ in range((n - 1).bit_length()):
         label = np.minimum(label, label[step])
         step = step[step]
-    return np.bincount(label, minlength=count * n)[label].reshape(count, n)
+    return label.reshape(count, n)
+
+
+def cycle_lengths(perms: np.ndarray) -> np.ndarray:
+    """The length of every point's cycle, for each row of a 2-d array of
+    permutations given by their images; the result has the input's shape:
+    a bincount of the cycle labels counts the points of each cycle."""
+    label = cycle_labels(perms)
+    return np.bincount(label.ravel(), minlength=label.size)[label]
 
 
 def _lcm_of_cycles(perms: np.ndarray) -> int:

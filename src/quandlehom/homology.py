@@ -5,8 +5,12 @@ Four complexes share one interface: the full rack complex on all tuples, the
 quandle quotient (degenerate tuples projected out), the degeneracy subcomplex,
 and the identity subcomplex of a satisfied word (worked in lattice coordinates
 of the generated span, not its saturation, so torsion is preserved exactly).
-A 2-cocycle space is Hom(coker d_3, Z_d), read off the same unit-pivot
-elimination of the rack boundary d_3 that its homology runs.
+Homology and cocycles eliminate each tuple boundary on a spanning set of its
+columns, picked from the cycles of one right translation R_x0 (the lemma in
+homology's docstring): close to c/n of them, for R_x0 of c cycles on n
+elements, on the connected quandles measured.  boundary_matrix keeps every
+column.  A 2-cocycle space is Hom(coker d_3, Z_d), read off the same
+unit-pivot elimination of the rack boundary d_3 that its homology runs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .chains import (
     FormalChain,
     subcomplex_generators,
 )
-from .core import QuandleTable, digits
+from .core import QuandleTable, cycle_labels, digits
 from .errors import (
     DegreeMismatch,
     IdempotencyFails,
@@ -42,15 +46,37 @@ def _guard(n_basis: int, size_guard: int):
         raise SizeGuardExceeded(n_basis, size_guard)
 
 
-def _tuple_array(order: int, degree: int, complex: str) -> np.ndarray:
-    """The lexicographic tuple basis of one flavour, one tuple per row:
-    every tuple for rack, those with no two equal adjacent entries for
-    quandle, the others for degenerate.  Degree 0 is the empty tuple."""
-    tups = digits(np.arange(order ** degree), order, degree)
+def _in_basis(tups: np.ndarray, complex: str) -> np.ndarray:
+    """Which tuples, one per row, lie in the lexicographic basis of one
+    flavour: every tuple for rack, those with no two equal adjacent entries
+    for quandle, the others for degenerate.  Degree 0 is the empty tuple."""
     if complex == "rack":
-        return tups
+        return np.ones(len(tups), dtype=bool)
     degenerate = (tups[:, 1:] == tups[:, :-1]).any(axis=1)
-    return tups[degenerate if complex == "degenerate" else ~degenerate]
+    return degenerate if complex == "degenerate" else ~degenerate
+
+
+def _tuple_basis(order: int, degree: int, complex: str) -> tuple:
+    tups = digits(np.arange(order ** degree), order, degree)
+    return tuple(map(tuple, tups[_in_basis(tups, complex)].tolist()))
+
+
+def _spanning_columns(X: QuandleTable, tups: np.ndarray) -> np.ndarray:
+    """Which k-tuples, one per row of all n^k in lexicographic order, make
+    the spanning column set of the lemma in homology's docstring: those
+    ending in x0, and the least tuple of every cycle of c -> c.R_x0 that
+    holds no tuple ending in x0.  x0 is the x whose R_x has the fewest
+    cycles on X, the least such x on a tie."""
+    n = X.order
+    T = X.np_table
+    cycles = (cycle_labels(T.T) == np.arange(n * n).reshape(n, n)).sum(axis=1)
+    x0 = int(np.argmin(cycles))
+    weight = n ** np.arange(tups.shape[1] - 1, -1, -1)
+    label = cycle_labels((T[tups, x0] @ weight)[None])[0]
+    ends = tups[:, -1] == x0
+    covered = np.zeros(len(tups), dtype=bool)
+    covered[label[ends]] = True
+    return ends | ((label == np.arange(len(tups))) & ~covered)
 
 
 @dataclass(frozen=True)
@@ -80,12 +106,19 @@ class BoundaryMatrix:
                      for row in self.sparse_rows)
 
 
-def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
-                          size_guard: int) -> BoundaryMatrix:
+def _tuple_boundary(X: QuandleTable, complex: str, degree: int,
+                    size_guard: int,
+                    spanning: bool = False) -> tuple[list[dict[int, int]], int]:
+    """The sparse rows of a tuple flavour's d_degree and its column count.
+    Spanning, only the columns of _spanning_columns are formed, each at its
+    position in the whole basis."""
     n = X.order
     _guard(n ** degree, size_guard)
-    col_tups = _tuple_array(n, degree, complex)
-    row_tups = _tuple_array(n, degree - 1, complex)
+    tups = digits(np.arange(n ** degree), n, degree)
+    basis = _in_basis(tups, complex)
+    take = basis & _spanning_columns(X, tups) if spanning else basis
+    col_tups = tups[take]
+    position = (np.cumsum(basis) - 1)[take]
     # both faces of every column at each h = k + 1 = 2..degree, as flat
     # indices of (degree-1)-tuples: one table gather per h acts by *x_h on
     # the k entries before it; a 1-tuple has the empty alternating sum as
@@ -111,9 +144,8 @@ def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
                         len(keys)).astype(np.int64)
     col, face = np.divmod(keys[coefs != 0], width)
     coefs = coefs[coefs != 0]
-    lookup = np.full(width, -1, dtype=np.int64)
-    lookup[row_tups @ weight] = np.arange(len(row_tups))
-    row = lookup[face]
+    row_basis = _in_basis(digits(np.arange(width), n, degree - 1), complex)
+    row = np.where(row_basis, np.cumsum(row_basis) - 1, -1)[face]
     outside = row < 0
     if outside.any():
         if complex == "degenerate":
@@ -123,13 +155,10 @@ def _tuple_complex_matrix(X: QuandleTable, complex: str, degree: int,
             raise AssertionError("boundary left the tuple basis")
         # quandle: a degenerate face is projected out
         row, col, coefs = row[~outside], col[~outside], coefs[~outside]
-    mat: list[dict[int, int]] = [{} for _ in range(len(row_tups))]
-    for i, j, c in zip(row.tolist(), col.tolist(), coefs.tolist()):
+    mat: list[dict[int, int]] = [{} for _ in range(int(row_basis.sum()))]
+    for i, j, c in zip(row.tolist(), position[col].tolist(), coefs.tolist()):
         mat[i][j] = c
-    return BoundaryMatrix(complex=complex, degree=degree,
-                          sparse_rows=tuple(mat),
-                          row_basis=tuple(map(tuple, row_tups.tolist())),
-                          col_basis=tuple(map(tuple, col_tups.tolist())))
+    return mat, int(basis.sum())
 
 
 def boundary_matrix(X: QuandleTable, complex: str, degree: int,
@@ -161,7 +190,11 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
         return BoundaryMatrix(complex="identity", degree=degree,
                               sparse_rows=rows, row_basis=row_basis,
                               col_basis=col_basis)
-    return _tuple_complex_matrix(X, complex, degree, size_guard)
+    rows, _ = _tuple_boundary(X, complex, degree, size_guard)
+    return BoundaryMatrix(complex=complex, degree=degree,
+                          sparse_rows=tuple(rows),
+                          row_basis=_tuple_basis(X.order, degree - 1, complex),
+                          col_basis=_tuple_basis(X.order, degree, complex))
 
 
 @dataclass(frozen=True)
@@ -193,12 +226,53 @@ def _degree_cap(order: int) -> int:
     return 2
 
 
+def _spanning_boundary(X: QuandleTable, complex: str, degree: int,
+                       word: Optional[Word], include_first_slot: bool,
+                       size_guard: int) -> tuple[Sequence[dict[int, int]], int]:
+    """The sparse rows of d_degree on columns that span its image, as
+    homology's docstring sets out, and its column count.  A bad flavour or
+    degree goes to boundary_matrix, which rejects it."""
+    if complex in ("rack", "quandle", "degenerate") and degree >= 1:
+        return _tuple_boundary(X, complex, degree, size_guard,
+                               spanning=complex != "degenerate"
+                               or X.is_quandle)
+    bm = boundary_matrix(X, complex, degree, word=word,
+                         include_first_slot=include_first_slot,
+                         size_guard=size_guard)
+    return bm.sparse_rows, len(bm.col_basis)
+
+
 def homology(X: QuandleTable, complex: str, degree: int,
              word: Optional[Word] = None,
              include_first_slot: bool = False,
              max_degree: Optional[int] = None,
              size_guard: int = DEFAULT_SIZE_GUARD) -> HomologyGroup:
     """H_degree = ker(boundary) / im(boundary from one degree up).
+
+    Both boundaries are built on a spanning set of their columns only, by
+    this lemma.  Let c be a k-tuple and x an element; the faces of (c, x) at
+    h <= k keep the last entry x, and those at h = k + 1 make
+    (-1)^(k+1) (c - c.R_x), so d_{k+1}(c, x) = (d_k c, x)
+    + (-1)^(k+1) (c - c.R_x), where (-, x) appends x to every tuple of a
+    chain.  Fix x0 and let k >= 2.  Applying d_k, as d_k d_{k+1} = 0,
+    d_k c = d_k(c.R_x0) + (-1)^k d_k((d_k c, x0)), and every tuple of
+    (d_k c, x0) ends in x0.  So along each cycle of c -> c.R_x0 the columns
+    of d_k agree modulo the columns at tuples ending in x0, and im d_k is
+    spanned by those columns plus one column per cycle that holds no tuple
+    ending in x0 (d_1 = 0 needs none).  This holds in all three tuple
+    flavours: in the rack complex directly; in the quandle complex, where a
+    degenerate tuple is zero, because c.R_x0 and (c, x0) are non-degenerate
+    with c when c does not end in x0; and in the degenerate complex, a
+    subcomplex on a quandle, because c.R_x0 and (c, x0) are degenerate with
+    c.  x0 is the x whose R_x has the fewest cycles on X, the least such x
+    on a tie.  The image lattice, hence the rank and the invariant factors,
+    is unchanged, and a +-1 pivot among the kept columns is a unit pivot of
+    d_k itself; columns keep their positions in the whole basis, so the
+    unit columns of d_n index the rows of d_{n+1}.  The identity flavour
+    is built on every column, and so are the degenerate tuples of a rack
+    that is not a quandle, which are no subcomplex: the build raises
+    SubcomplexClosureViolated at the first column whose boundary leaves
+    them, as boundary_matrix does.
 
     Free rank is dim - rank(d_n) - rank(d_{n+1}); torsion is the nontrivial
     invariant factors of d_{n+1}, taken on the rows of d_{n+1} that the unit
@@ -223,17 +297,13 @@ def homology(X: QuandleTable, complex: str, degree: int,
             degree, cap,
             f"degree {degree} exceeds the degree cap {cap} for order "
             f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
-    bn = boundary_matrix(X, complex, degree, word=word,
-                         include_first_slot=include_first_slot,
-                         size_guard=size_guard)
-    bn1 = boundary_matrix(X, complex, degree + 1, word=word,
-                          include_first_slot=include_first_slot,
-                          size_guard=size_guard)
-    dim = len(bn.col_basis)
-    snf_n = smith_normal_form(bn.sparse_rows, dim)
-    snf_up = smith_normal_form([row for i, row in enumerate(bn1.sparse_rows)
-                                if i not in snf_n.unit_columns],
-                               len(bn1.col_basis))
+    rows_n, dim = _spanning_boundary(X, complex, degree, word,
+                                     include_first_slot, size_guard)
+    rows_up, dim_up = _spanning_boundary(X, complex, degree + 1, word,
+                                         include_first_slot, size_guard)
+    snf_n = smith_normal_form(rows_n, dim)
+    snf_up = smith_normal_form([row for i, row in enumerate(rows_up)
+                                if i not in snf_n.unit_columns], dim_up)
     torsion = tuple(d for d in snf_up.invariant_factors if d > 1)
     return HomologyGroup(free_rank=dim - snf_n.rank - snf_up.rank,
                          torsion=torsion)
@@ -347,7 +417,11 @@ def cocycle_space(X: QuandleTable, modulus: int,
     each row (x, x).  They are read off the unit-pivot elimination of that
     matrix, the one homology runs, by left_kernel_mod: the orders are the
     nontrivial gcd(f, d) over the invariant factors f of its core, in chain
-    order, then d for every rank the matrix lacks.
+    order, then d for every rank the matrix lacks.  Columns that generate
+    im d_3 give the same phi, so d_3 is formed on the spanning columns of
+    the lemma in homology's docstring only: the invariant factors and the
+    rank, and so the orders, are those of the whole d_3, while the
+    generators may differ.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -356,12 +430,11 @@ def cocycle_space(X: QuandleTable, modulus: int,
     n = X.order
     # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
     # cocycles only when X is a quandle
-    d3 = boundary_matrix(X, "rack", 3)
-    rows = list(d3.sparse_rows)
+    rows, width = _tuple_boundary(X, "rack", 3, DEFAULT_SIZE_GUARD,
+                                  spanning=True)
     if mode == "quandle":
-        width = len(d3.col_basis)
         for x in range(n):
-            rows[x * n + x] = {**rows[x * n + x], width + x: 1}
+            rows[x * n + x][width + x] = 1
     vectors, orders = left_kernel_mod(rows, modulus)
     gens = tuple(CocycleTable(modulus=modulus, values=tuple(
         tuple(vec[x * n:(x + 1) * n]) for x in range(n))) for vec in vectors)

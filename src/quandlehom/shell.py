@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,7 +28,7 @@ from .chains import (FormalChain, boundary, format_chain, identity_cycle,
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
 from .errors import (InvalidCocycle, MissingDataset, ParseError, QuandleError,
-                     SubcomplexClosureViolated)
+                     SubcomplexClosureViolated, WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
 from .homology import (CocycleTable, boundary_matrix, cocycle_space,
                        homology)
@@ -53,63 +52,58 @@ EXIT_USAGE = 2
 _ENTRY = re.compile(r"-?\d+")
 
 
-def _read_matrix(text: str) -> np.ndarray:
-    """The 0-based n x n array of the 1-based matrix format.  ParseError
-    names the line, and the column where there is one, of the first fault:
-    no order, too few or too many entries, a bad entry or one outside 1..n.
-    On a wrong entry count the line is the first one whose entries are not
-    n, or the last line when every line holds n."""
-    lines = text.splitlines()
-    tokens_per_line = [line.split() for line in lines]
-    flat = [(ln, tok) for ln, toks in enumerate(tokens_per_line, start=1)
-            for tok in toks]
-    if not flat:
-        raise ParseError("empty file", 1)
-    ln, tok = flat[0]
-    if not re.fullmatch(r"\d+", tok):
-        raise ParseError(f"expected the order, got {tok!r}", ln)
-    n = int(tok)
-    if n < 1:
-        raise ParseError("order must be >= 1", ln)
-    body = flat[1:]
-    if len(body) != n * n:
-        held = Counter(ln for ln, _ in body)
-        raise ParseError(
-            f"expected {n * n} entries after the order, found {len(body)}",
-            next((ln for ln, k in held.items() if k != n),
-                 body[-1][0] if body else ln))
-    toks = [tok for _, tok in body]
-    ok = all(map(_ENTRY.fullmatch, toks))
-    vals = list(map(int, toks)) if ok else []
-    if not ok or not 1 <= min(vals) <= max(vals) <= n:
-        for k, (ln, tok) in enumerate(body):     # name the first bad entry
-            if not _ENTRY.fullmatch(tok):
-                raise ParseError(f"bad entry {tok!r}", ln, k % n + 1)
-            if not 1 <= int(tok) <= n:
-                raise ParseError(f"entry {tok} outside 1..{n}", ln, k % n + 1)
-    return np.array(vals, dtype=np.int64).reshape(n, n) - 1
-
-
-def _read_cocycle(text: str, order: int) -> list[list[int]]:
-    """The integer rows of a cocycle file, one nonblank line of `order`
-    entries per element.  ParseError names the line, and the column where
-    there is one, of the first fault: a bad entry, a row of the wrong
-    length, or too few or too many rows."""
+def _read_rows(lines: list[str], start: int, order: int,
+               span: Optional[range] = None) -> list[list[int]]:
+    """The integer rows of the nonblank lines of lines[start:], `order`
+    entries each, with lines numbered from 1.  ParseError names the line,
+    and the column where there is one, of the first fault: a bad entry, an
+    entry outside span where one is given, a row of the wrong length, or too
+    few or too many rows."""
     rows = [(ln, line.split()) for ln, line
-            in enumerate(text.splitlines(), start=1) if line.strip()]
+            in enumerate(lines[start:], start=start + 1) if line.strip()]
+    vals = []
     for ln, toks in rows:
-        for col, tok in enumerate(toks, start=1):
-            if not _ENTRY.fullmatch(tok):
-                raise ParseError(f"bad entry {tok!r}", ln, col)
+        row = list(map(int, toks)) if all(map(_ENTRY.fullmatch, toks)) \
+            else None
+        if row is None or span is not None and (
+                min(row) < span.start or max(row) >= span.stop):
+            for col, tok in enumerate(toks, start=1):  # the first bad entry
+                if not _ENTRY.fullmatch(tok):
+                    raise ParseError(f"bad entry {tok!r}", ln, col)
+                if span is not None and int(tok) not in span:
+                    raise ParseError(f"entry {tok} outside {span.start}.."
+                                     f"{span.stop - 1}", ln, col)
         if len(toks) != order:
             raise ParseError(f"expected {order} entries, found {len(toks)}",
                              ln, min(len(toks), order) + 1)
+        vals.append(row)
     if len(rows) != order:
         # the first extra row, or the line a missing one would take
         raise ParseError(f"expected {order} rows, found {len(rows)}",
-                         rows[order][0] if rows[order:]
-                         else len(text.splitlines()) + 1)
-    return [list(map(int, toks)) for _, toks in rows]
+                         rows[order][0] if rows[order:] else len(lines) + 1)
+    return vals
+
+
+def _read_matrix(text: str) -> np.ndarray:
+    """The 0-based n x n array of the 1-based matrix format: the order alone
+    on the first nonblank line, then n rows of n entries in 1..n.
+    ParseError names the line, and the column where there is one, of the
+    first fault: no order, more than the order on its line, or a fault of
+    _read_rows."""
+    lines = text.splitlines()
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
+        raise ParseError("empty file", 1)
+    head = lines[first].split()
+    if not re.fullmatch(r"\d+", head[0]):
+        raise ParseError(f"expected the order, got {head[0]!r}", first + 1)
+    n = int(head[0])
+    if n < 1:
+        raise ParseError("order must be >= 1", first + 1)
+    if len(head) > 1:
+        raise ParseError("expected the order alone on its line", first + 1, 2)
+    return np.array(_read_rows(lines, first + 1, n, range(1, n + 1)),
+                    dtype=np.int64) - 1
 
 
 def _oriented(table: np.ndarray, convention: str) -> np.ndarray:
@@ -640,8 +634,16 @@ def _run_gen(args):
         if args.json else None
 
 
+def _word_arg(text: str) -> Word:
+    """A --word value as a Word; a malformed one is a usage error."""
+    try:
+        return parse_word(text)
+    except WordError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _run_scan(args):
-    words = [parse_word(w) for w in args.word]
+    words = [_word_arg(w) for w in args.word]
     entries = (load_dataset(args.dataset, convention=args.convention)
                if args.dataset else [])
     tables = [e.table for e in entries]
@@ -659,9 +661,13 @@ def _run_scan(args):
 
 def _run_cycle(args):
     table, digests = _load_table(args)
-    w = parse_word(args.word)
-    ys = tuple(int(v) - 1 for v in args.ys.split(","))
-    cyc = identity_cycle(table, w, Assignment(args.x - 1, ys))
+    w = _word_arg(args.word)
+    ys = [int(v) for v in args.ys.split(",")]
+    for flag, v in [("--x", args.x)] + [("--ys", y) for y in ys]:
+        if not 1 <= v <= table.order:
+            raise ValueError(f"{flag} value {v} outside 1..{table.order}")
+    cyc = identity_cycle(table, w,
+                         Assignment(args.x - 1, tuple(y - 1 for y in ys)))
     bd = boundary(table, cyc)
     return {"word": w.text, "cycle": format_chain(cyc),
             "boundary": format_chain(bd),
@@ -670,7 +676,7 @@ def _run_cycle(args):
 
 def _run_subcomplex(args):
     table, digests = _load_table(args)
-    word = parse_word(args.word) if args.word else None
+    word = _word_arg(args.word) if args.word else None
     gens = subcomplex_generators(table, args.kind, args.degree, word=word)
     # the boundary matrix solves each basis boundary one degree down
     try:
@@ -685,7 +691,7 @@ def _run_subcomplex(args):
 
 def _run_homology(args):
     table, digests = _load_table(args)
-    word = parse_word(args.word) if args.word else None
+    word = _word_arg(args.word) if args.word else None
     group = homology(table, args.complex, args.degree, word=word,
                      max_degree=args.max_degree)
     return {"complex": args.complex, "degree": args.degree,
@@ -707,7 +713,8 @@ def _run_extend(args):
     if args.mod < 2:
         raise InvalidCocycle("modulus must be >= 2")
     vals = [tuple(v % args.mod for v in row) for row in
-            _read_cocycle(Path(args.cocycle).read_text(), table.order)]
+            _read_rows(Path(args.cocycle).read_text().splitlines(), 0,
+                       table.order)]
     phi = CocycleTable(modulus=args.mod, values=tuple(vals))
     ext = extend(ExtensionSpec(table, args.mod, phi))
     if args.out:

@@ -20,6 +20,9 @@ doubles pointers over whole arrays.  orbit finds an Inn-orbit by
 breadth-first search, where the library propagates least labels.
 loop_boundary_matrix builds a tuple complex's boundary matrix tuple by
 tuple from boundary_of_tuple, where the library gathers whole face arrays;
+full_boundary_homology eliminates every row and column of both boundary
+matrices, where homology forms a spanning set of columns and drops the rows
+that the unit pivots one degree down pair off;
 loop_identity_generators builds identity-subcomplex generators by a plain
 loop, where the library gathers whole arrays of term indices.
 word_permutation_holds is the translation-composite form of a word
@@ -50,10 +53,12 @@ from quandlehom.errors import (ColumnNotBijective, IdempotencyFails,
                                OutOfRangeEntry, SelfDistributivityFails,
                                SubcomplexClosureViolated)
 from quandlehom.homology import (BoundaryMatrix, CocycleSpace, CocycleTable,
-                                 boundary_matrix, evaluate_cocycle)
+                                 HomologyGroup, boundary_matrix,
+                                 evaluate_cocycle)
 from quandlehom.identities import (_SCAN_CHUNK, Assignment,
                                    SatisfactionReport)
-from quandlehom.linalg import IntLattice, Matrix, identity_matrix
+from quandlehom.linalg import (IntLattice, Matrix, identity_matrix,
+                               smith_normal_form)
 
 
 def zeros_matrix(m: int, n: int) -> Matrix:
@@ -467,6 +472,18 @@ def loop_boundary_matrix(X, complex, degree):
     return BoundaryMatrix(complex=complex, degree=degree,
                           sparse_rows=tuple(mat),
                           row_basis=tuple(rows), col_basis=tuple(cols))
+
+
+def full_boundary_homology(X, flavour, degree, word=None):
+    """H_degree from every row and column of boundary_matrix at degrees
+    degree and degree + 1."""
+    bn = boundary_matrix(X, flavour, degree, word=word)
+    bn1 = boundary_matrix(X, flavour, degree + 1, word=word)
+    dim = len(bn.col_basis)
+    up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis))
+    return HomologyGroup(
+        free_rank=dim - smith_normal_form(bn.sparse_rows, dim).rank - up.rank,
+        torsion=tuple(d for d in up.invariant_factors if d > 1))
 
 
 def loop_identity_generators(X, word, degree, include_first_slot=False):

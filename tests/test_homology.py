@@ -8,19 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (kernel_basis, lattice_cocycle_space, lattice_from_rows,
+from oracles import (full_boundary_homology, kernel_basis,
+                     lattice_cocycle_space, lattice_from_rows,
                      loop_boundary_matrix, loop_identity_generators, mat_mul,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
-from quandlehom.chains import (FormalChain, _generators, identity_cycle,
-                               subcomplex_generators)
-from quandlehom.homology import (CocycleTable, HomologyGroup, boundary_matrix,
-                                 coboundary, cocycle_condition_holds,
-                                 cocycle_space, evaluate_cocycle, homology)
+from quandlehom.chains import (DEFAULT_SIZE_GUARD, FormalChain, _generators,
+                               identity_cycle, subcomplex_generators)
+from quandlehom.homology import (CocycleTable, HomologyGroup, _in_basis,
+                                 _spanning_columns, _tuple_boundary,
+                                 boundary_matrix, coboundary,
+                                 cocycle_condition_holds, cocycle_space,
+                                 evaluate_cocycle, homology)
 from quandlehom.identities import Assignment, parse_word
-from quandlehom.linalg import smith_normal_form
+from quandlehom.linalg import IntLattice, smith_normal_form
 from quandlehom.constructions import (alexander_zn, dihedral,
                                       enumerate_connected, trivial)
-from quandlehom.core import inner_group, make_table
+from quandlehom.core import digits, inner_group, make_table
 from quandlehom.errors import DegreeMismatch, IdempotencyFails, \
     InvalidCocycle, SizeGuardExceeded, SubcomplexClosureViolated
 from quandlehom.shell import corpus
@@ -64,6 +67,7 @@ def test_boundary_matrix_identity_solvable(dih3):
 BUILD_CELL_BUDGET = 100_000     # rows * cols; larger matrices are skipped
 NON_QUANDLE_RACK = [[1, 1, 1], [0, 0, 0], [2, 2, 2]]
 PERMUTATION_RACK = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]      # x*y = x+1 mod 3
+FIXES_0_RACK = [[0, 0, 0], [2, 2, 2], [1, 1, 1]]
 
 
 def _build_or_raise(build, X, flavour, degree):
@@ -199,7 +203,7 @@ def test_degenerate_restriction_requires_quandle():
 
 
 @pytest.mark.parametrize("rows, x", [(PERMUTATION_RACK, 0),
-                                     ([[0, 0, 0], [2, 2, 2], [1, 1, 1]], 1)],
+                                     (FIXES_0_RACK, 1)],
                          ids=["rack3", "fixes-0"])
 def test_quandle_homology_requires_a_quandle(rows, x):
     """The degenerate tuples of a rack that is not a quandle are no
@@ -214,42 +218,97 @@ def test_quandle_homology_requires_a_quandle(rows, x):
         assert homology(X, "rack", degree).free_rank >= 0
 
 
-def _full_row_homology(X, flavour, degree, word=None):
-    """H_degree with d_{n+1} eliminated on all of its rows."""
-    bn = boundary_matrix(X, flavour, degree, word=word)
-    bn1 = boundary_matrix(X, flavour, degree + 1, word=word)
-    dim = len(bn.col_basis)
-    up = smith_normal_form(bn1.sparse_rows, len(bn1.col_basis))
-    return HomologyGroup(
-        free_rank=dim - smith_normal_form(bn.sparse_rows, dim).rank - up.rank,
-        torsion=tuple(d for d in up.invariant_factors if d > 1))
-
-
-def test_homology_on_unpaired_rows_equals_the_full_row_route():
-    """Dropping the rows of d_{n+1} at the unit-pivot columns of d_n changes
-    no group: on the corpus tables of order <= 5 and the connected quandles
-    of order 1..5, each at natural labels and one relabelling, in every
-    flavour the table admits at degrees 1..3, and on two identity spans."""
+def _lemma_tables():
+    """Every corpus table and connected quandle of order 1..5, each at
+    natural labels and under one relabelling, and three racks that are not
+    quandles."""
     rng = random.Random(17)
-    tables = [X for _name, X in corpus() if X.order <= 5]
+    tables = [X for _name, X in corpus()]
     tables += [X for n in range(1, 6) for X in enumerate_connected(n)]
-    cases = []
+    out = []
     for X in tables:
         perm = list(range(X.order))
         rng.shuffle(perm)
-        for Y in (X, relabelled(X, perm)):
-            flavours = ("rack", "quandle", "degenerate") if Y.is_quandle \
-                else ("rack",)
-            cases += [(Y, f, None) for f in flavours]
-    cases += [(dihedral(3), "identity", parse_word("aa")),
-              (alexander_zn(5, 2), "identity", parse_word("abab"))]
-    for X, flavour, word in cases:
-        for degree in (1, 2, 3):
-            got = homology(X, flavour, degree, word=word)
-            assert got == _full_row_homology(X, flavour, degree, word), \
-                (X.rows, flavour, degree)
-            assert got.free_rank >= 0
-    assert len(cases) >= 70
+        out += [X, relabelled(X, perm)]
+    return out + [make_table(rows, require="rack") for rows in
+                  (NON_QUANDLE_RACK, PERMUTATION_RACK, FIXES_0_RACK)]
+
+
+def _lemma_cases():
+    """(table, flavour, degree) over _lemma_tables: every flavour the table
+    admits, at degrees 1..3, and 1..4 up to order 4."""
+    for X in _lemma_tables():
+        flavours = ("rack", "quandle", "degenerate") if X.is_quandle \
+            else ("rack",)
+        for flavour in flavours:
+            for degree in range(1, 5 if X.order <= 4 else 4):
+                yield X, flavour, degree
+
+
+def test_spanning_columns_generate_the_image():
+    """The lemma in homology's docstring: every column of d_k that the
+    spanning set leaves out lies in the integer span of the columns it
+    keeps, and the kept columns are those of boundary_matrix at their
+    positions in the whole basis; on every case of _lemma_cases."""
+    kept = left_out = 0
+    for X, flavour, degree in _lemma_cases():
+        full = boundary_matrix(X, flavour, degree)
+        n = X.order
+        tups = digits(np.arange(n ** degree), n, degree)
+        basis = _in_basis(tups, flavour)
+        keep = set(np.flatnonzero(_spanning_columns(X, tups)[basis]).tolist())
+        rows, dim = _tuple_boundary(X, flavour, degree, DEFAULT_SIZE_GUARD,
+                                    spanning=True)
+        assert dim == len(full.col_basis)
+        assert rows == [{j: c for j, c in row.items() if j in keep}
+                        for row in full.sparse_rows]
+        columns = [{} for _ in range(dim)]
+        for i, row in enumerate(full.sparse_rows):
+            for j, c in row.items():
+                columns[j][i] = c
+        image = IntLattice(len(full.row_basis))
+        for j in sorted(keep):
+            image.add(columns[j])
+        for j in range(dim):
+            if j not in keep:
+                assert image.contains(columns[j]), (X.rows, flavour, degree, j)
+        kept += len(keep)
+        left_out += dim - len(keep)
+    assert left_out > kept
+
+
+def _first_closure_violation(X, degree):
+    """The chain boundary_matrix raises on at degree, else at degree + 1."""
+    for k in (degree, degree + 1):
+        try:
+            boundary_matrix(X, "degenerate", k)
+        except SubcomplexClosureViolated as exc:
+            return exc.chain
+    return None
+
+
+def test_homology_on_reduced_boundaries_equals_the_full_route():
+    """Forming only the spanning columns of each boundary, and dropping the
+    rows of d_{n+1} at the unit-pivot columns of d_n, changes no group: on
+    every case of _lemma_cases and on two identity spans at degrees 1..3.
+    Degenerate homology on a rack that is not a quandle raises on the chain
+    that boundary_matrix raises on."""
+    cases = list(_lemma_cases())
+    cases += [(X, "identity", degree)
+              for X in (dihedral(3), alexander_zn(5, 2)) for degree in (1, 2, 3)]
+    words = {3: parse_word("aa"), 5: parse_word("abab")}
+    for X, flavour, degree in cases:
+        word = words[X.order] if flavour == "identity" else None
+        got = homology(X, flavour, degree, word=word)
+        assert got == full_boundary_homology(X, flavour, degree, word), \
+            (X.rows, flavour, degree)
+        assert got.free_rank >= 0
+        if not X.is_quandle:
+            want = _first_closure_violation(X, degree)
+            with pytest.raises(SubcomplexClosureViolated) as exc:
+                homology(X, "degenerate", degree)
+            assert exc.value.chain == want
+    assert len(cases) >= 300
 
 
 def test_cocycle_space_trivial_tables():
@@ -399,24 +458,25 @@ def test_cocycle_count_universal_coefficients():
 
 
 def test_cocycle_space_matches_the_lattice_route():
-    """cocycle_space, read off the unit-pivot elimination of d_3, against
-    the reference route through the image lattice of d_3 and the Smith form
-    with transforms: the same generator orders on every corpus table, mod 2,
-    3, 4, 6 and 9, in both modes, and the same members wherever there are at
-    most 20,000."""
+    """cocycle_space, read off the unit-pivot elimination of d_3 on its
+    spanning columns, against the reference route through the image lattice
+    of every column of d_3 and the Smith form with transforms: the same
+    generator orders on every table of _lemma_tables, mod 2, 3, 4, 6 and 9,
+    in both modes, and the same members wherever there are at most
+    20,000."""
     compared = 0
-    for name, X in corpus():
+    for X in _lemma_tables():
         for d in (2, 3, 4, 6, 9):
             for mode in ("rack", "quandle"):
                 space = cocycle_space(X, d, mode)
                 ref = lattice_cocycle_space(X, d, mode)
                 assert (space.orders, space.size) == (ref.orders, ref.size), \
-                    (name, d, mode)
+                    (X.rows, d, mode)
                 if space.size <= 20_000:
                     assert {m.values for m in space.members()} == \
-                        {m.values for m in ref.members()}, (name, d, mode)
+                        {m.values for m in ref.members()}, (X.rows, d, mode)
                     compared += 1
-    assert compared >= 60
+    assert compared >= 300
 
 
 def test_homology_degree_cap_message():

@@ -53,7 +53,7 @@ def test_parse_errors():
     ("3\n1 3 2\n3 2 1\n2 1 9\n", "entry 9 outside 1..3", 4, 3),
     ("3\n1 3 2\n3 x 1\n2 1 9\n", "bad entry 'x'", 3, 2),
     ("3\n1 3 2\n3 0 1\n2 x 3\n", "entry 0 outside 1..3", 3, 2),
-    ("2\n1 1 2\n-1\n", "entry -1 outside 1..2", 3, 2),
+    ("2\n1 1\n2 -1\n", "entry -1 outside 1..2", 3, 2),
 ])
 def test_parse_errors_name_the_first_bad_entry(text, message, line, column):
     with pytest.raises(ParseError) as exc:
@@ -214,18 +214,20 @@ def test_cli_cocycles_and_extend(tmp_path):
     assert E.order == 9 and E.is_quandle
 
 
-@pytest.mark.parametrize("x, ys", [("0", "1"), ("1", "4")])
-def test_cli_cycle_rejects_a_label_out_of_range(tmp_path, x, ys):
-    """Labels run 1..n: label 0 or n+1 is a failed check (exit 1) with one
-    error line."""
+@pytest.mark.parametrize("x, ys, message", [
+    ("0", "1", "--x value 0 outside 1..3"),
+    ("1", "4", "--ys value 4 outside 1..3")])
+def test_cli_cycle_rejects_a_label_out_of_range(tmp_path, x, ys, message):
+    """Labels run 1..n: label 0 or n+1 is a usage error (exit 2) with one
+    error line naming the option."""
     path = tmp_path / "d3.txt"
     path.write_text(DIH3_TEXT)
     proc = _module_cli(["cycle", str(path), "--word", "aa", "--x", x,
                         "--ys", ys], stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert out == b""
-    assert err.decode() == "error: assignment values outside 0..2\n"
+    assert err.decode() == f"error: {message}\n"
 
 
 def test_cli_subcomplex_degenerate_closure_on_a_rack(tmp_path):
@@ -270,15 +272,19 @@ def test_cli_bad_parameters_give_one_error_line(tmp_path, args, code, message):
 @pytest.mark.parametrize("text, message", [
     ("", "empty file (line 1)"),
     ("3\n1 2 3\n2 3\n3 1 2\n",
-     "expected 9 entries after the order, found 8 (line 3)"),
+     "expected 3 entries, found 2 (line 3, column 3)"),
     ("3\n1 2\n2 3 1\n3 1 2\n",
-     "expected 9 entries after the order, found 8 (line 2)"),
+     "expected 3 entries, found 2 (line 2, column 3)"),
+    ("3\n1 3\n2 3 2 1\n2 1 3\n",
+     "expected 3 entries, found 2 (line 2, column 3)"),
     ("3\n1 2 3\n2 x 1\n3 1 2\n", "bad entry 'x' (line 3, column 2)"),
     ("3\n1 2 3\n2 3 1\n3 1 4\n", "entry 4 outside 1..3 (line 4, column 3)"),
     ("3\n1 2 3\n2 3 1\n3 1 2\n1 2 3\n",
-     "expected 9 entries after the order, found 12 (line 5)"),
-], ids=["empty", "short-row", "short-first-row", "non-integer",
-        "out-of-range", "trailing-line"])
+     "expected 3 rows, found 4 (line 5)"),
+    ("3 1 2 3\n2 3 1\n3 1 2\n", "expected the order alone on its line "
+     "(line 1, column 2)"),
+], ids=["empty", "short-row", "short-first-row", "ragged", "non-integer",
+        "out-of-range", "trailing-line", "order-line-entries"])
 def test_cli_malformed_cayley_file_gives_one_error_line(tmp_path, kind, text,
                                                         message):
     """Cayley files go through the matrix-file parser and its checks: a

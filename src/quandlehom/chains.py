@@ -159,6 +159,31 @@ def boundary(X: QuandleTable, chain: FormalChain) -> FormalChain:
     return FormalChain(chain.degree - 1, out)
 
 
+def face_indices(X: QuandleTable, idx: np.ndarray,
+                 degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every face of the degree-tuples at flat indices idx, with its sign in
+    the boundary: faces[h-2, 0] deletes entry h and faces[h-2, 1] acts by
+    *x_h on the h-1 entries before it, for h = 2..degree, as flat indices of
+    (degree-1)-tuples of idx's shape.  signs has shape (degree-1, 2) plus
+    one axis of length 1 per axis of idx, (-1)^h on the plain face and
+    -(-1)^h on the twisted one, so that the boundary of idx is the sum of
+    signs * faces.  One table gather forms every twisted face of one h.
+    """
+    n = X.order
+    T = X.np_table
+    tups = digits(np.asarray(idx, dtype=np.int64), n, degree)
+    weight = n ** np.arange(degree - 2, -1, -1)
+    faces = np.empty((degree - 1, 2) + tups.shape[:-1], dtype=np.int64)
+    for k in range(1, degree):
+        head, x = tups[..., :k], tups[..., k:k + 1]
+        tail = tups[..., k + 1:] @ weight[k:]
+        faces[k - 1, 0] = head @ weight[:k] + tail
+        faces[k - 1, 1] = T[head, x] @ weight[:k] + tail
+    sign = (-1) ** np.arange(2, degree + 1)
+    signs = np.stack([sign, -sign], axis=1)
+    return faces, signs.reshape(signs.shape + (1,) * (tups.ndim - 1))
+
+
 def prefix_products(X: QuandleTable, w: Word, lo: int = 0,
                     hi: Optional[int] = None):
     """Prefix products of the assignments lo..hi-1 (all n^(m+1) by default)
@@ -243,9 +268,9 @@ def medial_cycle(X: QuandleTable, x: int, y: int, u: int, v: int,
 class GeneratorSet:
     """Generators of one subcomplex degree, with provenance per chain.
 
-    The generators are held as one array of flat tuple indices
-    (``tuple_index``), one row per generator and one column per term, a tuple
-    that fills several columns counting once per column.  ``chains`` and
+    The generators are held as one array of flat tuple indices, ``terms``
+    (``tuple_index``), one row per generator and one column per term, a
+    tuple that fills several columns counting once per column.  ``chains`` and
     ``provenance`` are built from it on first access.  An identity set of
     degree >= 3 reaches the set one degree down (``lower``): its lattice is
     the lower lattice with each element appended, plus the generators whose
@@ -259,16 +284,16 @@ class GeneratorSet:
     word: Optional[Word]
     _table: QuandleTable = field(repr=False)
     _first_slot: bool = field(repr=False)
-    _terms: np.ndarray = field(repr=False)      # generators x terms
+    terms: np.ndarray = field(repr=False)       # generators x terms
     _sources: np.ndarray = field(repr=False)    # enumeration row per generator
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.terms)
 
     @cached_property
     def chains(self) -> tuple[FormalChain, ...]:
         out = []
-        for row in digits(self._terms, self.order, self.degree).tolist():
+        for row in digits(self.terms, self.order, self.degree).tolist():
             terms: dict = {}
             for tup in map(tuple, row):
                 terms[tup] = terms.get(tup, 0) + 1
@@ -312,7 +337,7 @@ class GeneratorSet:
         below that, every generator."""
         n = self.order
         lat = IntLattice(n ** self.degree)
-        rows = self._terms
+        rows = self.terms
         lower = self.lower
         if lower is not None:
             for vec in lower.lattice.sparse_basis():

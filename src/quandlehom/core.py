@@ -29,6 +29,7 @@ from .errors import (
 DEFAULT_CLOSURE_CAP = 10**6
 MEDIALITY_SCAN_LIMIT = 64
 _AXIOM_BLOCK = 1 << 18          # cells per block of the distributivity check
+_CYCLE_BLOCK = 1 << 15          # cells per block of a cycle-length lcm
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,24 @@ def orbit_minima(X: QuandleTable) -> np.ndarray:
     return _orbits(X)[1]
 
 
+def orbit_cycle_minima(X: QuandleTable) -> np.ndarray:
+    """The pairs (a, b) as flat indices a*n + b, ascending: a the least of
+    its Inn-orbit, and b the least of its cycle of R_a where a*a = a, every
+    b where a*a != a.  The cycles come from :func:`cycle_labels`.
+
+    Where a*a = a, R_a is an automorphism fixing a, so a set of tuples
+    closed under diagonal automorphisms meets (a, b, ...) with b least on
+    its R_a-cycle whenever it meets (a, b', ...) for some b' on that cycle.
+    """
+    n = X.order
+    firsts = orbit_minima(X)
+    label = cycle_labels(X.np_table.T[firsts])
+    least = label == np.arange(label.size).reshape(label.shape)
+    least |= (X.np_table[firsts, firsts] != firsts)[:, None]
+    row, b = np.nonzero(least)
+    return firsts[row] * n + b
+
+
 def is_connected(X: QuandleTable) -> bool:
     return len(orbit_minima(X)) == 1
 
@@ -456,7 +475,11 @@ def cycle_lengths(perms: np.ndarray) -> np.ndarray:
 
 
 def _lcm_of_cycles(perms: np.ndarray) -> int:
-    return math.lcm(*np.unique(cycle_lengths(perms)).tolist())
+    """The lcm of every cycle length of every row, a block of rows at a
+    time: at most ``_CYCLE_BLOCK`` cells, or one row."""
+    rows = max(1, _CYCLE_BLOCK // max(1, perms.shape[1]))
+    return math.lcm(*{v for lo in range(0, len(perms), rows) for v in
+                      np.unique(cycle_lengths(perms[lo:lo + rows])).tolist()})
 
 
 def group_exponent(G: PermutationGroup) -> int:
@@ -480,8 +503,13 @@ def is_medial(X: QuandleTable,
 
     Every element of Inn(X) is an automorphism of a rack, so the set of
     violating (x, y, u, v) is closed under the diagonal Inn action and meets
-    the assignments with x an orbit minimum whenever it is nonempty: x ranges
-    over ``orbit_minima`` only, y, u and v over every element.
+    the assignments with x an orbit minimum whenever it is nonempty.  Fix
+    such an x with x*x = x: R_x is an automorphism fixing x, so the
+    violations with this x are closed under R_x applied to y, u and v, and
+    one of them has y least on its cycle of R_x.  Where x*x != x, y keeps
+    its full range.  So (x, y) runs over ``orbit_cycle_minima`` only, u and
+    v over every element; the condition is decided per element, so a rack
+    that is not a quandle is scanned exactly.
     """
     n = X.order
     if n > limit:
@@ -490,7 +518,7 @@ def is_medial(X: QuandleTable,
     flat = T.reshape(-1)                       # flat[x*n+y] = x*y
     idx = np.arange(n * n)
     first, second = idx // n, idx % n
-    rows = (orbit_minima(X)[:, None] * n + idx[None, :n]).reshape(-1)
+    rows = orbit_cycle_minima(X)
     rows_per_chunk = max(1, (1 << 20) // max(1, n * n))   # ~1M cells a block
     for lo in range(0, len(rows), rows_per_chunk):
         r = rows[lo:lo + rows_per_chunk, None]

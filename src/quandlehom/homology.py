@@ -25,6 +25,7 @@ import numpy as np
 from .chains import (
     DEFAULT_SIZE_GUARD,
     FormalChain,
+    face_indices,
     subcomplex_generators,
 )
 from .core import QuandleTable, cycle_labels, digits
@@ -117,28 +118,16 @@ def _tuple_boundary(X: QuandleTable, complex: str, degree: int,
     tups = digits(np.arange(n ** degree), n, degree)
     basis = _in_basis(tups, complex)
     take = basis & _spanning_columns(X, tups) if spanning else basis
-    col_tups = tups[take]
+    columns = np.flatnonzero(take)
     position = (np.cumsum(basis) - 1)[take]
-    # both faces of every column at each h = k + 1 = 2..degree, as flat
-    # indices of (degree-1)-tuples: one table gather per h acts by *x_h on
-    # the k entries before it; a 1-tuple has the empty alternating sum as
-    # its boundary
-    weight = n ** np.arange(degree - 2, -1, -1)
-    T = X.np_table
-    faces = np.empty((degree - 1, 2, len(col_tups)), dtype=np.int64)
-    for k in range(1, degree):
-        head, x = col_tups[:, :k], col_tups[:, k:k + 1]
-        tail = col_tups[:, k + 1:] @ weight[k:]
-        faces[k - 1, 0] = head @ weight[:k] + tail
-        faces[k - 1, 1] = T[head, x] @ weight[:k] + tail
-    sign = (-1) ** np.arange(2, degree + 1)           # (-1)^h, plain face
-    signs = np.stack([sign, -sign], axis=1)[:, :, None]
-    # coincident faces of one column cancel: sum on (column, face) keys,
-    # sorted column-major so that every row fills in increasing column
-    # order; keys stay below n^(2 degree - 1), within int64 for any matrix
-    # whose face array fits in memory
+    # a 1-tuple has the empty alternating sum as its boundary; coincident
+    # faces of one column cancel: sum on (column, face) keys, sorted
+    # column-major so that every row fills in increasing column order;
+    # keys stay below n^(2 degree - 1), within int64 for any matrix whose
+    # face array fits in memory
+    faces, signs = face_indices(X, columns, degree)
     width = n ** (degree - 1)
-    keys, where = np.unique((np.arange(len(col_tups)) * width + faces).ravel(),
+    keys, where = np.unique((np.arange(len(columns)) * width + faces).ravel(),
                             return_inverse=True)
     coefs = np.bincount(where, np.broadcast_to(signs, faces.shape).ravel(),
                         len(keys)).astype(np.int64)
@@ -149,7 +138,7 @@ def _tuple_boundary(X: QuandleTable, complex: str, degree: int,
     outside = row < 0
     if outside.any():
         if complex == "degenerate":
-            first = tuple(col_tups[col[outside][0]].tolist())
+            first = tuple(tups[columns[col[outside][0]]].tolist())
             raise SubcomplexClosureViolated(FormalChain(degree, {first: 1}))
         if complex == "rack":
             raise AssertionError("boundary left the tuple basis")

@@ -5,12 +5,24 @@ A word is a surjection tau from the k positions onto m letters, held in
 canonical form: ``tau`` lists 0-based letter indices numbered by first
 occurrence, so "ba" and "ab" are the same word.  :func:`satisfies_all` is
 the one satisfaction kernel; :func:`satisfies` and :func:`scan` call it.  It
-scans the n^(m+1) assignments of x and the letter values with the first
-letter restricted to Inn-orbit minima: on a rack the violating assignments
-form a union of diagonal Inn-orbits, so this finds a violation exactly when
-one exists, and the first one it finds is the full scan's first, with the
-same position.  The words of a list that share a letter count share the
-scan, and the composites of their common prefixes.
+reports the first violation of the full scan order over the n^(m+1)
+assignments of x and the letter values, but scans only some of them:
+
+Lemma.  Every right translation of a rack is an automorphism (Joyce, JPAA
+23 (1982)), so the violating assignments form a union of diagonal
+Inn-orbits, and the least violation has y_1 at the minimum of its
+Inn-orbit.  Fix such a y_1 with y_1*y_1 = y_1.  R_(y_1) is an automorphism
+that fixes y_1, so the violations with this y_1 are closed under R_(y_1)
+applied to the other variables diagonally, and the least one has y_2
+least on its cycle of R_(y_1).  Where y_1*y_1 != y_1, y_2 keeps its full
+range; the condition is decided per element, so racks that are not
+quandles are scanned exactly.
+
+So y_1 runs over the orbit minima, y_2 over those cycle minima
+(``core.orbit_cycle_minima``), and y_3..y_m and x over every element; the
+first violation found is the full scan's first, with the same position.
+The words of a list that share a letter count share the scan, and the
+composites of their common prefixes.
 """
 
 from __future__ import annotations
@@ -23,10 +35,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import QuandleTable, digits, orbit_minima
+from .core import QuandleTable, digits, orbit_cycle_minima, orbit_minima
 from .errors import EmptyWord, NonLetterCharacter
 
 _SCAN_CHUNK = 1 << 16
+_DECIDE_CELLS = 1 << 13     # composites held for one decision step
 
 
 @dataclass(frozen=True)
@@ -120,21 +133,24 @@ def satisfies_all(X: QuandleTable,
     order, each the first violation in the full scan order.
 
     The full order runs over all n^(m+1) assignments, letter tuples
-    lexicographically with x fastest.  Every element of Inn(X) is an
-    automorphism of a rack, so the set of violating assignments is closed
-    under the diagonal Inn action; the least violation therefore has y_1 at
-    the minimum of its orbit.  Only those y_1 are scanned, with y_2..y_m and
-    x over every element in the same order, so the witness is the full
-    order's first violation and ``tuples_checked`` is its position there
-    (n^(m+1) when the word holds).
+    lexicographically with x fastest.  By the lemma in the module docstring
+    the least violation has y_1 at an Inn-orbit minimum and, where
+    y_1*y_1 = y_1, y_2 least on its cycle of R_(y_1).  Only those (y_1, y_2)
+    are scanned (``core.orbit_cycle_minima``), with y_3..y_m and x over
+    every element in the same order, so the witness is the full order's
+    first violation and ``tuples_checked`` is its position there (n^(m+1)
+    when the word holds).
 
     Words with the same letter count m scan the same letter tuples in the
     same blocks.  Within a block the composites of right translations are
     formed over the trie of the words' tau prefixes: each trie node is one
-    flat gather from the transposed table, shared by every word under it.  A
-    word is decided at its own node in the first block that shows a
-    violation there; subtrees with no undecided word are skipped, and the
-    scan of a letter count stops once every one of its words is decided.
+    flat gather from the transposed table, shared by every word under it.
+    The undecided words of a block are decided together: their composites
+    are gathered into one array of at most ``_DECIDE_CELLS`` cells, or one
+    word's when that is larger, compared with the identity in one step, and
+    each word's first violation is its first mismatch there.  Subtrees with
+    no undecided word are skipped, and the scan of a letter count stops once
+    every one of its words is decided.
     """
     by_letters: dict[int, set[tuple[int, ...]]] = {}
     for w in words:
@@ -151,9 +167,13 @@ def _scan_prefix_trie(X: QuandleTable, m: int,
     n = X.order
     Rf = X.np_table.T.ravel()     # Rf[y*n + x] = x*y
     target = np.arange(n, dtype=np.int64)
-    inner = n ** (m - 1)      # letter tuples per value of y_1
-    firsts = orbit_minima(X)
-    total = len(firsts) * inner
+    # the scanned values of y_1, or of (y_1, y_2) as y_1*n + y_2, each
+    # followed by every value of the other letters
+    if m == 1:
+        heads, inner = orbit_minima(X), 1
+    else:
+        heads, inner = orbit_cycle_minima(X), n ** (m - 2)
+    total = len(heads) * inner
     block = max(1, _SCAN_CHUNK // max(1, n))
     children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     under: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -165,29 +185,52 @@ def _scan_prefix_trie(X: QuandleTable, m: int,
             under[tau[:k]].append(tau)
     undecided = set(taus)
     reports = {}
+
+    def decide(held, nodes, ys, idx):
+        # each word's first mismatch in its composites, rows then x: the
+        # argmax of its flattened comparison, a mismatch when nonzero or
+        # when the first cell is one
+        bad = (held != target).reshape(len(nodes), -1)
+        first = bad.argmax(axis=1).tolist()
+        for node, f, at0 in zip(nodes, first, bad[:, 0].tolist()):
+            if f or at0:
+                r, x = divmod(f, n)
+                witness = Assignment(x=x, ys=tuple(ys[r].tolist()))
+                reports[node] = SatisfactionReport(
+                    False, witness, int(idx[r]) * n + x + 1)
+                undecided.discard(node)
+
     for lo in range(0, total, block):
         hi = min(total, lo + block)
-        pos = np.arange(lo, hi, dtype=np.int64)
-        idx = firsts[pos // inner] * inner + pos % inner
+        if inner == 1:
+            idx = heads[lo:hi]
+        else:
+            pos = np.arange(lo, hi, dtype=np.int64)
+            idx = heads[pos // inner] * inner + pos % inner
         ys = digits(idx, n, m)
         cols = ys.T[:, :, None] * n     # cols[t] = ys[:, t, None] * n
+        slots = min(len(undecided), max(1, _DECIDE_CELLS // ((hi - lo) * n)))
+        held = np.empty((slots, hi - lo, n), dtype=np.int64)
+        nodes: list[tuple[int, ...]] = []
         stack = [((), target)]
         while stack:
             prefix, comp = stack.pop()
             for node in children.get(prefix, ()):
                 if undecided.isdisjoint(under[node]):
                     continue
-                here = Rf[cols[node[-1]] + comp]
-                if node in undecided:
-                    bad = here != target
-                    if bad.any():
-                        r = int(np.argmax(bad.any(axis=1)))
-                        x = int(np.argmax(bad[r]))
-                        witness = Assignment(x=x, ys=tuple(ys[r].tolist()))
-                        reports[node] = SatisfactionReport(
-                            False, witness, int(idx[r]) * n + x + 1)
-                        undecided.discard(node)
+                if node not in undecided:
+                    here = Rf[cols[node[-1]] + comp]
+                else:
+                    if len(nodes) == slots:
+                        decide(held, nodes, ys, idx)
+                        held, nodes = np.empty_like(held), []
+                    # every index is in range; "clip" writes to out unbuffered
+                    here = Rf.take(cols[node[-1]] + comp,
+                                   out=held[len(nodes)], mode="clip")
+                    nodes.append(node)
                 stack.append((node, here))
+        if nodes:
+            decide(held[:len(nodes)], nodes, ys, idx)
         if not undecided:
             break
     for tau in undecided:

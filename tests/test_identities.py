@@ -8,13 +8,13 @@ from oracles import (full_order_scan, loop_satisfies, naive_group_exponent,
                      naive_inner_group, naive_is_medial, naive_satisfies,
                      orbit, relabelled, word_permutation_holds)
 from quandlehom.core import (group_exponent, inner_group, is_connected,
-                             is_medial, make_table, orbit_minima, product,
-                             quandle_type)
+                             is_medial, make_table, orbit_cycle_minima,
+                             orbit_minima, product, quandle_type)
 from quandlehom.identities import (_SCAN_CHUNK, Word, consecutive_type_bound,
                                    enumerate_words, forces_triviality,
                                    parse_word, satisfies, satisfies_all,
                                    scan, two_letter_universe)
-from quandlehom.constructions import (alexander_zn, dihedral,
+from quandlehom.constructions import (alexander_poly, alexander_zn, dihedral,
                                       enumerate_connected, trivial)
 from quandlehom.errors import EmptyWord, NonLetterCharacter
 from quandlehom.shell import corpus
@@ -247,14 +247,67 @@ def test_witness_beyond_the_first_orbit():
     assert is_medial(P2_Q6) is naive_is_medial(P2_Q6) is False
 
 
-# corpus, connected quandles, disconnected quandles, a rack that is not a
-# quandle, and a trivial quandle: the orbit-minimum scans must match the
-# full-order loops on every one of them
+# the permutation rack x*y = s(x) for s = (0 1)(2 3 4): no element is
+# idempotent, and every translation has cycles of two lengths
+PERMUTATION_RACK = make_table([[s] * 5 for s in (1, 0, 3, 4, 2)])
+
+# corpus, connected quandles, disconnected quandles, racks that are not
+# quandles, and a trivial quandle: the orbit- and cycle-minimum scans must
+# match the full-order loops on every one of them
 ORBIT_TABLES = (
     [X for _, X in corpus()]
     + [X for n in range(1, 6) for X in enumerate_connected(n)]
     + [dihedral(4), dihedral(6), alexander_zn(8, 3),
-       make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]), trivial(4), P2_Q6])
+       make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]), trivial(4), P2_Q6,
+       alexander_zn(13, 2), alexander_poly(2, (1, 1, 0, 1), (0, 1)),
+       dihedral(9), PERMUTATION_RACK])
+
+# the benchmark's census words, and every 3-letter word of length 4
+SWEEP_WORDS = ([parse_word("abab")]
+               + [w for k in (5, 6, 7)
+                  for w in enumerate_words(k, 2, "nontrivial_candidates")]
+               + enumerate_words(4, 3))
+
+
+@pytest.mark.parametrize("index", range(len(ORBIT_TABLES)))
+def test_cycle_minimum_scans_match_full_order(index):
+    """satisfies_all over the sweep words reports, field by field, what the
+    full-order loop reports, and is_medial what the n^4 loop says, on every
+    orbit table under its own labels and under one fixed relabelling."""
+    X = ORBIT_TABLES[index]
+    perm = list(range(X.order))
+    random.Random(index).shuffle(perm)
+    for Y in (X, relabelled(X, perm)):
+        got = [report_fields(rep) for rep in satisfies_all(Y, SWEEP_WORDS)]
+        assert got == [full_order_scan(Y, w) for w in SWEEP_WORDS], Y.rows
+        assert is_medial(Y) == naive_is_medial(Y), Y.rows
+
+
+def test_first_violation_off_the_second_translation_minima():
+    """On this relabelling of the type-2 connected quandle of order 6, the
+    first violation of ababab has y_2 = 4: least on its cycle of R_0, the
+    translation by y_1 = 0, but not on its cycle of R_1."""
+    Q = next(Q for Q in enumerate_connected(6) if quandle_type(Q) == 2)
+    Y = relabelled(Q, [4, 0, 5, 3, 1, 2])
+    assert orbit_cycle_minima(Y).tolist() == [0, 1, 2, 4]
+    assert Y.rows[2][1] == 4 and Y.rows[4][1] == 2      # (2 4) in R_1
+    rep = satisfies(Y, parse_word("ababab"))
+    assert report_fields(rep) == full_order_scan(Y, parse_word("ababab")) \
+        == (False, (1, (0, 4)), 26)
+
+
+def test_words_failing_at_different_rows_of_one_block():
+    """aaab first fails at letter tuple (0, 1) and aaaab at (0, 0) on
+    dihedral(9): one decision step holds both, and each reports its own
+    first violation, though both fail again later in the block."""
+    X = dihedral(9)
+    words = [parse_word("aaab"), parse_word("aaaab")]
+    got = [report_fields(rep) for rep in satisfies_all(X, words)]
+    assert got == [full_order_scan(X, w) for w in words] \
+        == [(False, (0, (0, 1)), 10), (False, (1, (0, 0)), 2)]
+    assert sum(product(X, x, [ys[t] for t in words[0].tau]) != x
+               for ys in itertools.product(range(9), repeat=2)
+               for x in range(9)) > 1
 
 
 @st.composite
@@ -330,20 +383,22 @@ def test_satisfies_all_on_shared_prefixes_and_duplicates(dih3, az52, gf4):
 
 
 def test_satisfies_all_across_scan_blocks():
-    """Order 47 with 3-letter words takes 2209 letter tuples per orbit
-    minimum against blocks of 1394: on alexander_zn(47, 46) the satisfied
-    words cross the block boundary beside words decided at once, and beside
-    the trivial quandle of order 44 the first violations of dihedral(3) lie
-    many blocks in."""
+    """On dihedral(61) the 3-letter words take 31 * 61 letter tuples, y_2 at
+    the 31 cycle minima of R_0, against blocks of 1074: the satisfied words
+    cross the block boundary beside words decided at once.  Order 47 keeps
+    its words to one block, and beside the trivial quandle of order 44,
+    where every y_2 is a cycle minimum, the first violations of dihedral(3)
+    lie many blocks in."""
     words = [parse_word(t) for t in
              ("abcabc", "abacbc", "aabbcc", "abcbca", "abab", "aabb",
               "abcacb", "aabbccaabbcc")]
-    assert 47 ** 2 > _SCAN_CHUNK // 47
-    for t in (5, 46):
-        assert_kernel_matches_the_loop(alexander_zn(47, t), words)
-    reps = satisfies_all(alexander_zn(47, 46), words)
-    assert {w.text for w, r in zip(words, reps) if r.satisfied} \
-        == {"abcabc", "aabbcc", "aabb", "aabbccaabbcc"}
+    assert len(orbit_cycle_minima(dihedral(61))) * 61 > _SCAN_CHUNK // 61
+    for X in (dihedral(61), alexander_zn(47, 5), alexander_zn(47, 46)):
+        assert_kernel_matches_the_loop(X, words)
+    for X in (dihedral(61), alexander_zn(47, 46)):
+        reps = satisfies_all(X, words)
+        assert {w.text for w, r in zip(words, reps) if r.satisfied} \
+            == {"abcabc", "aabbcc", "aabb", "aabbccaabbcc"}
     Y = disjoint_union(trivial(44), dihedral(3))
     assert_kernel_matches_the_loop(Y, words)
     reps = satisfies_all(Y, words)

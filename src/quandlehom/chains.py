@@ -5,7 +5,9 @@ generators with integer-span membership.
 A degree-n chain is a sparse integer combination of n-tuples.  Faces follow
 the rack convention: the plain face deletes entry h, the twisted face acts by
 *x_h on the first h-1 entries before deleting; the boundary is the
-alternating sum of their differences for h = 2..n.
+alternating sum of their differences for h = 2..n.  block_boundary forms
+every boundary in the package, for a block of chains given term by term as
+flat tuple indices; boundary takes one FormalChain through it.
 
 Subcomplex generators are held as arrays of flat tuple indices, built from
 the word's prefix products in whole-array gathers.  An identity span of
@@ -133,32 +135,6 @@ def face(X: QuandleTable, tup: Sequence[int], h: int, kind: str) -> tuple[int, .
     raise ValueError("kind must be 'd' or 'delta'")
 
 
-def boundary_of_tuple(X: QuandleTable, tup: Sequence[int]) -> dict:
-    """Boundary of a single basis tuple as a sparse term map."""
-    tup = tuple(tup)
-    n = len(tup)
-    out: dict = {}
-    for h in range(2, n + 1):
-        sign = 1 if h % 2 == 0 else -1
-        d = face(X, tup, h, "d")
-        out[d] = out.get(d, 0) + sign
-        dl = face(X, tup, h, "delta")
-        out[dl] = out.get(dl, 0) - sign
-    return {t: c for t, c in out.items() if c}
-
-
-def boundary(X: QuandleTable, chain: FormalChain) -> FormalChain:
-    """Linear extension of the alternating face sum; degree drops by one and
-    the degree-1 boundary is zero (empty sum)."""
-    if chain.degree < 1:
-        raise DegreeTooSmall("boundary needs degree >= 1")
-    out: dict = {}
-    for tup, coef in chain.terms.items():
-        for t, c in boundary_of_tuple(X, tup).items():
-            out[t] = out.get(t, 0) + coef * c
-    return FormalChain(chain.degree - 1, out)
-
-
 def face_indices(X: QuandleTable, idx: np.ndarray,
                  degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Every face of the degree-tuples at flat indices idx, with its sign in
@@ -182,6 +158,38 @@ def face_indices(X: QuandleTable, idx: np.ndarray,
     sign = (-1) ** np.arange(2, degree + 1)
     signs = np.stack([sign, -sign], axis=1)
     return faces, signs.reshape(signs.shape + (1,) * (tups.ndim - 1))
+
+
+def block_boundary(X: QuandleTable, chain: np.ndarray, idx: np.ndarray,
+                   coefs: np.ndarray, degree: int):
+    """The boundaries of a block of degree-chains given term by term, term
+    k being coefs[k] times the tuple at flat index idx[k] in chain chain[k]:
+    the nonzero entries as arrays (chain, face, coef), sorted by chain and
+    then by face, a flat (degree-1)-tuple index.  Sums are taken in coefs'
+    dtype, so an object array of Python ints stays exact at any size; chain
+    numbers must stay below 2^63 / n^(degree-1)."""
+    faces, signs = face_indices(X, idx, degree)
+    width = X.order ** (degree - 1)
+    keys = (np.asarray(chain, dtype=np.int64) * width + faces).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat((signs * np.asarray(coefs)).ravel()[order], start)
+    keep = sums != 0
+    return (*np.divmod(keys[start][keep], width), sums[keep])
+
+
+def boundary(X: QuandleTable, chain: FormalChain) -> FormalChain:
+    """Linear extension of the alternating face sum; degree drops by one and
+    the degree-1 boundary is zero (empty sum)."""
+    if chain.degree < 1:
+        raise DegreeTooSmall("boundary needs degree >= 1")
+    n, d = X.order, chain.degree
+    idx = np.array([tuple_index(t, n) for t in chain.terms], dtype=np.int64)
+    coefs = np.array(list(chain.terms.values()), dtype=object)
+    _, faces, sums = block_boundary(X, np.zeros_like(idx), idx, coefs, d)
+    return FormalChain(d - 1, dict(zip(
+        map(tuple, digits(faces, n, d - 1).tolist()), sums.tolist())))
 
 
 def prefix_products(X: QuandleTable, w: Word, lo: int = 0,
@@ -358,24 +366,32 @@ class GeneratorSet:
     @cached_property
     def basis(self) -> tuple[FormalChain, ...]:
         """The lattice's echelon basis as chains, in pivot order."""
-        return tuple(vector_chain(v, self.order, self.degree)
-                     for v in self.lattice.sparse_basis())
+        n, d = self.order, self.degree
+        return tuple(FormalChain(d, dict(zip(map(tuple, digits(
+            np.fromiter(vec, np.int64, len(vec)), n, d).tolist()),
+            vec.values()))) for vec in self.lattice.sparse_basis())
 
     @cached_property
     def _boundary(self):
-        # the boundary map of an identity span in the echelon bases, or the
-        # first basis chain whose boundary leaves the span one degree down
+        # the rack boundary of the whole echelon basis in one block, each
+        # column solved in the lower lattice (C_1 of the subcomplex is 0); or
+        # the first basis chain whose boundary leaves the span one degree down
+        basis = self.lattice.sparse_basis()
+        chain, face, coef = block_boundary(
+            self._table, np.repeat(np.arange(len(basis)), [*map(len, basis)]),
+            np.fromiter((i for vec in basis for i in vec), np.int64),
+            np.array([c for vec in basis for c in vec.values()], dtype=object),
+            self.degree)
         lower = self.lower
         row_basis = lower.basis if lower is not None else ()
         rows: list[dict[int, int]] = [{} for _ in row_basis]
-        for j, chain in enumerate(self.basis):
-            b = boundary(self._table, chain)
-            if lower is not None:
-                coords = lower.lattice.coordinates(chain_vector(b, self.order))
-            else:       # C_1 of the identity subcomplex is 0
-                coords = [] if b.is_zero() else None
+        ends = np.searchsorted(chain, np.arange(len(basis) + 1)).tolist()
+        for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            vec = dict(zip(face[lo:hi].tolist(), coef[lo:hi].tolist()))
+            coords = (None if vec else []) if lower is None \
+                else lower.lattice.coordinates(vec)
             if coords is None:
-                return chain
+                return self.basis[j]
             for i, c in enumerate(coords):
                 if c:
                     rows[i][j] = c
@@ -399,25 +415,6 @@ def tuple_index(tup: Sequence[int], order: int) -> int:
     for v in tup:
         idx = idx * order + v
     return idx
-
-
-def index_tuple(idx: int, order: int, degree: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(degree):
-        idx, r = divmod(idx, order)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def chain_vector(chain: FormalChain, order: int) -> dict[int, int]:
-    """The chain as a sparse {tuple_index: coefficient} vector."""
-    return {tuple_index(tup, order): coef for tup, coef in chain.terms.items()}
-
-
-def vector_chain(vec: dict[int, int], order: int, degree: int) -> FormalChain:
-    """The chain of a sparse {tuple_index: coefficient} vector."""
-    return FormalChain(degree, {index_tuple(idx, order, degree): coef
-                                for idx, coef in sorted(vec.items())})
 
 
 def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
@@ -506,4 +503,5 @@ def in_span(chain: FormalChain, gens: GeneratorSet) -> bool:
             f"chain degree {chain.degree} vs generators degree {gens.degree}")
     if chain.is_zero():
         return True
-    return gens.lattice.contains(chain_vector(chain, gens.order))
+    return gens.lattice.contains({tuple_index(tup, gens.order): coef
+                                  for tup, coef in chain.terms.items()})

@@ -341,19 +341,20 @@ def orbit_minima(X: QuandleTable) -> np.ndarray:
 
 def orbit_cycle_minima(X: QuandleTable) -> np.ndarray:
     """The pairs (a, b) as flat indices a*n + b, ascending: a the least of
-    its Inn-orbit, and b the least of its cycle of R_a where a*a = a, every
-    b where a*a != a.  The cycles come from :func:`cycle_labels`.
+    its Inn-orbit and b the least of its cycle of R_a.  The cycles come from
+    :func:`cycle_labels`.
 
-    Where a*a = a, R_a is an automorphism fixing a, so a set of tuples
-    closed under diagonal automorphisms meets (a, b, ...) with b least on
-    its R_a-cycle whenever it meets (a, b', ...) for some b' on that cycle.
+    In every rack R_(a*a) = R_a, as R_(x*y) = R_y R_x R_y^-1.  So when a
+    violation (a, b, ...) of a word identity or of mediality is mapped by
+    the automorphism R_a, and a is put back in place of a*a, it stays a
+    violation (the ``identities`` docstring and :func:`is_medial` say why)
+    with b one step on along its R_a-cycle.  So, whether or not a*a = a,
+    the violations with first entry a meet one with b least on its cycle.
     """
     n = X.order
     firsts = orbit_minima(X)
     label = cycle_labels(X.np_table.T[firsts])
-    least = label == np.arange(label.size).reshape(label.shape)
-    least |= (X.np_table[firsts, firsts] != firsts)[:, None]
-    row, b = np.nonzero(least)
+    row, b = np.nonzero(label == np.arange(label.size).reshape(label.shape))
     return firsts[row] * n + b
 
 
@@ -504,12 +505,13 @@ def is_medial(X: QuandleTable,
     Every element of Inn(X) is an automorphism of a rack, so the set of
     violating (x, y, u, v) is closed under the diagonal Inn action and meets
     the assignments with x an orbit minimum whenever it is nonempty.  Fix
-    such an x with x*x = x: R_x is an automorphism fixing x, so the
-    violations with this x are closed under R_x applied to y, u and v, and
-    one of them has y least on its cycle of R_x.  Where x*x != x, y keeps
-    its full range.  So (x, y) runs over ``orbit_cycle_minima`` only, u and
-    v over every element; the condition is decided per element, so a rack
-    that is not a quandle is scanned exactly.
+    such an x.  R_x maps a violation (x, y, u, v) to (x*x, y*x, u*x, v*x).
+    The map phi(a) = a*a is a bijection with phi(a)*b = phi(a*b), so
+    replacing x by phi(x) applies phi to both sides of the identity, and
+    (x, y*x, u*x, v*x) is a violation too: the violations with this x are
+    closed under R_x applied to y, u and v, and one of them has y least on
+    its cycle of R_x.  So (x, y) runs over ``orbit_cycle_minima`` only, u
+    and v over every element, in racks and quandles alike.
     """
     n = X.order
     if n > limit:

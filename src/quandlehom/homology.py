@@ -25,7 +25,7 @@ import numpy as np
 from .chains import (
     DEFAULT_SIZE_GUARD,
     FormalChain,
-    face_indices,
+    block_boundary,
     subcomplex_generators,
 )
 from .core import QuandleTable, cycle_labels, digits
@@ -120,19 +120,12 @@ def _tuple_boundary(X: QuandleTable, complex: str, degree: int,
     take = basis & _spanning_columns(X, tups) if spanning else basis
     columns = np.flatnonzero(take)
     position = (np.cumsum(basis) - 1)[take]
-    # a 1-tuple has the empty alternating sum as its boundary; coincident
-    # faces of one column cancel: sum on (column, face) keys, sorted
-    # column-major so that every row fills in increasing column order;
-    # keys stay below n^(2 degree - 1), within int64 for any matrix whose
-    # face array fits in memory
-    faces, signs = face_indices(X, columns, degree)
+    # a 1-tuple has the empty alternating sum as its boundary; entries come
+    # column-major, so every row fills in increasing column order
+    col, face, coefs = block_boundary(
+        X, np.arange(len(columns)), columns,
+        np.ones(len(columns), dtype=np.int64), degree)
     width = n ** (degree - 1)
-    keys, where = np.unique((np.arange(len(columns)) * width + faces).ravel(),
-                            return_inverse=True)
-    coefs = np.bincount(where, np.broadcast_to(signs, faces.shape).ravel(),
-                        len(keys)).astype(np.int64)
-    col, face = np.divmod(keys[coefs != 0], width)
-    coefs = coefs[coefs != 0]
     row_basis = _in_basis(digits(np.arange(width), n, degree - 1), complex)
     row = np.where(row_basis, np.cumsum(row_basis) - 1, -1)[face]
     outside = row < 0

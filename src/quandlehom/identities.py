@@ -11,12 +11,13 @@ assignments of x and the letter values, but scans only some of them:
 Lemma.  Every right translation of a rack is an automorphism (Joyce, JPAA
 23 (1982)), so the violating assignments form a union of diagonal
 Inn-orbits, and the least violation has y_1 at the minimum of its
-Inn-orbit.  Fix such a y_1 with y_1*y_1 = y_1.  R_(y_1) is an automorphism
-that fixes y_1, so the violations with this y_1 are closed under R_(y_1)
-applied to the other variables diagonally, and the least one has y_2
-least on its cycle of R_(y_1).  Where y_1*y_1 != y_1, y_2 keeps its full
-range; the condition is decided per element, so racks that are not
-quandles are scanned exactly.
+Inn-orbit.  Fix such a y_1.  In every rack R_(a*a) = R_a, and a word's
+value x*w depends on its letters only through their translations.  So
+applying R_(y_1) diagonally to a violation, and then putting y_1 back in
+place of y_1*y_1, gives a violation with the same y_1 and the other
+variables moved by R_(y_1): the least one has y_2 least on its cycle of
+R_(y_1).  This needs no y_1*y_1 = y_1, so racks that are not quandles are
+scanned exactly.
 
 So y_1 runs over the orbit minima, y_2 over those cycle minima
 (``core.orbit_cycle_minima``), and y_3..y_m and x over every element; the

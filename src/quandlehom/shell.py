@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import censusdata
-from .chains import (FormalChain, boundary, face_indices, format_chain,
+from .chains import (FormalChain, block_boundary, boundary, format_chain,
                      identity_cycle, identity_cycle_failures,
                      subcomplex_generators, tuple_index)
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
@@ -358,20 +358,6 @@ def reproduce_extension_checks() -> dict:
                     identity_preserving_space=(nonvanishing == 0))
 
 
-def _boundary_rows(X: QuandleTable, idx: np.ndarray, coefs: np.ndarray,
-                   degree: int) -> np.ndarray:
-    """The boundaries of the chains sum_j coefs[i, j] * (tuple idx[i, j]),
-    one chain per row of the degree-tuple indices idx, as the rows of a
-    dense matrix over every (degree-1)-tuple; every face of every row comes
-    from one ``face_indices`` call."""
-    faces, signs = face_indices(X, idx, degree)
-    width = X.order ** (degree - 1)
-    keys = np.arange(len(idx))[:, None] * width + faces
-    weights = np.broadcast_to(signs * coefs, faces.shape)
-    sums = np.bincount(keys.ravel(), weights.ravel(), len(idx) * width)
-    return sums.astype(np.int64).reshape(len(idx), width)
-
-
 def reproduce_boundary_checks(seed: int = 0, samples: int = 40) -> dict:
     """Randomized d(d(chain)) = 0 samples over the corpus, seeded: the
     chains of one table and degree are taken through both boundaries as
@@ -384,19 +370,18 @@ def reproduce_boundary_checks(seed: int = 0, samples: int = 40) -> dict:
     for name, X in corpus():
         n = X.order
         for degree in (2, 3, 4):
-            idx, coefs = [], []
-            for _ in range(samples // 4):
+            chain, idx, coefs = [], [], []
+            for c in range(samples // 4):
                 terms = {tuple(rng.randrange(n) for _ in range(degree)):
                          rng.randint(-3, 3) for _ in range(5)}
-                # a chain of fewer terms is padded with zero coefficients
-                pad = [0] * (5 - len(terms))
-                idx.append([tuple_index(t, n) for t in terms] + pad)
-                coefs.append(list(terms.values()) + pad)
-            first = _boundary_rows(X, np.array(idx), np.array(coefs), degree)
-            every = np.broadcast_to(np.arange(first.shape[1]), first.shape)
-            second = _boundary_rows(X, every, first, degree - 1)
-            failures += [(name, degree)] * int(second.any(axis=1).sum())
-            checked += len(idx)
+                chain += [c] * len(terms)
+                idx += [tuple_index(t, n) for t in terms]
+                coefs += terms.values()
+            first = block_boundary(X, np.array(chain), np.array(idx),
+                                   np.array(coefs), degree)
+            second = block_boundary(X, *first, degree - 1)
+            failures += [(name, degree)] * len(np.unique(second[0]))
+            checked += samples // 4
     return _section("boundary_squares_zero",
                     "pass" if not failures else "fail",
                     seed=seed, chains_checked=checked, failures=failures[:5])
@@ -421,16 +406,18 @@ def reproduce_subcomplex_checks() -> dict:
             for d in (2, 3):
                 low = gens.get(d - 1)
                 terms = gens[d].terms
-                rows, which = np.unique(
-                    _boundary_rows(X, terms, np.ones_like(terms), d),
-                    axis=0, return_inverse=True)
-                ok = []
-                for row in rows.tolist():
-                    vec = {j: v for j, v in enumerate(row) if v}
-                    ok.append(not vec if low is None
-                              else low.lattice.contains(vec))
-                bad = int(len(terms) - np.take(ok, which).sum())
-                failures += [(name, w.text, d)] * bad
+                chain, face, coef = block_boundary(
+                    X, np.repeat(np.arange(len(terms)), terms.shape[1]),
+                    terms.ravel(), np.ones(terms.size, dtype=np.int64), d)
+                ends = np.searchsorted(chain, np.arange(len(terms) + 1))
+                ok: dict = {}
+                for lo, hi in zip(ends.tolist(), ends[1:].tolist()):
+                    vec = tuple(zip(face[lo:hi].tolist(),
+                                    coef[lo:hi].tolist()))
+                    if vec not in ok:
+                        ok[vec] = not vec if low is None \
+                            else low.lattice.contains(dict(vec))
+                    failures += [(name, w.text, d)] * (not ok[vec])
                 checked += len(terms)
     return _section("subcomplex_closure", "pass" if not failures else "fail",
                     generators_checked=checked, failures=failures[:5])

@@ -18,8 +18,11 @@ right translation by a plain loop, not over a generating set's, and
 walk_cycle_lengths walks each cycle of a permutation, where the library
 doubles pointers over whole arrays.  orbit finds an Inn-orbit by
 breadth-first search, where the library propagates least labels.
-loop_boundary_matrix builds a tuple complex's boundary matrix tuple by
-tuple from boundary_of_tuple, where the library gathers whole face arrays;
+boundary_of_tuple is the alternating face sum of one tuple by a plain
+loop over the library's face, and loop_boundary extends it to a chain,
+where the library sums a block of chains' face arrays at once (chain_vector
+flattens a chain for the lattice); loop_boundary_matrix builds a tuple
+complex's boundary matrix tuple by tuple from boundary_of_tuple;
 full_boundary_homology eliminates every row and column of both boundary
 matrices, where homology forms a spanning set of columns and drops the rows
 that the unit pivots one degree down pair off;
@@ -43,9 +46,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from quandlehom.chains import (FormalChain, boundary, boundary_of_tuple,
-                               tuple_index)
 import numpy as np
+
+from quandlehom.chains import FormalChain, face, tuple_index
 
 from quandlehom.core import (Permutation, _shape_check, make_table,
                              orbit_minima, translate)
@@ -443,6 +446,32 @@ def relabelled(X, perm):
     return make_table(rows, require="rack")
 
 
+def boundary_of_tuple(X, tup):
+    """Boundary of a single basis tuple as a sparse term map, by the
+    alternating sum of its faces for h = 2..n."""
+    out = {}
+    for h in range(2, len(tup) + 1):
+        sign = 1 if h % 2 == 0 else -1
+        for kind, s in (("d", sign), ("delta", -sign)):
+            t = face(X, tup, h, kind)
+            out[t] = out.get(t, 0) + s
+    return {t: c for t, c in out.items() if c}
+
+
+def loop_boundary(X, chain):
+    """The boundary of a chain, tuple by tuple from boundary_of_tuple."""
+    out = {}
+    for tup, coef in chain.terms.items():
+        for t, c in boundary_of_tuple(X, tup).items():
+            out[t] = out.get(t, 0) + coef * c
+    return FormalChain(chain.degree - 1, out)
+
+
+def chain_vector(chain, order):
+    """The chain as a sparse {tuple_index: coefficient} vector."""
+    return {tuple_index(tup, order): coef for tup, coef in chain.terms.items()}
+
+
 def loop_boundary_matrix(X, complex, degree):
     """The rack, quandle or degenerate boundary matrix, one column tuple at
     a time: each term of boundary_of_tuple goes to the row of its face.  A
@@ -654,7 +683,7 @@ def loop_first_nonzero_pairing(X, phi, w):
 def loop_cycle_failures(X, w):
     """Every assignment whose identity chain has a nonzero boundary."""
     return [Assignment(x, ys) for x, ys in _assignments(X, w)
-            if not boundary(X, FormalChain(
+            if not loop_boundary(X, FormalChain(
                 2, naive_identity_cycle(X, w, x, ys))).is_zero()]
 
 

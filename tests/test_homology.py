@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (full_boundary_homology, kernel_basis,
                      lattice_cocycle_space, lattice_from_rows,
-                     loop_boundary_matrix, loop_identity_generators, mat_mul,
+                     loop_boundary, loop_boundary_matrix,
+                     loop_identity_generators, mat_mul,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
 from quandlehom.chains import (DEFAULT_SIZE_GUARD, FormalChain, _generators,
                                identity_cycle, subcomplex_generators)
@@ -19,7 +20,8 @@ from quandlehom.homology import (CocycleTable, HomologyGroup, _in_basis,
                                  boundary_matrix, coboundary,
                                  cocycle_condition_holds, cocycle_space,
                                  evaluate_cocycle, homology)
-from quandlehom.identities import Assignment, parse_word
+from quandlehom.identities import (Assignment, parse_word, satisfies_all,
+                                   two_letter_universe)
 from quandlehom.linalg import IntLattice, smith_normal_form
 from quandlehom.constructions import (alexander_zn, dihedral,
                                       enumerate_connected, trivial)
@@ -45,23 +47,31 @@ def test_boundary_matrix_rack_degree2(dih3):
         assert col == expect
 
 
-def test_boundary_matrix_identity_solvable(dih3):
-    aa = parse_word("aa")
-    bm = boundary_matrix(dih3, "identity", 3, word=aa)
-    assert bm.shape[1] > 0
-    # columns really are the boundaries in lattice coordinates
-    from quandlehom.chains import boundary, chain_vector, subcomplex_generators
-    gens2 = subcomplex_generators(dih3, "identity", 2, word=aa)
-    lat = gens2.lattice
-    basis = lat.sparse_basis()
-    for j, chain in enumerate(bm.col_basis):
-        b = boundary(dih3, chain)
-        vec = chain_vector(b, 3)
-        recon = [0] * lat.dim
-        for i, coef in enumerate(col(bm, j)):
-            for k, v in basis[i].items():
-                recon[k] += coef * v
-        assert sparse(recon) == vec
+def test_boundary_matrix_identity_solvable():
+    """On every corpus table of order <= 5, natural and under one
+    relabelling, with every satisfied word of two_letter_universe(4), at
+    degrees 2 and 3: each identity column, written out in the lower basis,
+    is the oracle boundary of its basis chain."""
+    words = two_letter_universe(4)
+    rng = random.Random(11)
+    checked = 0
+    for _, X in corpus():
+        if X.order > 5:
+            continue
+        for Y in (X, relabelled(X, rng.sample(range(X.order), X.order))):
+            for w, rep in zip(words, satisfies_all(Y, words)):
+                if not rep.satisfied:
+                    continue
+                for degree in (2, 3):
+                    bm = boundary_matrix(Y, "identity", degree, word=w)
+                    cols = [FormalChain.zero(degree - 1) for _ in bm.col_basis]
+                    for i, row in enumerate(bm.sparse_rows):
+                        for j, c in row.items():
+                            cols[j] = cols[j] + c * bm.row_basis[i]
+                    assert cols == [loop_boundary(Y, chain)
+                                    for chain in bm.col_basis], (Y.rows, w)
+                    checked += len(cols)
+    assert checked > 0
 
 
 BUILD_CELL_BUDGET = 100_000     # rows * cols; larger matrices are skipped

@@ -16,7 +16,7 @@ from quandlehom.identities import (_SCAN_CHUNK, Word, consecutive_type_bound,
                                    scan, two_letter_universe)
 from quandlehom.constructions import (alexander_poly, alexander_zn, dihedral,
                                       enumerate_connected, trivial)
-from quandlehom.errors import EmptyWord, NonLetterCharacter
+from quandlehom.errors import EmptyWord, NonLetterCharacter, QuandleError
 from quandlehom.shell import corpus
 
 
@@ -251,16 +251,44 @@ def test_witness_beyond_the_first_orbit():
 # idempotent, and every translation has cycles of two lengths
 PERMUTATION_RACK = make_table([[s] * 5 for s in (1, 0, 3, 4, 2)])
 
+
+def every_rack(n):
+    """Every rack on 0..n-1, its columns running over all permutations."""
+    out = []
+    for cols in itertools.product(itertools.permutations(range(n)), repeat=n):
+        try:
+            out.append(make_table([[c[x] for c in cols] for x in range(n)]))
+        except QuandleError:
+            pass
+    return out
+
+
+def twisted(X, pi):
+    """(x, s)*(y, t) = (x*y, pi(s)) on pairs (x, s) numbered x*k + s, for a
+    permutation pi of 0..k-1: a rack, where (x, s)*(x, s) != (x, s)
+    whenever pi(s) != s."""
+    k = len(pi)
+    return make_table([[X.rows[x][y] * k + pi[s] for y in range(X.order)
+                        for _ in range(k)]
+                       for x in range(X.order) for s in range(k)])
+
+
 # corpus, connected quandles, disconnected quandles, racks that are not
 # quandles, and a trivial quandle: the orbit- and cycle-minimum scans must
-# match the full-order loops on every one of them
+# match the full-order loops on every one of them; last come every rack of
+# order <= 3 and six twisted racks, 15 of these 22 not quandles
 ORBIT_TABLES = (
     [X for _, X in corpus()]
     + [X for n in range(1, 6) for X in enumerate_connected(n)]
     + [dihedral(4), dihedral(6), alexander_zn(8, 3),
        make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]), trivial(4), P2_Q6,
        alexander_zn(13, 2), alexander_poly(2, (1, 1, 0, 1), (0, 1)),
-       dihedral(9), PERMUTATION_RACK])
+       dihedral(9), PERMUTATION_RACK]
+    + [X for n in (1, 2, 3) for X in every_rack(n)]
+    + [twisted(dihedral(3), (1, 0)), twisted(dihedral(3), (1, 2, 0)),
+       twisted(trivial(2), (1, 2, 0)), twisted(trivial(3), (1, 0)),
+       twisted(make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]]), (1, 0)),
+       twisted(alexander_poly(2, (1, 1, 1), (0, 1)), (1, 0))])
 
 # the benchmark's census words, and every 3-letter word of length 4
 SWEEP_WORDS = ([parse_word("abab")]
@@ -281,6 +309,13 @@ def test_cycle_minimum_scans_match_full_order(index):
         got = [report_fields(rep) for rep in satisfies_all(Y, SWEEP_WORDS)]
         assert got == [full_order_scan(Y, w) for w in SWEEP_WORDS], Y.rows
         assert is_medial(Y) == naive_is_medial(Y), Y.rows
+
+
+def test_cycle_minima_without_idempotence():
+    """On the permutation rack every R_a is s = (0 1)(2 3 4) and no a has
+    a*a = a: b still runs over the cycle minima 0 and 2 of R_a only."""
+    assert orbit_cycle_minima(PERMUTATION_RACK).tolist() == [0, 2, 10, 12]
+    assert sum(not X.is_quandle for X in ORBIT_TABLES[-22:]) == 15
 
 
 def test_first_violation_off_the_second_translation_minima():

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import QuandleTable, digits
+from .core import QuandleTable, digits, is_medial
 from .errors import (
     DegreeMismatch,
     DegreeTooSmall,
@@ -259,10 +259,9 @@ def identity_cycle_failures(X: QuandleTable, w: Word) -> list[Assignment]:
 
 def medial_cycle(X: QuandleTable, x: int, y: int, u: int, v: int,
                  permissive: bool = False) -> FormalChain:
-    """[(x,y) + (x*y, u*v)] - [(x,u) + (x*u, y*v)]; a 2-cycle on medial tables."""
-    from .core import _medial_cached
-
-    if not permissive and not _medial_cached(X):
+    """[(x,y) + (x*y, u*v)] - [(x,u) + (x*u, y*v)]; a 2-cycle on medial tables,
+    checked by ``is_medial`` unless permissive."""
+    if not permissive and not is_medial(X):
         raise NotMedial("table is not medial")
     rows = X.rows
     out: dict = {}
@@ -447,10 +446,9 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     if kind == "identity" and word is not None:
         slots = degree if include_first_slot else degree - 1
         rows = slots * X.order ** (degree - 1 + word.letters)
-    if rows > size_guard:
-        raise SizeGuardExceeded(
-            rows, size_guard,
-            f"{rows} generator rows exceed the guard {size_guard}")
+    SizeGuardExceeded.check(
+        rows, size_guard,
+        f"{rows} generator rows exceed the guard {size_guard}")
     return _generators(X, kind, degree, word, include_first_slot)
 
 

@@ -1,7 +1,8 @@
 """Table generators: trivial, dihedral, affine (Alexander) over Z_n and over
 polynomial quotient rings, group-based constructions, the repeated-word
 family of connected affine quandles, and brute-force enumeration of small
-connected quandles up to isomorphism.
+connected quandles up to isomorphism, each capped at an order
+(SizeGuardExceeded) as it tries every permutation of the elements.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import numpy as np
 
 from .core import QuandleTable, cycle_lengths, is_connected, make_table
 from .errors import (
-    CapExceeded,
     NotAnAutomorphism,
     NotAUnit,
     NotPrime,
     PNotGreaterThanN,
     ReducibleModulusAllowed,
+    SizeGuardExceeded,
 )
 from .identities import Word
 
@@ -389,8 +390,7 @@ def burnside_family(m: int, n: int, p: int) -> QuandleTable:
 def canonical_form(X: QuandleTable, cap: int = CANONICAL_FORM_CAP) -> tuple:
     """Minimum relabeling of the flattened table; usable up to order cap."""
     n = X.order
-    if n > cap:
-        raise CapExceeded(f"canonical form capped at order {cap}")
+    SizeGuardExceeded.check(n, cap, f"canonical form capped at order {cap}")
     best = None
     rows = X.rows
     for perm in itertools.permutations(range(n)):
@@ -441,8 +441,7 @@ def enumerate_connected(order: int, cap: int = ENUMERATION_CAP) -> list[QuandleT
     the first column ranges over cycle-type representatives only; isomorph
     rejection is by minimal canonical relabeling.
     """
-    if order > cap:
-        raise CapExceeded(f"enumeration capped at order {cap}")
+    SizeGuardExceeded.check(order, cap, f"enumeration capped at order {cap}")
     if order < 1:
         raise ValueError("order must be >= 1")
     if order == 1:

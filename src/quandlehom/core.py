@@ -4,6 +4,9 @@ Elements are 0-based integers 0..n-1; ``table[x][y] = x*y``.  The operation is
 right distributive and every right translation ``R_y: x -> x*y`` (a column of
 the table) is a permutation.  Published matrices are 1-based; the shell module
 converts on load/emit.
+
+The Inn(X) closure and the mediality scan are capped by their element and
+cell counts (SizeGuardExceeded); only ``invariants`` turns a refusal to None.
 """
 
 from __future__ import annotations
@@ -11,23 +14,22 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    ClosureBudgetExceeded,
     ColumnNotBijective,
     IdempotencyFails,
     InnQuandleIllDefined,
     OutOfRangeEntry,
     SelfDistributivityFails,
+    SizeGuardExceeded,
     ValidationError,
 )
 
 DEFAULT_CLOSURE_CAP = 10**6
-MEDIALITY_SCAN_LIMIT = 64
+MEDIALITY_SCAN_GUARD = 1 << 24  # cells of the mediality scan, 64^4
 _AXIOM_BLOCK = 1 << 18          # cells per block of the distributivity check
 _CYCLE_BLOCK = 1 << 15          # cells per block of a cycle-length lcm
 
@@ -230,7 +232,7 @@ def make_table(rows: Sequence[Sequence[int]] | np.ndarray,
 @dataclass(frozen=True)
 class InvariantReport:
     """Scalar invariants of a table; None marks a field left uncomputed:
-    every one for a non-rack table, is_medial above its scan limit."""
+    every one for a non-rack table, is_medial where its scan is refused."""
 
     is_rack: bool
     is_quandle: bool
@@ -403,7 +405,7 @@ def inner_group(X: QuandleTable,
     frontier on the generating set alone, the keys are deduplicated with
     ``np.unique``, those already seen are dropped by ``searchsorted``, and
     only the new elements are composed in full.  A key is the byte string of
-    the int64 images.  ClosureBudgetExceeded is raised before a level would
+    the int64 images.  SizeGuardExceeded is raised before a level would
     take the element count past ``closure_cap``; the elements are sorted
     lexicographically at the end.
     """
@@ -436,8 +438,9 @@ def inner_group(X: QuandleTable,
         if not new.any():
             break
         fresh, first, at = fresh[new], first[new], at[new]
-        if len(seen) + len(fresh) > closure_cap:
-            raise ClosureBudgetExceeded(closure_cap)
+        SizeGuardExceeded.check(
+            len(seen) + len(fresh), closure_cap,
+            f"group closure exceeded the configured cap {closure_cap}")
         seen = np.insert(seen, at, fresh)
         g, f = np.divmod(first, len(frontier))
         frontier = gens[g[:, None], frontier[f]]
@@ -498,9 +501,9 @@ def is_faithful(X: QuandleTable) -> bool:
     return len({X.column(b) for b in range(X.order)}) == X.order
 
 
-def is_medial(X: QuandleTable,
-              limit: int = MEDIALITY_SCAN_LIMIT) -> Optional[bool]:
-    """Scan (x*y)*(u*v) == (x*u)*(y*v); None above the size limit.
+def is_medial(X: QuandleTable) -> bool:
+    """Scan (x*y)*(u*v) == (x*u)*(y*v); SizeGuardExceeded where the scan
+    would pass ``MEDIALITY_SCAN_GUARD`` cells, as on trivial(65).
 
     Every element of Inn(X) is an automorphism of a rack, so the set of
     violating (x, y, u, v) is closed under the diagonal Inn action and meets
@@ -514,13 +517,14 @@ def is_medial(X: QuandleTable,
     and v over every element, in racks and quandles alike.
     """
     n = X.order
-    if n > limit:
-        return None
+    rows = orbit_cycle_minima(X)
+    cells = len(rows) * n * n
+    SizeGuardExceeded.check(cells, MEDIALITY_SCAN_GUARD,
+                            f"{cells} mediality scan cells exceed the guard")
     T = X.np_table
     flat = T.reshape(-1)                       # flat[x*n+y] = x*y
     idx = np.arange(n * n)
     first, second = idx // n, idx % n
-    rows = orbit_cycle_minima(X)
     rows_per_chunk = max(1, (1 << 20) // max(1, n * n))   # ~1M cells a block
     for lo in range(0, len(rows), rows_per_chunk):
         r = rows[lo:lo + rows_per_chunk, None]
@@ -535,11 +539,15 @@ def is_medial(X: QuandleTable,
 def invariants(X: QuandleTable) -> InvariantReport:
     """Full invariant report for a validated table."""
     G = inner_group(X)
+    try:
+        medial = is_medial(X)
+    except SizeGuardExceeded:
+        medial = None
     return InvariantReport(
         is_rack=True,
         is_quandle=X.is_quandle,
         is_connected=is_connected(X),
-        is_medial=is_medial(X),
+        is_medial=medial,
         is_faithful=is_faithful(X),
         type=quandle_type(X),
         inn_order=G.order,
@@ -577,8 +585,3 @@ def inner_representation(X: QuandleTable) -> tuple[QuandleTable, tuple[int, ...]
                 raise InnQuandleIllDefined((a, b, rep_of[ia], rep_of[ib]))
     table = make_table(img, require="rack")
     return table, tuple(elem_to_idx)
-
-
-@lru_cache(maxsize=4096)
-def _medial_cached(X: QuandleTable) -> Optional[bool]:
-    return is_medial(X)

@@ -11,6 +11,21 @@ class QuandleError(Exception):
     """Base class for all library errors."""
 
 
+class SizeGuardExceeded(QuandleError):
+    """The one refusal of every size limit, raised by ``check`` before the
+    work: needed counts what the work would take, guard is the limit."""
+
+    def __init__(self, needed: int, guard: int, message: str = ""):
+        self.needed, self.guard = needed, guard
+        super().__init__(
+            message or f"{needed} basis tuples exceed the guard {guard}")
+
+    @classmethod
+    def check(cls, needed: int, guard: int, message: str = ""):
+        if needed > guard:
+            raise cls(needed, guard, message)
+
+
 # ---------------------------------------------------------------- validation
 
 class ValidationError(QuandleError):
@@ -50,12 +65,6 @@ class InnQuandleIllDefined(QuandleError):
             f"translation-image operation is ill defined, witness {witness}")
 
 
-class ClosureBudgetExceeded(QuandleError):
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"group closure exceeded the configured cap {cap}")
-
-
 # --------------------------------------------------------------------- words
 
 class WordError(QuandleError):
@@ -90,13 +99,6 @@ class NotMedial(QuandleError):
 
 class DegreeTooSmall(QuandleError):
     pass
-
-
-class SizeGuardExceeded(QuandleError):
-    def __init__(self, needed: int, guard: int, message: str = ""):
-        self.needed, self.guard = needed, guard
-        super().__init__(
-            message or f"{needed} basis tuples exceed the guard {guard}")
 
 
 class SubcomplexClosureViolated(QuandleError):
@@ -142,10 +144,6 @@ class PNotGreaterThanN(QuandleError):
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
         super().__init__(f"need prime p > n, got p = {p}, n = {n}")
-
-
-class CapExceeded(QuandleError):
-    pass
 
 
 class ReducibleModulusAllowed(UserWarning):

@@ -42,11 +42,6 @@ from .linalg import left_kernel_mod, smith_normal_form
 COMPLEXES = ("rack", "quandle", "degenerate", "identity")
 
 
-def _guard(n_basis: int, size_guard: int):
-    if n_basis > size_guard:
-        raise SizeGuardExceeded(n_basis, size_guard)
-
-
 def _in_basis(tups: np.ndarray, complex: str) -> np.ndarray:
     """Which tuples, one per row, lie in the lexicographic basis of one
     flavour: every tuple for rack, those with no two equal adjacent entries
@@ -114,7 +109,7 @@ def _tuple_boundary(X: QuandleTable, complex: str, degree: int,
     Spanning, only the columns of _spanning_columns are formed, each at its
     position in the whole basis."""
     n = X.order
-    _guard(n ** degree, size_guard)
+    SizeGuardExceeded.check(n ** degree, size_guard)
     tups = digits(np.arange(n ** degree), n, degree)
     basis = _in_basis(tups, complex)
     take = basis & _spanning_columns(X, tups) if spanning else basis
@@ -274,11 +269,10 @@ def homology(X: QuandleTable, complex: str, degree: int,
         raise IdempotencyFails(next(x for x in range(X.order)
                                     if X.rows[x][x] != x))
     cap = max_degree if max_degree is not None else _degree_cap(X.order)
-    if degree > cap:
-        raise SizeGuardExceeded(
-            degree, cap,
-            f"degree {degree} exceeds the degree cap {cap} for order "
-            f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
+    SizeGuardExceeded.check(
+        degree, cap,
+        f"degree {degree} exceeds the degree cap {cap} for order "
+        f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
     rows_n, dim = _spanning_boundary(X, complex, degree, word,
                                      include_first_slot, size_guard)
     rows_up, dim_up = _spanning_boundary(X, complex, degree + 1, word,
@@ -366,10 +360,9 @@ class CocycleSpace:
         """Every member, combos of generator coefficients in
         ``itertools.product`` order, a block of combos at a time as one
         matrix product with the stacked generators, mod d."""
-        if self.size > limit:
-            raise SizeGuardExceeded(
-                self.size, limit,
-                f"{self.size} cocycles exceed the members limit {limit}")
+        SizeGuardExceeded.check(
+            self.size, limit,
+            f"{self.size} cocycles exceed the members limit {limit}")
         n = self.base_order
         d = self.modulus
         g = len(self.generators)

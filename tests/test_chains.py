@@ -143,6 +143,17 @@ def test_medial_cycle_rejects_nonmedial():
     medial_cycle(CQ, 0, 1, 2, 3, permissive=True)
 
 
+def test_medial_cycle_above_order_64():
+    """Mediality is decided wherever its scan fits, so Z67 with t = 2 gets
+    its cycle; on trivial(65) the refused scan is raised, not read as
+    NotMedial, and permissive skips it."""
+    X = alexander_zn(67, 2)
+    assert boundary(X, medial_cycle(X, 0, 1, 2, 3)).is_zero()
+    with pytest.raises(SizeGuardExceeded):
+        medial_cycle(trivial(65), 0, 1, 2, 3)
+    assert medial_cycle(trivial(65), 0, 1, 2, 3, permissive=True).is_zero()
+
+
 def test_degenerate_generators(triv2):
     gs = subcomplex_generators(triv2, "degenerate", 2)
     assert sorted(c.support()[0] for c in gs.chains) == [(0, 0), (1, 1)]

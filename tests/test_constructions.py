@@ -14,9 +14,9 @@ from quandlehom.constructions import (PolyRing, alexander_poly, alexander_zn,
                                       generalized_alexander, make,
                                       repetition_polynomial, ring_element,
                                       affine_satisfies, trivial)
-from quandlehom.errors import (CapExceeded, NotAnAutomorphism, NotAUnit,
+from quandlehom.errors import (NotAnAutomorphism, NotAUnit,
                                NotPrime, PNotGreaterThanN,
-                               ReducibleModulusAllowed)
+                               ReducibleModulusAllowed, SizeGuardExceeded)
 
 
 def test_dihedral_table():
@@ -139,8 +139,12 @@ def test_alexander_always_medial():
 def test_enumerate_connected_counts():
     assert [len(enumerate_connected(n)) for n in range(1, 7)] == \
         [1, 0, 1, 1, 3, 2]
-    with pytest.raises(CapExceeded):
+    with pytest.raises(SizeGuardExceeded) as err:
         enumerate_connected(7)
+    assert (err.value.needed, err.value.guard) == (7, 6)
+    with pytest.raises(SizeGuardExceeded) as err:
+        canonical_form(trivial(9))
+    assert (err.value.needed, err.value.guard) == (9, 8)
 
 
 def test_enumerate_connected_members_are_connected_quandles():

@@ -15,11 +15,13 @@ from quandlehom.core import (Permutation, QuandleTable,
                              inner_group, inner_representation, invariants,
                              is_connected, is_medial, make_table, orbit,
                              product, quandle_type, translate, validate)
-from quandlehom.constructions import alexander_zn, conjugation
+from quandlehom.constructions import alexander_zn, conjugation, trivial
+from quandlehom.extensions import ExtensionSpec, extend
+from quandlehom.homology import CocycleTable
 from quandlehom.shell import corpus
-from quandlehom.errors import (ClosureBudgetExceeded, ColumnNotBijective,
-                               IdempotencyFails, OutOfRangeEntry,
-                               SelfDistributivityFails)
+from quandlehom.errors import (ColumnNotBijective, IdempotencyFails,
+                               OutOfRangeEntry, SelfDistributivityFails,
+                               SizeGuardExceeded)
 
 DIH3 = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
@@ -118,10 +120,12 @@ def test_inner_group_deterministic_order(dih3):
 
 
 def test_inner_group_budget(dih3):
-    """The cap bounds the element count: |Inn(R3)| = 6 exceeds 3 and 5, not 6."""
-    for cap in (3, 5):
-        with pytest.raises(ClosureBudgetExceeded):
+    """The cap bounds the element count: |Inn(R3)| = 6 exceeds 3 and 5, not 6.
+    R_0, R_1 generate; the levels reach 3, 5 and 6 elements."""
+    for cap, needed in ((3, 5), (5, 6)):
+        with pytest.raises(SizeGuardExceeded) as err:
             inner_group(dih3, closure_cap=cap)
+        assert (err.value.needed, err.value.guard) == (needed, cap)
     assert len(inner_group(dih3, closure_cap=6).images_array()) == 6
 
 
@@ -188,20 +192,42 @@ def test_alexander_always_medial():
         assert is_medial(alexander_zn(n, t)) is True
 
 
-def test_conjugation_quandle_of_s3_not_medial():
+def conjugation_s3():
     perms = sorted(itertools.permutations(range(3)))
     perms.remove((0, 1, 2))
     perms = [(0, 1, 2)] + perms
     idx = {p: i for i, p in enumerate(perms)}
     cayley = [[idx[tuple(p[q[i]] for i in range(3))] for q in perms]
               for p in perms]
-    CQ = conjugation(cayley)
+    return conjugation(cayley)
+
+
+def test_conjugation_quandle_of_s3_not_medial():
+    CQ = conjugation_s3()
     assert CQ.is_quandle
     assert is_medial(CQ) is False
 
 
-def test_is_medial_size_limit(dih3):
-    assert is_medial(dih3, limit=2) is None
+def test_is_medial_above_order_64():
+    """The scan is bounded by its cells, not by the order: Z67 with t = 2
+    scans 8,978 cells; Conj(S3) x Z11 with the zero cocycle is not medial,
+    as its quotient Conj(S3) is not."""
+    assert is_medial(alexander_zn(67, 2)) is True
+    zero = CocycleTable(11, ((0,) * 6,) * 6)
+    E = extend(ExtensionSpec(conjugation_s3(), 11, zero))
+    assert E.order == 66
+    assert is_medial(E) is False
+
+
+def test_is_medial_size_limit():
+    """A trivial table scans every (x, y) against every (u, v): trivial(64)
+    exactly 64^4 = 2^24 cells, the guard, and trivial(65) 65^4 cells, which
+    is refused and left uncomputed in the invariant report."""
+    assert is_medial(trivial(64)) is True
+    with pytest.raises(SizeGuardExceeded) as err:
+        is_medial(trivial(65))
+    assert (err.value.needed, err.value.guard) == (17_850_625, 16_777_216)
+    assert invariants(trivial(65)).is_medial is None
 
 
 def test_inner_representation_faithful(dih3):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quandlehom
+from quandlehom import chains
 from quandlehom.constructions import alexander_zn, dihedral
 from quandlehom.errors import MissingDataset, ParseError
 from quandlehom import shell
@@ -422,6 +423,26 @@ def test_reproduce_all_without_dataset_skips():
     assert by_name["identity_cycles"] == "pass"
     assert by_name["extension_identity"] == "pass"
     assert by_name["subcomplex_closure"] == "pass"
+
+
+def test_reproduce_boundary_checks_catch_a_flipped_twisted_face(monkeypatch):
+    """d(d(chain)) = 0 survives a flipped twisted-face sign; the idempotency
+    cycles (x, x) of the corpus quandles, 51 in all, do not."""
+    sec = shell.reproduce_boundary_checks()
+    assert sec["status"] == "pass"
+    assert sec["details"]["idempotency_cycles_checked"] == 51
+    face_indices = chains.face_indices
+
+    def flipped(X, idx, degree):
+        faces, signs = face_indices(X, idx, degree)
+        signs = signs.copy()
+        signs[:, 1] *= -1
+        return faces, signs
+
+    monkeypatch.setattr(chains, "face_indices", flipped)
+    sec = shell.reproduce_boundary_checks()
+    assert sec["status"] == "fail"
+    assert {kind for _, kind in sec["details"]["failures"]} == {"xx"}
 
 
 def test_reproduce_census_on_synthetic_dataset(tmp_path):

@@ -282,7 +282,7 @@ class GeneratorSet:
     degree >= 3 reaches the set one degree down (``lower``): its lattice is
     the lower lattice with each element appended, plus the generators whose
     letter slot is last, and its boundary map is written in the two echelon
-    bases once (``identity_boundary``).
+    bases once (``boundary_rows``).
     """
 
     order: int                      # element count of the underlying table
@@ -373,8 +373,9 @@ class GeneratorSet:
     @cached_property
     def _boundary(self):
         # the rack boundary of the whole echelon basis in one block, each
-        # column solved in the lower lattice (C_1 of the subcomplex is 0); or
-        # the first basis chain whose boundary leaves the span one degree down
+        # column solved in the lower lattice (C_1 of the subcomplex is 0):
+        # the rows and the column count, or the position in the basis of
+        # the first chain whose boundary leaves the span one degree down
         basis = self.lattice.sparse_basis()
         chain, face, coef = block_boundary(
             self._table, np.repeat(np.arange(len(basis)), [*map(len, basis)]),
@@ -382,31 +383,30 @@ class GeneratorSet:
             np.array([c for vec in basis for c in vec.values()], dtype=object),
             self.degree)
         lower = self.lower
-        row_basis = lower.basis if lower is not None else ()
-        rows: list[dict[int, int]] = [{} for _ in row_basis]
+        rows: list[dict[int, int]] = [
+            {} for _ in range(lower.lattice.rank if lower is not None else 0)]
         ends = np.searchsorted(chain, np.arange(len(basis) + 1)).tolist()
         for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
             vec = dict(zip(face[lo:hi].tolist(), coef[lo:hi].tolist()))
             coords = (None if vec else []) if lower is None \
                 else lower.lattice.coordinates(vec)
             if coords is None:
-                return self.basis[j]
+                return j
             for i, c in enumerate(coords):
                 if c:
                     rows[i][j] = c
-        return tuple(rows), row_basis, self.basis
+        return tuple(rows), len(basis)
 
-    def identity_boundary(self):
-        """(sparse rows, row basis, column basis) of the identity boundary
-        map from this degree down, in the echelon bases of the two spans;
-        built once per set.  Raises SubcomplexClosureViolated with the
+    def boundary_rows(self) -> tuple[tuple[dict[int, int], ...], int]:
+        """(sparse rows, column count) of the boundary map from this degree
+        down in the echelon bases ``basis`` and ``lower.basis``, built once
+        and shared: read-only.  Raises SubcomplexClosureViolated with the
         offending basis chain, on every call, when a boundary leaves the
         span one degree down."""
         out = self._boundary
-        if isinstance(out, FormalChain):
-            raise SubcomplexClosureViolated(out)
-        rows, row_basis, col_basis = out
-        return tuple(dict(r) for r in rows), row_basis, col_basis
+        if isinstance(out, int):
+            raise SubcomplexClosureViolated(self.basis[out])
+        return out
 
 
 def tuple_index(tup: Sequence[int], order: int) -> int:
@@ -433,8 +433,8 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     tuples or slots * n^(degree - 1 + letters) identity rows, exceed
     size_guard.
 
-    The result is cached per process, so the subcomplex command and the
-    identity boundary matrices share one GeneratorSet per span: its lattice
+    The result is cached per process, so the subcomplex command, identity
+    homology and boundary_matrix share one GeneratorSet per span: its lattice
     is eliminated once, from the lower span's basis at degree >= 3, and its
     boundary map is built once.  Treat it as read-only.
     """
@@ -494,8 +494,8 @@ def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
 def in_span(chain: FormalChain, gens: GeneratorSet) -> bool:
     """Integer-lattice membership of a chain in the span of a generator set,
     queried as a sparse vector against the set's cached lattice.  This is a
-    per-chain check; boundary_matrix decides closure of a whole subcomplex
-    degree on the lattice basis."""
+    per-chain check; GeneratorSet.boundary_rows decides closure of a whole
+    subcomplex degree on the lattice basis."""
     if chain.degree != gens.degree:
         raise DegreeMismatch(
             f"chain degree {chain.degree} vs generators degree {gens.degree}")

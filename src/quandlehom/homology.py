@@ -5,12 +5,14 @@ Four complexes share one interface: the full rack complex on all tuples, the
 quandle quotient (degenerate tuples projected out), the degeneracy subcomplex,
 and the identity subcomplex of a satisfied word (worked in lattice coordinates
 of the generated span, not its saturation, so torsion is preserved exactly).
+Every boundary is built as sparse rows and a column count by _boundary_rows.
 Homology and cocycles eliminate each tuple boundary on a spanning set of its
 columns, picked from the cycles of one right translation R_x0 (the lemma in
 homology's docstring): close to c/n of them, for R_x0 of c cycles on n
 elements, on the connected quandles measured.  boundary_matrix keeps every
-column.  A 2-cocycle space is Hom(coker d_3, Z_d), read off the same
-unit-pivot elimination of the rack boundary d_3 that its homology runs.
+column and alone forms bases.  A 2-cocycle space is Hom(coker d_3, Z_d),
+read off the same unit-pivot elimination of the rack boundary d_3 that its
+homology runs.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .core import QuandleTable, cycle_labels, digits
 from .errors import (
     DegreeMismatch,
     IdempotencyFails,
+    IdentityNotSatisfied,
     InvalidCocycle,
     SizeGuardExceeded,
     SubcomplexClosureViolated,
 )
-from .identities import Word
+from .identities import Word, satisfies_cached
 from .linalg import left_kernel_mod, smith_normal_form
 
 COMPLEXES = ("rack", "quandle", "degenerate", "identity")
@@ -102,16 +105,31 @@ class BoundaryMatrix:
                      for row in self.sparse_rows)
 
 
-def _tuple_boundary(X: QuandleTable, complex: str, degree: int,
-                    size_guard: int,
-                    spanning: bool = False) -> tuple[list[dict[int, int]], int]:
-    """The sparse rows of a tuple flavour's d_degree and its column count.
-    Spanning, only the columns of _spanning_columns are formed, each at its
-    position in the whole basis."""
+def _boundary_rows(X: QuandleTable, complex: str, degree: int,
+                   word: Optional[Word], include_first_slot: bool,
+                   size_guard: int,
+                   spanning: bool) -> tuple[Sequence[dict[int, int]], int]:
+    """The sparse rows of one flavour's d_degree and its column count;
+    identity rows are the span's own, so read-only.  Spanning, a tuple
+    flavour forms only the columns of _spanning_columns, at their positions
+    in the whole basis, where the lemma in homology's docstring holds."""
+    if complex not in COMPLEXES:
+        raise ValueError(f"complex must be one of {COMPLEXES}")
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if complex == "identity":
+        if word is None:
+            raise ValueError("identity complex needs a word")
+        if degree < 2:
+            return [], 0
+        return subcomplex_generators(X, "identity", degree, word,
+                                     include_first_slot,
+                                     size_guard).boundary_rows()
     n = X.order
     SizeGuardExceeded.check(n ** degree, size_guard)
     tups = digits(np.arange(n ** degree), n, degree)
     basis = _in_basis(tups, complex)
+    spanning = spanning and (complex != "degenerate" or X.is_quandle)
     take = basis & _spanning_columns(X, tups) if spanning else basis
     columns = np.flatnonzero(take)
     position = (np.cumsum(basis) - 1)[take]
@@ -142,36 +160,27 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
                     word: Optional[Word] = None,
                     include_first_slot: bool = False,
                     size_guard: int = DEFAULT_SIZE_GUARD) -> BoundaryMatrix:
-    """Boundary matrix of one complex flavor at one degree.
+    """Boundary matrix of one complex flavor at one degree, on every column
+    and with its bases; its rows are the caller's own copy.
 
     identity complexes are expressed in echelon lattice bases of the generated
     spans; integral solvability of every column is part of the construction
     and a failure raises SubcomplexClosureViolated with the offending chain,
     as a degenerate tuple whose boundary leaves the degenerate tuples does.
-    The subcomplex command decides closure by this construction.
     """
-    if complex not in COMPLEXES:
-        raise ValueError(f"complex must be one of {COMPLEXES}")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if complex == "identity":
-        if word is None:
-            raise ValueError("identity complex needs a word")
-        if degree < 2:
-            return BoundaryMatrix(complex="identity", degree=degree,
-                                  sparse_rows=(), row_basis=(), col_basis=())
-        # built once per span and kept on its cached GeneratorSet
-        rows, row_basis, col_basis = subcomplex_generators(
-            X, "identity", degree, word, include_first_slot,
-            size_guard).identity_boundary()
-        return BoundaryMatrix(complex="identity", degree=degree,
-                              sparse_rows=rows, row_basis=row_basis,
-                              col_basis=col_basis)
-    rows, _ = _tuple_boundary(X, complex, degree, size_guard)
+    rows, _ = _boundary_rows(X, complex, degree, word, include_first_slot,
+                             size_guard, spanning=False)
+    row_basis = col_basis = ()
+    if complex != "identity":
+        row_basis, col_basis = (_tuple_basis(X.order, d, complex)
+                                for d in (degree - 1, degree))
+    elif degree >= 2:
+        gens = subcomplex_generators(X, "identity", degree, word,
+                                     include_first_slot, size_guard)
+        row_basis, col_basis = getattr(gens.lower, "basis", ()), gens.basis
     return BoundaryMatrix(complex=complex, degree=degree,
-                          sparse_rows=tuple(rows),
-                          row_basis=_tuple_basis(X.order, degree - 1, complex),
-                          col_basis=_tuple_basis(X.order, degree, complex))
+                          sparse_rows=tuple(map(dict, rows)),
+                          row_basis=row_basis, col_basis=col_basis)
 
 
 @dataclass(frozen=True)
@@ -203,22 +212,6 @@ def _degree_cap(order: int) -> int:
     return 2
 
 
-def _spanning_boundary(X: QuandleTable, complex: str, degree: int,
-                       word: Optional[Word], include_first_slot: bool,
-                       size_guard: int) -> tuple[Sequence[dict[int, int]], int]:
-    """The sparse rows of d_degree on columns that span its image, as
-    homology's docstring sets out, and its column count.  A bad flavour or
-    degree goes to boundary_matrix, which rejects it."""
-    if complex in ("rack", "quandle", "degenerate") and degree >= 1:
-        return _tuple_boundary(X, complex, degree, size_guard,
-                               spanning=complex != "degenerate"
-                               or X.is_quandle)
-    bm = boundary_matrix(X, complex, degree, word=word,
-                         include_first_slot=include_first_slot,
-                         size_guard=size_guard)
-    return bm.sparse_rows, len(bm.col_basis)
-
-
 def homology(X: QuandleTable, complex: str, degree: int,
              word: Optional[Word] = None,
              include_first_slot: bool = False,
@@ -246,10 +239,10 @@ def homology(X: QuandleTable, complex: str, degree: int,
     is unchanged, and a +-1 pivot among the kept columns is a unit pivot of
     d_k itself; columns keep their positions in the whole basis, so the
     unit columns of d_n index the rows of d_{n+1}.  The identity flavour
-    is built on every column, and so are the degenerate tuples of a rack
-    that is not a quandle, which are no subcomplex: the build raises
-    SubcomplexClosureViolated at the first column whose boundary leaves
-    them, as boundary_matrix does.
+    is built on every column, in the echelon bases of its spans, and so are
+    the degenerate tuples of a rack that is not a quandle, which are no
+    subcomplex: the build raises SubcomplexClosureViolated at the first
+    column whose boundary leaves them, as boundary_matrix does.
 
     Free rank is dim - rank(d_n) - rank(d_{n+1}); torsion is the nontrivial
     invariant factors of d_{n+1}, taken on the rows of d_{n+1} that the unit
@@ -263,20 +256,23 @@ def homology(X: QuandleTable, complex: str, degree: int,
     the non-unit invariant factors of d_{n+1}[Q',:], whose rank is that of
     d_{n+1}.  The quandle flavour is a quotient complex only on a quandle,
     so a rack that is not one raises IdempotencyFails at its least x with
-    x*x != x.
+    x*x != x; an identity word that X fails raises IdentityNotSatisfied.
     """
     if complex == "quandle" and not X.is_quandle:
         raise IdempotencyFails(next(x for x in range(X.order)
                                     if X.rows[x][x] != x))
+    if complex == "identity" and word is not None \
+            and not satisfies_cached(X, word):
+        raise IdentityNotSatisfied(word)
     cap = max_degree if max_degree is not None else _degree_cap(X.order)
     SizeGuardExceeded.check(
         degree, cap,
         f"degree {degree} exceeds the degree cap {cap} for order "
         f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
-    rows_n, dim = _spanning_boundary(X, complex, degree, word,
-                                     include_first_slot, size_guard)
-    rows_up, dim_up = _spanning_boundary(X, complex, degree + 1, word,
-                                         include_first_slot, size_guard)
+    rows_n, dim = _boundary_rows(X, complex, degree, word,
+                                 include_first_slot, size_guard, True)
+    rows_up, dim_up = _boundary_rows(X, complex, degree + 1, word,
+                                     include_first_slot, size_guard, True)
     snf_n = smith_normal_form(rows_n, dim)
     snf_up = smith_normal_form([row for i, row in enumerate(rows_up)
                                 if i not in snf_n.unit_columns], dim_up)
@@ -405,8 +401,8 @@ def cocycle_space(X: QuandleTable, modulus: int,
     n = X.order
     # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
     # cocycles only when X is a quandle
-    rows, width = _tuple_boundary(X, "rack", 3, DEFAULT_SIZE_GUARD,
-                                  spanning=True)
+    rows, width = _boundary_rows(X, "rack", 3, None, False,
+                                 DEFAULT_SIZE_GUARD, True)
     if mode == "quandle":
         for x in range(n):
             rows[x * n + x][width + x] = 1

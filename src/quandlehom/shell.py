@@ -23,15 +23,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import censusdata
-from .chains import (FormalChain, block_boundary, boundary, format_chain,
-                     identity_cycle, identity_cycle_failures,
+from .chains import (DEFAULT_SIZE_GUARD, FormalChain, block_boundary, boundary,
+                     format_chain, identity_cycle, identity_cycle_failures,
                      subcomplex_generators, tuple_index)
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
 from .errors import (InvalidCocycle, MissingDataset, ParseError, QuandleError,
                      SubcomplexClosureViolated, WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
-from .homology import (CocycleTable, boundary_matrix, cocycle_space,
+from .homology import (CocycleTable, _boundary_rows, cocycle_space,
                        homology)
 from .identities import (Assignment, ScanReport, Word, enumerate_words,
                          parse_word, satisfies_all, scan, two_letter_universe)
@@ -186,6 +186,12 @@ def corpus() -> list[tuple[str, QuandleTable]]:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _dataset_digests(directory: Optional[str]) -> dict:
+    """The digest of every file in a --dataset directory, by path."""
+    return {str(p): _sha256(p) for p in sorted(Path(directory).iterdir())
+            if p.is_file()} if directory else {}
 
 
 # ------------------------------------------------------------------ sections
@@ -683,7 +689,8 @@ def _run_scan(args):
         "counts": list(rep.counts),
         "satisfied_by": {w.text: rep.satisfied_by(j)
                          for j, w in enumerate(rep.words)},
-    }, True, {f: _sha256(Path(f)) for f in args.tables}
+    }, True, {**_dataset_digests(args.dataset),
+              **{f: _sha256(Path(f)) for f in args.tables}}
 
 
 def _run_cycle(args):
@@ -705,9 +712,10 @@ def _run_subcomplex(args):
     table, digests = _load_table(args)
     word = _word_arg(args.word) if args.word else None
     gens = subcomplex_generators(table, args.kind, args.degree, word=word)
-    # the boundary matrix solves each basis boundary one degree down
+    # the boundary build solves each basis boundary one degree down
     try:
-        boundary_matrix(table, args.kind, args.degree, word=word)
+        _boundary_rows(table, args.kind, args.degree, word, False,
+                       DEFAULT_SIZE_GUARD, spanning=False)
         closure_ok = True
     except SubcomplexClosureViolated:
         closure_ok = False
@@ -753,14 +761,9 @@ def _run_extend(args):
 
 def _run_reproduce(args):
     code, sections = run_reproduce(args.target, args.dataset,
-                                   convention=args.convention,
-                                   seed=args.seed)
-    digests = {}
-    if args.dataset:
-        digests = {str(p): _sha256(p)
-                   for p in sorted(Path(args.dataset).iterdir())
-                   if p.is_file()}
-    return {"sections": sections}, code == EXIT_OK, digests
+                                   convention=args.convention, seed=args.seed)
+    return {"sections": sections}, code == EXIT_OK, \
+        _dataset_digests(args.dataset)
 
 
 def _read_cayley(path: str) -> list[list[int]]:

@@ -474,7 +474,7 @@ def test_order7_degree3_spans_do_not_depend_on_labels(X, text, rank):
     for T in tables:
         gs = subcomplex_generators(T, "identity", 3, word=w)
         assert gs.lattice.rank == rank
-        gs.identity_boundary()       # raises when closure fails
+        gs.boundary_rows()           # raises when closure fails
         h2 = homology(T, "identity", 2, word=w)
         assert (h2.free_rank, h2.torsion) == (1, ())
         chains, _ = loop_identity_generators(T, w, 3)

@@ -15,8 +15,8 @@ from oracles import (full_boundary_homology, kernel_basis,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
 from quandlehom.chains import (DEFAULT_SIZE_GUARD, FormalChain, _generators,
                                identity_cycle, subcomplex_generators)
-from quandlehom.homology import (CocycleTable, HomologyGroup, _in_basis,
-                                 _spanning_columns, _tuple_boundary,
+from quandlehom.homology import (CocycleTable, HomologyGroup, _boundary_rows,
+                                 _in_basis, _spanning_columns,
                                  boundary_matrix, coboundary,
                                  cocycle_condition_holds, cocycle_space,
                                  evaluate_cocycle, homology)
@@ -27,7 +27,8 @@ from quandlehom.constructions import (alexander_zn, dihedral,
                                       enumerate_connected, trivial)
 from quandlehom.core import digits, inner_group, make_table
 from quandlehom.errors import DegreeMismatch, IdempotencyFails, \
-    InvalidCocycle, SizeGuardExceeded, SubcomplexClosureViolated
+    IdentityNotSatisfied, InvalidCocycle, SizeGuardExceeded, \
+    SubcomplexClosureViolated
 from quandlehom.shell import corpus
 
 
@@ -267,8 +268,8 @@ def test_spanning_columns_generate_the_image():
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, flavour)
         keep = set(np.flatnonzero(_spanning_columns(X, tups)[basis]).tolist())
-        rows, dim = _tuple_boundary(X, flavour, degree, DEFAULT_SIZE_GUARD,
-                                    spanning=True)
+        rows, dim = _boundary_rows(X, flavour, degree, None, False,
+                                   DEFAULT_SIZE_GUARD, spanning=True)
         assert dim == len(full.col_basis)
         assert rows == [{j: c for j, c in row.items() if j in keep}
                         for row in full.sparse_rows]
@@ -692,6 +693,68 @@ def test_identity_boundary_is_built_once_and_a_violation_raises_each_call():
             boundary_matrix(rack, "identity", 2, word=w)
         assert exc.value.chain in subcomplex_generators(
             rack, "identity", 2, word=w).basis
+
+
+def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
+    """boundary_matrix's rows are copies of the builder's full rows, and the
+    builder's spanning rows are the full rows on the spanning columns, at
+    their whole-basis positions: every tuple flavour at degrees 1..4 on R3,
+    Z5_2 and the permutation rack, where a degenerate build that leaves the
+    subcomplex raises on the same chain every way, and the identity flavour
+    on (R3, aa) and (Z5_2, aaaa) at degrees 2..3, which spans every
+    column."""
+    rack = make_table(PERMUTATION_RACK, require="rack")
+    cases = [(X, flavour, degree, None)
+             for X in (dihedral(3), alexander_zn(5, 2), rack)
+             for flavour in ("rack", "quandle", "degenerate")
+             for degree in range(1, 5)]
+    cases += [(X, "identity", degree, parse_word(text))
+              for X, text in ((dihedral(3), "aa"),
+                              (alexander_zn(5, 2), "aaaa"))
+              for degree in (2, 3)]
+    raised = 0
+    for X, flavour, degree, word in cases:
+        def build(spanning):
+            return _boundary_rows(X, flavour, degree, word, False,
+                                  DEFAULT_SIZE_GUARD, spanning)
+        try:
+            bm = boundary_matrix(X, flavour, degree, word=word)
+        except SubcomplexClosureViolated as exc:
+            for spanning in (False, True):
+                with pytest.raises(SubcomplexClosureViolated) as again:
+                    build(spanning)
+                assert again.value.chain == exc.chain
+            raised += 1
+            continue
+        rows, dim = build(False)
+        assert bm.sparse_rows == tuple(rows) and dim == len(bm.col_basis)
+        assert len(rows) == len(bm.row_basis)
+        assert not any(a is b for a, b in zip(bm.sparse_rows, rows))
+        keep = set(range(dim))
+        if flavour != "identity" and (flavour != "degenerate"
+                                      or X.is_quandle):
+            n = X.order
+            tups = digits(np.arange(n ** degree), n, degree)
+            keep = set(np.flatnonzero(
+                _spanning_columns(X, tups)[_in_basis(tups, flavour)]).tolist())
+        span_rows, span_dim = build(True)
+        assert span_dim == dim, (X.rows, flavour, degree)
+        assert list(span_rows) == [{j: c for j, c in row.items() if j in keep}
+                                   for row in rows], (X.rows, flavour, degree)
+    assert raised == 3          # the permutation rack's degenerate d_2..d_4
+
+
+def test_identity_homology_of_an_unsatisfied_word_raises():
+    """The identity flavour is a subcomplex only for a satisfied word; the
+    permissive builds still reach the closure violation."""
+    X = dihedral(3)
+    w = parse_word("abab")
+    for degree in (1, 2):
+        with pytest.raises(IdentityNotSatisfied) as exc:
+            homology(X, "identity", degree, word=w)
+        assert exc.value.word == w
+    with pytest.raises(SubcomplexClosureViolated):
+        boundary_matrix(X, "identity", 2, word=w)
 
 
 def _peak_mib(fn):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -242,6 +243,49 @@ def test_cli_subcomplex_degenerate_closure_on_a_rack(tmp_path):
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 1, err.decode()
     assert json.loads(out)["results"]["boundary_in_lower_span"] is False
+
+
+def test_homology_and_subcomplex_build_no_bases(tmp_path, monkeypatch):
+    """Homology, identity included, and the subcomplex command of both
+    kinds read each boundary's rows and column count alone: with the
+    echelon chains of every span and the tuple bases made to raise, each
+    answers as before."""
+    d3, perm = tmp_path / "d3.txt", tmp_path / "perm3.txt"
+    d3.write_text(DIH3_TEXT)
+    perm.write_text("3\n2 2 2\n3 3 3\n1 1 1\n")
+    argvs = [["homology", str(d3), "--complex", "identity", "--word", "aa",
+              "--degree", degree] for degree in ("2", "3")]
+    argvs += [["homology", str(d3), "--complex", "quandle", "--degree", "2"],
+              ["subcomplex", str(d3), "--word", "aa", "--degree", "3"],
+              ["subcomplex", str(d3), "--kind", "degenerate", "--degree", "3"],
+              ["subcomplex", str(perm), "--kind", "degenerate",
+               "--degree", "2"]]
+    want = [run_cli(argv) for argv in argvs]
+    assert [code for code, _ in want] == [0, 0, 0, 0, 0, 1]
+
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    chains._generators.cache_clear()
+    monkeypatch.setattr(chains.GeneratorSet, "basis", property(refuse))
+    monkeypatch.setattr(sys.modules["quandlehom.homology"], "_tuple_basis",
+                        refuse)
+    assert [run_cli(argv) for argv in argvs] == want
+
+
+def test_identity_homology_of_an_unsatisfied_word_fails_its_check(tmp_path):
+    """As the cycle command does: one error line naming the identity, exit
+    1."""
+    path = tmp_path / "d3.txt"
+    path.write_text(DIH3_TEXT)
+    proc = _module_cli(["homology", str(path), "--complex", "identity",
+                        "--word", "abab", "--degree", "1"],
+                       stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err.decode() == \
+        "error: table does not satisfy the identity xabab = x\n"
 
 
 @pytest.mark.parametrize("args, code, message", [
@@ -529,3 +573,23 @@ def test_cli_scan_dataset_flag(tmp_path):
     rep = json.loads(out)
     assert rep["results"]["counts"] == [1]
     assert rep["results"]["satisfied_by"]["abab"] == ["Q_5_2.txt"]
+
+
+def test_cli_scan_dataset_digests_every_file(tmp_path):
+    """scan --dataset records the digest of every dataset file, as
+    reproduce --dataset does, besides those of the table files."""
+    d = tmp_path / "mini"
+    d.mkdir()
+    (d / "Q_3_1.txt").write_text(emit(dihedral(3)))
+    (d / "Q_5_2.txt").write_text(emit(alexander_zn(5, 2)))
+    table = tmp_path / "d3.txt"
+    table.write_text(DIH3_TEXT)
+    files = [d / "Q_3_1.txt", d / "Q_5_2.txt", table]
+    want = {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    code, out = run_cli(["scan", "--dataset", str(d), str(table),
+                         "--word", "abab", "--json"])
+    assert code == 0
+    assert json.loads(out)["inputs"] == want
+    code, out = run_cli(["reproduce", "types", "--dataset", str(d), "--json"])
+    assert json.loads(out)["inputs"] == {str(f): want[str(f)]
+                                         for f in files[:2]}

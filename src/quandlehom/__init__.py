@@ -59,10 +59,12 @@ from .chains import (
 from .linalg import IntLattice, SmithForm, smith_normal_form
 from .homology import (
     BoundaryMatrix,
+    ChainComplex,
     CocycleSpace,
     CocycleTable,
     HomologyGroup,
     boundary_matrix,
+    chain_complex,
     coboundary,
     cocycle_condition_holds,
     cocycle_space,

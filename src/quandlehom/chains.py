@@ -290,7 +290,6 @@ class GeneratorSet:
     kind: str                       # "degenerate" | "identity"
     word: Optional[Word]
     _table: QuandleTable = field(repr=False)
-    _first_slot: bool = field(repr=False)
     terms: np.ndarray = field(repr=False)       # generators x terms
     _sources: np.ndarray = field(repr=False)    # enumeration row per generator
 
@@ -321,8 +320,7 @@ class GeneratorSet:
         m = self.word.letters
         slot, row = np.divmod(self._sources, n ** (d - 1 + m))
         xs, ys = np.divmod(row, n ** m)
-        lo = 0 if self._first_slot else 1
-        return tuple((j + lo, tuple(x), tuple(y)) for j, x, y in zip(
+        return tuple((j + 1, tuple(x), tuple(y)) for j, x, y in zip(
             slot.tolist(), digits(xs, n, d - 1).tolist(),
             digits(ys, n, m).tolist()))
 
@@ -333,7 +331,7 @@ class GeneratorSet:
         if self.kind != "identity" or self.degree == 2:
             return None
         return _generators(self._table, "identity", self.degree - 1,
-                           self.word, self._first_slot)
+                           self.word)
 
     @cached_property
     def lattice(self) -> IntLattice:
@@ -352,8 +350,7 @@ class GeneratorSet:
                     lat.add({i * n + z: v for i, v in vec.items()})
             # the slot-last generators come from the last slot's block of
             # n^(degree-1+letters) enumeration rows
-            slots = self.degree - (1 if self._first_slot else 2)
-            rows = rows[self._sources >= slots * n ** (
+            rows = rows[self._sources >= (self.degree - 2) * n ** (
                 self.degree - 1 + self.word.letters)]
         for row in rows.tolist():
             vec: dict = {}
@@ -418,19 +415,17 @@ def tuple_index(tup: Sequence[int], order: int) -> int:
 
 def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
                           word: Optional[Word] = None,
-                          include_first_slot: bool = False,
                           size_guard: int = DEFAULT_SIZE_GUARD) -> GeneratorSet:
     """Generators of the degeneracy or identity subcomplex at one degree.
 
     For the identity kind, the distinguished letter slot sits at positions
     2..degree (j = 1..degree-1 prefix entries are pushed through the prefix
-    products); include_first_slot adds the j = 0 variant where the slot is the
-    first entry.  The generators come in the order (j, xs, ys), each
+    products).  The generators come in the order (j, xs, ys), each
     lexicographic, with a chain equal to an earlier one left out.  They are
     built as whole arrays of term indices from the word's prefix products;
     chains and provenance are formed on first access.  SizeGuardExceeded
     is raised before any is built when the rows to enumerate, n^degree
-    tuples or slots * n^(degree - 1 + letters) identity rows, exceed
+    tuples or (degree - 1) * n^(degree - 1 + letters) identity rows, exceed
     size_guard.
 
     The result is cached per process, so the subcomplex command, identity
@@ -444,23 +439,22 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     # (slot, entries, letters)
     rows = X.order ** degree
     if kind == "identity" and word is not None:
-        slots = degree if include_first_slot else degree - 1
-        rows = slots * X.order ** (degree - 1 + word.letters)
+        rows = (degree - 1) * X.order ** (degree - 1 + word.letters)
     SizeGuardExceeded.check(
         rows, size_guard,
         f"{rows} generator rows exceed the guard {size_guard}")
-    return _generators(X, kind, degree, word, include_first_slot)
+    return _generators(X, kind, degree, word)
 
 
 @lru_cache(maxsize=512)
-def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
-                include_first_slot: bool) -> GeneratorSet:
+def _generators(X: QuandleTable, kind: str, degree: int,
+                word: Optional[Word]) -> GeneratorSet:
     # called with every argument positional, so each span has one cache key
     n = X.order
     if kind == "degenerate":
         tups = digits(np.arange(n ** degree), n, degree)
         keep = np.flatnonzero((tups[:, 1:] == tups[:, :-1]).any(axis=1))
-        return GeneratorSet(n, degree, "degenerate", None, X, False,
+        return GeneratorSet(n, degree, "degenerate", None, X,
                             keep[:, None], keep)
     if kind != "identity":
         raise ValueError("kind must be 'degenerate' or 'identity'")
@@ -475,7 +469,7 @@ def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
     xs = digits(free, n, degree - 1)
     weight = n ** np.arange(degree - 1, -1, -1)
     blocks = []
-    for j in range(0 if include_first_slot else 1, degree):
+    for j in range(1, degree):
         # term i of (j, xs, ys): (prefix_i of xs[:j], letter i, xs[j:]) as
         # a flat index, for every xs (rows) and ys (columns)
         idx = (letter[:, None, :] * weight[j]
@@ -487,8 +481,7 @@ def _generators(X: QuandleTable, kind: str, degree: int, word: Optional[Word],
     # a generator is the multiset of its terms: keep first occurrences
     _, first = np.unique(np.sort(terms, axis=1), axis=0, return_index=True)
     first.sort()
-    return GeneratorSet(n, degree, "identity", word, X, include_first_slot,
-                        terms[first], first)
+    return GeneratorSet(n, degree, "identity", word, X, terms[first], first)
 
 
 def in_span(chain: FormalChain, gens: GeneratorSet) -> bool:

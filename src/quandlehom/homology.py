@@ -5,14 +5,13 @@ Four complexes share one interface: the full rack complex on all tuples, the
 quandle quotient (degenerate tuples projected out), the degeneracy subcomplex,
 and the identity subcomplex of a satisfied word (worked in lattice coordinates
 of the generated span, not its saturation, so torsion is preserved exactly).
-Every boundary is built as sparse rows and a column count by _boundary_rows.
-Homology and cocycles eliminate each tuple boundary on a spanning set of its
-columns, picked from the cycles of one right translation R_x0 (the lemma in
-homology's docstring): close to c/n of them, for R_x0 of c cycles on n
-elements, on the connected quandles measured.  boundary_matrix keeps every
-column and alone forms bases.  A 2-cocycle space is Hom(coker d_3, Z_d),
-read off the same unit-pivot elimination of the rack boundary d_3 that its
-homology runs.
+One ChainComplex per (table, flavour, word) builds every boundary as sparse
+rows and a column count, and eliminates each once, on the rows that the unit
+pivots one degree down leave; homology and cocycles take each tuple boundary
+on a spanning set of its columns, picked from the cycles of one right
+translation R_x0 (both lemmas in homology's docstring).  boundary_matrix
+keeps every column and alone forms bases.  A 2-cocycle space is
+Hom(coker d_3, Z_d), read off the unit-pivot elimination of the rack d_3.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     SubcomplexClosureViolated,
 )
 from .identities import Word, satisfies_cached
-from .linalg import left_kernel_mod, smith_normal_form
+from .linalg import SmithForm, left_kernel_mod, smith_normal_form
 
 COMPLEXES = ("rack", "quandle", "degenerate", "identity")
 
@@ -105,60 +105,95 @@ class BoundaryMatrix:
                      for row in self.sparse_rows)
 
 
-def _boundary_rows(X: QuandleTable, complex: str, degree: int,
-                   word: Optional[Word], include_first_slot: bool,
-                   size_guard: int,
-                   spanning: bool) -> tuple[Sequence[dict[int, int]], int]:
-    """The sparse rows of one flavour's d_degree and its column count;
-    identity rows are the span's own, so read-only.  Spanning, a tuple
-    flavour forms only the columns of _spanning_columns, at their positions
-    in the whole basis, where the lemma in homology's docstring holds."""
-    if complex not in COMPLEXES:
-        raise ValueError(f"complex must be one of {COMPLEXES}")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if complex == "identity":
-        if word is None:
-            raise ValueError("identity complex needs a word")
-        if degree < 2:
-            return [], 0
-        return subcomplex_generators(X, "identity", degree, word,
-                                     include_first_slot,
-                                     size_guard).boundary_rows()
-    n = X.order
-    SizeGuardExceeded.check(n ** degree, size_guard)
-    tups = digits(np.arange(n ** degree), n, degree)
-    basis = _in_basis(tups, complex)
-    spanning = spanning and (complex != "degenerate" or X.is_quandle)
-    take = basis & _spanning_columns(X, tups) if spanning else basis
-    columns = np.flatnonzero(take)
-    position = (np.cumsum(basis) - 1)[take]
-    # a 1-tuple has the empty alternating sum as its boundary; entries come
-    # column-major, so every row fills in increasing column order
-    col, face, coefs = block_boundary(
-        X, np.arange(len(columns)), columns,
-        np.ones(len(columns), dtype=np.int64), degree)
-    width = n ** (degree - 1)
-    row_basis = _in_basis(digits(np.arange(width), n, degree - 1), complex)
-    row = np.where(row_basis, np.cumsum(row_basis) - 1, -1)[face]
-    outside = row < 0
-    if outside.any():
-        if complex == "degenerate":
-            first = tuple(tups[columns[col[outside][0]]].tolist())
-            raise SubcomplexClosureViolated(FormalChain(degree, {first: 1}))
-        if complex == "rack":
-            raise AssertionError("boundary left the tuple basis")
-        # quandle: a degenerate face is projected out
-        row, col, coefs = row[~outside], col[~outside], coefs[~outside]
-    mat: list[dict[int, int]] = [{} for _ in range(int(row_basis.sum()))]
-    for i, j, c in zip(row.tolist(), position[col].tolist(), coefs.tolist()):
-        mat[i][j] = c
-    return mat, int(basis.sum())
+class ChainComplex:
+    """One flavour's chain complex on a table (and word): each boundary,
+    built on each call, and each Smith form, kept once eliminated.  Get it
+    from chain_complex, which keeps one per (table, flavour, word)."""
+
+    def __init__(self, X: QuandleTable, complex: str,
+                 word: Optional[Word] = None):
+        self.X, self.complex, self.word = X, complex, word
+        self._smith: dict[int, SmithForm] = {}
+
+    def boundary(self, degree: int, spanning: bool = False,
+                 size_guard: int = DEFAULT_SIZE_GUARD
+                 ) -> tuple[Sequence[dict[int, int]], int]:
+        """The sparse rows of d_degree and its column count; identity rows
+        are the span's own, so read-only.  Spanning, a tuple flavour forms
+        only the columns of _spanning_columns, at their positions in the
+        whole basis, where the lemma in homology's docstring holds."""
+        X, complex, n = self.X, self.complex, self.X.order
+        if complex not in COMPLEXES:
+            raise ValueError(f"complex must be one of {COMPLEXES}")
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
+        if complex == "identity":
+            if self.word is None:
+                raise ValueError("identity complex needs a word")
+            if degree < 2:
+                return [], 0
+            return subcomplex_generators(X, "identity", degree, self.word,
+                                         size_guard).boundary_rows()
+        SizeGuardExceeded.check(n ** degree, size_guard)
+        tups = digits(np.arange(n ** degree), n, degree)
+        basis = _in_basis(tups, complex)
+        spanning = spanning and (complex != "degenerate" or X.is_quandle)
+        take = basis & _spanning_columns(X, tups) if spanning else basis
+        columns = np.flatnonzero(take)
+        position = (np.cumsum(basis) - 1)[take]
+        # a 1-tuple has the empty alternating sum as its boundary; entries
+        # come column-major, so every row fills in increasing column order
+        col, face, coefs = block_boundary(
+            X, np.arange(len(columns)), columns,
+            np.ones(len(columns), dtype=np.int64), degree)
+        row_basis = _in_basis(digits(np.arange(n ** (degree - 1)), n,
+                                     degree - 1), complex)
+        row = np.where(row_basis, np.cumsum(row_basis) - 1, -1)[face]
+        outside = row < 0
+        if outside.any():
+            if complex == "degenerate":
+                first = tuple(tups[columns[col[outside][0]]].tolist())
+                raise SubcomplexClosureViolated(
+                    FormalChain(degree, {first: 1}))
+            if complex == "rack":
+                raise AssertionError("boundary left the tuple basis")
+            # quandle: a degenerate face is projected out
+            row, col, coefs = row[~outside], col[~outside], coefs[~outside]
+        mat: list[dict[int, int]] = [{} for _ in range(int(row_basis.sum()))]
+        for i, j, c in zip(row.tolist(), position[col].tolist(),
+                           coefs.tolist()):
+            mat[i][j] = c
+        return mat, int(basis.sum())
+
+    def smith(self, degree: int,
+              size_guard: int = DEFAULT_SIZE_GUARD) -> SmithForm:
+        """The Smith form of d_degree on its spanning columns and on the
+        rows that smith(degree - 1).unit_columns leave, cached per degree.
+        d_degree is built before the degree below, so a build that leaves
+        the subcomplex raises at the highest degree; a cached degree is not
+        built again, so size_guard does not bind it."""
+        if degree not in self._smith:
+            rows, dim = self.boundary(degree, True, size_guard)
+            if degree == 1:
+                self._smith[1] = SmithForm((len(rows), dim), ())
+            else:
+                units = self.smith(degree - 1, size_guard).unit_columns
+                self._smith[degree] = smith_normal_form(
+                    [row for i, row in enumerate(rows) if i not in units],
+                    dim)
+        return self._smith[degree]
+
+
+@lru_cache(maxsize=512)
+def chain_complex(X: QuandleTable, complex: str,
+                  word: Optional[Word] = None) -> ChainComplex:
+    """The ChainComplex of (X, complex, word); pass arguments positionally,
+    so that each complex has one cache key."""
+    return ChainComplex(X, complex, word)
 
 
 def boundary_matrix(X: QuandleTable, complex: str, degree: int,
                     word: Optional[Word] = None,
-                    include_first_slot: bool = False,
                     size_guard: int = DEFAULT_SIZE_GUARD) -> BoundaryMatrix:
     """Boundary matrix of one complex flavor at one degree, on every column
     and with its bases; its rows are the caller's own copy.
@@ -168,15 +203,15 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
     and a failure raises SubcomplexClosureViolated with the offending chain,
     as a degenerate tuple whose boundary leaves the degenerate tuples does.
     """
-    rows, _ = _boundary_rows(X, complex, degree, word, include_first_slot,
-                             size_guard, spanning=False)
+    rows, _ = chain_complex(X, complex, word).boundary(degree, False,
+                                                       size_guard)
     row_basis = col_basis = ()
     if complex != "identity":
         row_basis, col_basis = (_tuple_basis(X.order, d, complex)
                                 for d in (degree - 1, degree))
     elif degree >= 2:
         gens = subcomplex_generators(X, "identity", degree, word,
-                                     include_first_slot, size_guard)
+                                     size_guard)
         row_basis, col_basis = getattr(gens.lower, "basis", ()), gens.basis
     return BoundaryMatrix(complex=complex, degree=degree,
                           sparse_rows=tuple(map(dict, rows)),
@@ -214,49 +249,52 @@ def _degree_cap(order: int) -> int:
 
 def homology(X: QuandleTable, complex: str, degree: int,
              word: Optional[Word] = None,
-             include_first_slot: bool = False,
              max_degree: Optional[int] = None,
              size_guard: int = DEFAULT_SIZE_GUARD) -> HomologyGroup:
-    """H_degree = ker(boundary) / im(boundary from one degree up).
+    """H_degree = ker(boundary) / im(boundary from one degree up), read off
+    the Smith forms of chain_complex(X, complex, word).
 
-    Both boundaries are built on a spanning set of their columns only, by
-    this lemma.  Let c be a k-tuple and x an element; the faces of (c, x) at
-    h <= k keep the last entry x, and those at h = k + 1 make
-    (-1)^(k+1) (c - c.R_x), so d_{k+1}(c, x) = (d_k c, x)
-    + (-1)^(k+1) (c - c.R_x), where (-, x) appends x to every tuple of a
-    chain.  Fix x0 and let k >= 2.  Applying d_k, as d_k d_{k+1} = 0,
-    d_k c = d_k(c.R_x0) + (-1)^k d_k((d_k c, x0)), and every tuple of
-    (d_k c, x0) ends in x0.  So along each cycle of c -> c.R_x0 the columns
-    of d_k agree modulo the columns at tuples ending in x0, and im d_k is
-    spanned by those columns plus one column per cycle that holds no tuple
-    ending in x0 (d_1 = 0 needs none).  This holds in all three tuple
-    flavours: in the rack complex directly; in the quandle complex, where a
-    degenerate tuple is zero, because c.R_x0 and (c, x0) are non-degenerate
-    with c when c does not end in x0; and in the degenerate complex, a
-    subcomplex on a quandle, because c.R_x0 and (c, x0) are degenerate with
-    c.  x0 is the x whose R_x has the fewest cycles on X, the least such x
-    on a tie.  The image lattice, hence the rank and the invariant factors,
-    is unchanged, and a +-1 pivot among the kept columns is a unit pivot of
-    d_k itself; columns keep their positions in the whole basis, so the
-    unit columns of d_n index the rows of d_{n+1}.  The identity flavour
+    Each boundary is eliminated on a spanning set of its columns, by this
+    lemma.  For a k-tuple c and an element x, the faces of (c, x) at h <= k
+    keep the last entry x and those at h = k + 1 make (-1)^(k+1)(c - c.R_x),
+    so d_{k+1}(c, x) = (d_k c, x) + (-1)^(k+1)(c - c.R_x), where (-, x)
+    appends x to every tuple.  Fix x0 and k >= 2.  Applying d_k, as
+    d_k d_{k+1} = 0, d_k c = d_k(c.R_x0) + (-1)^k d_k((d_k c, x0)), and every
+    tuple of (d_k c, x0) ends in x0.  So along each cycle of c -> c.R_x0 the
+    columns of d_k agree modulo the columns at tuples ending in x0, and
+    im d_k is spanned by those columns plus one column per cycle that holds
+    no tuple ending in x0 (d_1 = 0 needs none).  This holds in the rack
+    complex; in the quandle complex, where a degenerate tuple is zero, as
+    c.R_x0 and (c, x0) are non-degenerate with c when c does not end in x0;
+    and in the degenerate complex of a quandle, as they are degenerate with
+    c.  x0 is the x whose R_x has the fewest cycles, the least on a tie.
+    The image lattice, hence the rank and the invariant factors, is
+    unchanged on any rows, and a +-1 pivot among the kept columns is a unit
+    pivot of the whole matrix; columns keep their whole-basis positions, so
+    the unit columns of d_k index the rows of d_{k+1}.  The identity flavour
     is built on every column, in the echelon bases of its spans, and so are
     the degenerate tuples of a rack that is not a quandle, which are no
     subcomplex: the build raises SubcomplexClosureViolated at the first
-    column whose boundary leaves them, as boundary_matrix does.
+    column whose boundary leaves them.
 
-    Free rank is dim - rank(d_n) - rank(d_{n+1}); torsion is the nontrivial
-    invariant factors of d_{n+1}, taken on the rows of d_{n+1} that the unit
-    pivots of d_n leave.  Let A = d_n and (P, Q) its unit pivot rows and
-    columns, Q' the other columns.  A[P,Q] is unimodular, its determinant
-    the product of the +-1 pivots of successive Schur complements, so rows P
-    give x_Q = -A[P,Q]^-1 A[P,Q'] x_Q' for x in ker A: projecting ker A to
-    the coordinates Q' is injective, and its image L is the kernel of the
-    Schur complement, a pure sublattice.  As d_n d_{n+1} = 0, im d_{n+1} lies
-    in ker A, so H_n = L / im d_{n+1}[Q',:]; L being pure, the torsion is
-    the non-unit invariant factors of d_{n+1}[Q',:], whose rank is that of
-    d_{n+1}.  The quandle flavour is a quotient complex only on a quandle,
-    so a rack that is not one raises IdempotencyFails at its least x with
-    x*x != x; an identity word that X fails raises IdentityNotSatisfied.
+    One sweep serves all four flavours: d'_k is d_k on the rows outside
+    Q_(k-1), the unit pivot columns of d'_(k-1); Q_1 is empty as d_1 = 0,
+    so d'_2 = d_2.  The lemma: let A be an integer matrix, (P, Q) its unit
+    pivot rows and columns and Q' the other columns.  A[P,Q] is unimodular,
+    its determinant the product of the +-1 pivots, so rows P give
+    x_Q = -A[P,Q]^-1 A[P,Q'] x_Q' for x in ker A: ker A projects one-to-one
+    to the coordinates Q', onto the kernel of the Schur complement, a pure
+    sublattice.  By induction on k from d'_2 = d_2, ker d'_k = ker d_k: for
+    x in ker d'_k, d_k x lies in im d_k, inside ker d_(k-1) = ker d'_(k-1),
+    and is zero outside Q_(k-1), onto which ker d'_(k-1) projects
+    one-to-one, so d_k x = 0; hence rank d'_k = rank d_k.  The lemma for
+    A = d'_n projects ker d_n one-to-one onto a pure L outside Q_n, and
+    im d_(n+1) onto im d'_(n+1), so H_n = L / im d'_(n+1): the torsion is
+    the non-unit invariant factors of d'_(n+1), the free rank
+    dim - rank d'_n - rank d'_(n+1).  The quandle flavour is a quotient
+    complex only on a quandle, so a rack that is not one raises
+    IdempotencyFails at its least x with x*x != x; an identity word that X
+    fails raises IdentityNotSatisfied.
     """
     if complex == "quandle" and not X.is_quandle:
         raise IdempotencyFails(next(x for x in range(X.order)
@@ -269,16 +307,12 @@ def homology(X: QuandleTable, complex: str, degree: int,
         degree, cap,
         f"degree {degree} exceeds the degree cap {cap} for order "
         f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
-    rows_n, dim = _boundary_rows(X, complex, degree, word,
-                                 include_first_slot, size_guard, True)
-    rows_up, dim_up = _boundary_rows(X, complex, degree + 1, word,
-                                     include_first_slot, size_guard, True)
-    snf_n = smith_normal_form(rows_n, dim)
-    snf_up = smith_normal_form([row for i, row in enumerate(rows_up)
-                                if i not in snf_n.unit_columns], dim_up)
-    torsion = tuple(d for d in snf_up.invariant_factors if d > 1)
-    return HomologyGroup(free_rank=dim - snf_n.rank - snf_up.rank,
-                         torsion=torsion)
+    cx = chain_complex(X, complex, word)
+    snf_n = cx.smith(degree, size_guard)
+    snf_up = cx.smith(degree + 1, size_guard)
+    return HomologyGroup(
+        free_rank=snf_n.shape[1] - snf_n.rank - snf_up.rank,
+        torsion=tuple(d for d in snf_up.invariant_factors if d > 1))
 
 
 # ------------------------------------------------------------------ cocycles
@@ -313,27 +347,20 @@ def cocycle_condition_holds(X: QuandleTable, phi: CocycleTable,
         raise DegreeMismatch("cocycle size does not match the table")
     T = X.np_table
     V = np.array(phi.values, dtype=np.int64)
-    a = V[:, :, None]                  # phi(x, y)
-    b = V[:, None, :]                  # phi(x, z)
-    c = V[T, :]                        # phi(x*y, z)
-    d = V[T[:, None, :], T[None, :, :]]    # phi(x*z, y*z)
-    total = a - b + c - d
+    # phi(x, y) - phi(x, z) + phi(x*y, z) - phi(x*z, y*z), axes (x, y, z)
+    total = V[:, :, None] - V[:, None, :] + V[T, :] \
+        - V[T[:, None, :], T[None, :, :]]
     if phi.modulus:
         total = total % phi.modulus
-    if np.any(total):
-        return False
-    if mode == "quandle" and not phi.diagonal_vanishes():
-        return False
-    return True
+    return not np.any(total) and (mode != "quandle"
+                                  or phi.diagonal_vanishes())
 
 
 def evaluate_cocycle(phi: CocycleTable, chain: FormalChain) -> int:
     """Pairing of a 2-cochain with a degree-2 chain, reduced by the modulus."""
     if chain.degree != 2:
         raise DegreeMismatch("cocycles pair with degree-2 chains")
-    total = 0
-    for (x, y), coef in chain.terms.items():
-        total += coef * phi.values[x][y]
+    total = sum(c * phi.values[x][y] for (x, y), c in chain.terms.items())
     return total % phi.modulus if phi.modulus else total
 
 
@@ -401,8 +428,7 @@ def cocycle_space(X: QuandleTable, modulus: int,
     n = X.order
     # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
     # cocycles only when X is a quandle
-    rows, width = _boundary_rows(X, "rack", 3, None, False,
-                                 DEFAULT_SIZE_GUARD, True)
+    rows, width = chain_complex(X, "rack", None).boundary(3, True)
     if mode == "quandle":
         for x in range(n):
             rows[x * n + x][width + x] = 1

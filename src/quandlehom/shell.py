@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -23,16 +24,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import censusdata
-from .chains import (DEFAULT_SIZE_GUARD, FormalChain, block_boundary, boundary,
-                     format_chain, identity_cycle, identity_cycle_failures,
+from .chains import (FormalChain, block_boundary, boundary, format_chain,
+                     identity_cycle, identity_cycle_failures,
                      subcomplex_generators, tuple_index)
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
-from .errors import (InvalidCocycle, MissingDataset, ParseError, QuandleError,
+from .errors import (MissingDataset, ParseError, QuandleError,
                      SubcomplexClosureViolated, WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
-from .homology import (CocycleTable, _boundary_rows, cocycle_space,
-                       homology)
+from .homology import CocycleTable, chain_complex, cocycle_space, homology
 from .identities import (Assignment, ScanReport, Word, enumerate_words,
                          parse_word, satisfies_all, scan, two_letter_universe)
 from . import constructions
@@ -125,10 +125,8 @@ def load(path: str | Path, convention: str = "right") -> QuandleTable:
 
 def emit(X: QuandleTable) -> str:
     """Canonical 1-based text form; load(emit(X)) round-trips exactly."""
-    lines = [str(X.order)]
-    for row in X.rows:
-        lines.append(" ".join(str(v + 1) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join([f"{X.order}\n", *(" ".join(str(v + 1) for v in row)
+                                       + "\n" for row in X.rows)])
 
 
 def save(X: QuandleTable, path: str | Path):
@@ -201,11 +199,8 @@ def _section(name: str, status: str, **details) -> dict:
 
 
 def reproduce_types(entries: Sequence[DatasetEntry]) -> dict:
-    counts: dict[int, int] = {}
-    for e in entries:
-        t = quandle_type(e.table)
-        counts[t] = counts.get(t, 0) + 1
-    got = tuple(sorted(counts.items()))
+    got = tuple(sorted(Counter(quandle_type(e.table)
+                               for e in entries).items()))
     ok = got == censusdata.TYPE_CENSUS and len(entries) == censusdata.CATALOGUE_SIZE
     return _section("type_census", "pass" if ok else "fail",
                     counts=[list(p) for p in got],
@@ -214,11 +209,8 @@ def reproduce_types(entries: Sequence[DatasetEntry]) -> dict:
 
 
 def reproduce_exponents(entries: Sequence[DatasetEntry]) -> dict:
-    counts: dict[int, int] = {}
-    for e in entries:
-        expo = group_exponent(inner_group(e.table))
-        counts[expo] = counts.get(expo, 0) + 1
-    got = tuple(sorted(counts.items()))
+    got = tuple(sorted(Counter(group_exponent(inner_group(e.table))
+                               for e in entries).items()))
     ok = got == censusdata.EXPONENT_CENSUS
     return _section("exponent_census", "pass" if ok else "fail",
                     counts=[list(p) for p in got],
@@ -349,14 +341,10 @@ def reproduce_extension_checks() -> dict:
     X = dihedral(3)
     space = cocycle_space(X, 3, mode="quandle")
     w = parse_word("aa")
-    disagreements = 0
-    nonvanishing = 0
-    for member in space.members():
-        rep = check_extension_identity(ExtensionSpec(X, 3, member), w)
-        if not rep.agree:
-            disagreements += 1
-        if not rep.cocycle_vanishes:
-            nonvanishing += 1
+    reps = [check_extension_identity(ExtensionSpec(X, 3, member), w)
+            for member in space.members()]
+    disagreements = sum(not rep.agree for rep in reps)
+    nonvanishing = sum(not rep.cocycle_vanishes for rep in reps)
     status = "pass" if disagreements == 0 else "fail"
     return _section("extension_identity", status,
                     space_size=space.size, disagreements=disagreements,
@@ -453,23 +441,16 @@ def run_reproduce(target: str, dataset: Optional[str],
     if target in _DATASET_TARGETS and entries is None:
         raise MissingDataset(f"target {target!r} needs --dataset")
     sections: list[dict] = []
-
-    def run_gated(name: str, fn):
-        if entries is None:
-            sections.append(_section(name, "skipped", reason="no --dataset"))
-        else:
-            sections.append(fn(entries))
-
-    if target in ("types", "all"):
-        run_gated("type_census", reproduce_types)
-    if target in ("exponents", "all"):
-        run_gated("exponent_census", reproduce_exponents)
-    if target in ("length4", "all"):
-        run_gated("length4_scan", reproduce_length4)
-    if target in ("length5", "all"):
-        run_gated("length5_scan", reproduce_length5)
-    if target in ("length6", "all"):
-        run_gated("length6_scan", reproduce_length6)
+    # the dataset sections, skipped without --dataset
+    for key, name, fn in (
+            ("types", "type_census", reproduce_types),
+            ("exponents", "exponent_census", reproduce_exponents),
+            ("length4", "length4_scan", reproduce_length4),
+            ("length5", "length5_scan", reproduce_length5),
+            ("length6", "length6_scan", reproduce_length6)):
+        if target in (key, "all"):
+            sections.append(fn(entries) if entries is not None else
+                            _section(name, "skipped", reason="no --dataset"))
     if target in ("length7", "all"):
         sections.append(reproduce_length7())
         if entries is not None:
@@ -487,17 +468,10 @@ def run_reproduce(target: str, dataset: Optional[str],
 
 def _report(args, results: dict, passed: bool, started: float,
             inputs: dict, seed: int) -> dict:
-    return {
-        "schema": SCHEMA,
-        "tool": TOOL,
-        "version": VERSION,
-        "command": list(args),
-        "inputs": inputs,
-        "seed": seed,
-        "results": results,
-        "status": "pass" if passed else "fail",
-        "wall_clock_s": round(time.time() - started, 6),
-    }
+    return {"schema": SCHEMA, "tool": TOOL, "version": VERSION,
+            "command": list(args), "inputs": inputs, "seed": seed,
+            "results": results, "status": "pass" if passed else "fail",
+            "wall_clock_s": round(time.time() - started, 6)}
 
 
 def _emit_report(report: dict, as_json: bool):
@@ -711,11 +685,12 @@ def _run_cycle(args):
 def _run_subcomplex(args):
     table, digests = _load_table(args)
     word = _word_arg(args.word) if args.word else None
+    if args.degree < 2:
+        raise ValueError("subcomplex generators need degree >= 2")
     gens = subcomplex_generators(table, args.kind, args.degree, word=word)
     # the boundary build solves each basis boundary one degree down
     try:
-        _boundary_rows(table, args.kind, args.degree, word, False,
-                       DEFAULT_SIZE_GUARD, spanning=False)
+        chain_complex(table, args.kind, word).boundary(args.degree)
         closure_ok = True
     except SubcomplexClosureViolated:
         closure_ok = False
@@ -746,7 +721,7 @@ def _run_cocycles(args):
 def _run_extend(args):
     table, _ = _load_table(args)
     if args.mod < 2:
-        raise InvalidCocycle("modulus must be >= 2")
+        raise ValueError("modulus must be >= 2")
     vals = [tuple(v % args.mod for v in row) for row in
             _read_rows(Path(args.cocycle).read_text().splitlines(), 0,
                        table.order)]

@@ -515,7 +515,7 @@ def full_boundary_homology(X, flavour, degree, word=None):
         torsion=tuple(d for d in up.invariant_factors if d > 1))
 
 
-def loop_identity_generators(X, word, degree, include_first_slot=False):
+def loop_identity_generators(X, word, degree):
     """Identity-subcomplex generators by a plain triple loop over the slot
     j, the other entries xs and the letter values ys, each chain built term
     by term and kept unless an equal chain came earlier: (chains,
@@ -524,7 +524,7 @@ def loop_identity_generators(X, word, degree, include_first_slot=False):
     rows = X.rows
     seen = set()
     chains, prov = [], []
-    for j in range(0 if include_first_slot else 1, degree):
+    for j in range(1, degree):
         for xs in itertools.product(range(n), repeat=degree - 1):
             left, right = xs[:j], xs[j:]
             for ys in itertools.product(range(n), repeat=word.letters):

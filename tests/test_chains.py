@@ -273,27 +273,6 @@ def test_generator_dedup(gf4):
     assert len(keys) == len(gs.chains) == 8
 
 
-def test_first_slot_variant(dih3):
-    aa = parse_word("aa")
-    gs = subcomplex_generators(dih3, "identity", 2, word=aa,
-                               include_first_slot=True)
-    # j = 0 rows are plain doubled basis tuples (y, x2) + (y, x2)
-    doubled = [c for c in gs.chains
-               if len(c.terms) == 1 and set(c.terms.values()) == {2}]
-    assert doubled
-    for ch, (j, xs, ys) in zip(gs.chains, gs.provenance):
-        if j >= 1:
-            assert boundary(dih3, ch).is_zero()
-        else:   # 2*(y, x): boundary 2*(y) - 2*(y*x)
-            y, x = ys[0], xs[0]
-            assert ch.terms == {(y, x): 2}
-            assert boundary(dih3, ch) == FormalChain.of((y,), 2) \
-                - FormalChain.of((dih3.rows[y][x],), 2)
-    low_rank = gs.lattice.rank
-    plain = subcomplex_generators(dih3, "identity", 2, word=aa)
-    assert low_rank >= plain.lattice.rank
-
-
 def test_size_guard():
     big = trivial(8)
     with pytest.raises(SizeGuardExceeded):
@@ -309,16 +288,14 @@ def test_size_guard_counts_the_identity_rows(dih3):
                               word=parse_word("abcabc"))
     assert (err.value.needed, err.value.guard) == (352_947, 200_000)
     abab = parse_word("abab")
-    # 27 tuples, 2 * 3^4 = 162 rows, or 3 * 3^4 = 243 with the first slot
-    for first, rows in ((False, 162), (True, 243)):
-        with pytest.raises(SizeGuardExceeded) as err:
-            subcomplex_generators(dih3, "identity", 3, word=abab,
-                                  include_first_slot=first,
-                                  size_guard=rows - 1)
-        assert (err.value.needed, err.value.guard) == (rows, rows - 1)
-        assert len(subcomplex_generators(dih3, "identity", 3, word=abab,
-                                         include_first_slot=first,
-                                         size_guard=rows)) > 0
+    # 27 tuples, 2 * 3^4 = 162 rows
+    rows = 162
+    with pytest.raises(SizeGuardExceeded) as err:
+        subcomplex_generators(dih3, "identity", 3, word=abab,
+                              size_guard=rows - 1)
+    assert (err.value.needed, err.value.guard) == (rows, rows - 1)
+    assert len(subcomplex_generators(dih3, "identity", 3, word=abab,
+                                     size_guard=rows)) > 0
 
 
 def test_format_chain(dih3):
@@ -411,7 +388,7 @@ GENERATOR_TABLES = _generator_tables()
 def test_identity_generators_match_the_loop():
     """The array build gives the plain loop's chains in the same order, term
     order within a chain included, the same provenance and the same count,
-    for degrees 2-4 with and without the first slot."""
+    for degrees 2-4."""
     checked = 0
     for X in GENERATOR_TABLES:
         for text in GENERATOR_WORDS:
@@ -419,17 +396,14 @@ def test_identity_generators_match_the_loop():
             for degree in (2, 3, 4):
                 if X.order ** (degree - 1 + w.letters) > LOOP_BUDGET:
                     continue
-                for first in (False, True):
-                    gs = subcomplex_generators(X, "identity", degree, word=w,
-                                               include_first_slot=first)
-                    chains, prov = loop_identity_generators(X, w, degree,
-                                                            first)
-                    assert len(gs) == len(chains)
-                    assert [list(c.items()) for c in gs.chains] == \
-                        [list(c.items()) for c in chains]
-                    assert gs.provenance == tuple(prov)
-                    checked += 1
-    assert checked == 696
+                gs = subcomplex_generators(X, "identity", degree, word=w)
+                chains, prov = loop_identity_generators(X, w, degree)
+                assert len(gs) == len(chains)
+                assert [list(c.items()) for c in gs.chains] == \
+                    [list(c.items()) for c in chains]
+                assert gs.provenance == tuple(prov)
+                checked += 1
+    assert checked == 348
 
 
 def _contains_basis(lat, other):
@@ -447,9 +421,7 @@ def test_recursive_span_equals_the_span_of_all_chains(data):
     w = parse_word(data.draw(st.sampled_from(GENERATOR_WORDS)))
     degree = data.draw(st.sampled_from(
         [d for d in (3, 4) if X.order ** (d - 1 + w.letters) <= 625]))
-    first = data.draw(st.booleans())
-    gs = subcomplex_generators(X, "identity", degree, word=w,
-                               include_first_slot=first)
+    gs = subcomplex_generators(X, "identity", degree, word=w)
     full = IntLattice(X.order ** degree)
     for chain in gs.chains:
         full.add(chain_vector(chain, X.order))

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,11 @@ from oracles import (full_boundary_homology, kernel_basis,
                      loop_boundary, loop_boundary_matrix,
                      loop_identity_generators, mat_mul,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
-from quandlehom.chains import (DEFAULT_SIZE_GUARD, FormalChain, _generators,
-                               identity_cycle, subcomplex_generators)
-from quandlehom.homology import (CocycleTable, HomologyGroup, _boundary_rows,
-                                 _in_basis, _spanning_columns,
-                                 boundary_matrix, coboundary,
+from quandlehom.chains import (FormalChain, _generators, identity_cycle,
+                               subcomplex_generators)
+from quandlehom.homology import (CocycleTable, HomologyGroup, _in_basis,
+                                 _spanning_columns, boundary_matrix,
+                                 chain_complex, coboundary,
                                  cocycle_condition_holds, cocycle_space,
                                  evaluate_cocycle, homology)
 from quandlehom.identities import (Assignment, parse_word, satisfies_all,
@@ -268,8 +269,7 @@ def test_spanning_columns_generate_the_image():
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, flavour)
         keep = set(np.flatnonzero(_spanning_columns(X, tups)[basis]).tolist())
-        rows, dim = _boundary_rows(X, flavour, degree, None, False,
-                                   DEFAULT_SIZE_GUARD, spanning=True)
+        rows, dim = chain_complex(X, flavour, None).boundary(degree, True)
         assert dim == len(full.col_basis)
         assert rows == [{j: c for j, c in row.items() if j in keep}
                         for row in full.sparse_rows]
@@ -299,9 +299,10 @@ def _first_closure_violation(X, degree):
 
 
 def test_homology_on_reduced_boundaries_equals_the_full_route():
-    """Forming only the spanning columns of each boundary, and dropping the
-    rows of d_{n+1} at the unit-pivot columns of d_n, changes no group: on
-    every case of _lemma_cases and on two identity spans at degrees 1..3.
+    """Forming only the spanning columns of each boundary, and eliminating
+    each d_k on the rows that the unit pivots of d_(k-1) leave, changes no
+    group: on every case of _lemma_cases and on two identity spans at
+    degrees 1..3.
     Degenerate homology on a rack that is not a quandle raises on the chain
     that boundary_matrix raises on."""
     cases = list(_lemma_cases())
@@ -320,6 +321,66 @@ def test_homology_on_reduced_boundaries_equals_the_full_route():
                 homology(X, "degenerate", degree)
             assert exc.value.chain == want
     assert len(cases) >= 300
+
+
+def test_homology_does_not_depend_on_the_order_degrees_are_asked_in():
+    """The complex caches each degree's Smith form, eliminated on the rows
+    the unit pivots one degree down leave: every corpus table and connected
+    quandle of order 1..5, natural and under one relabelling, in each tuple
+    flavour, gives H_1..H_4 (H_1..H_3 above order 5) equal to the full
+    boundary route asked in ascending order, in descending order, and each
+    from an empty cache."""
+    rng = random.Random(23)
+    tables = [X for _name, X in corpus()]
+    tables += [X for n in range(1, 6) for X in enumerate_connected(n)]
+    checked = 0
+    for X in tables:
+        perm = list(range(X.order))
+        rng.shuffle(perm)
+        for Y in (X, relabelled(X, perm)):
+            degrees = range(1, 5 if Y.order <= 5 else 4)
+            for flavour in ("rack", "quandle", "degenerate"):
+                want = {d: full_boundary_homology(Y, flavour, d, None)
+                        for d in degrees}
+                for order in (degrees, reversed(degrees)):
+                    chain_complex.cache_clear()
+                    got = {d: homology(Y, flavour, d) for d in order}
+                    assert got == want, (Y.rows, flavour)
+                for d in degrees:
+                    chain_complex.cache_clear()
+                    assert homology(Y, flavour, d) == want[d], \
+                        (Y.rows, flavour, d)
+                checked += len(want)
+    assert checked == 390
+
+
+def test_each_boundary_is_eliminated_once_per_complex(monkeypatch):
+    """H_2, H_3 and H_4 of R3 read the Smith forms of d_2..d_5 once each:
+    four eliminations, where two per group would make six, each on the rows
+    of d_k that the unit columns of d_(k-1) leave; an emptied cache
+    eliminates d_2 and d_3 again for H_2."""
+    module = sys.modules["quandlehom.homology"]
+    calls = []
+    eliminate = module.smith_normal_form
+
+    def counted(rows, ncols):
+        calls.append((len(rows), ncols))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(module, "smith_normal_form", counted)
+    X = dihedral(3)
+    chain_complex.cache_clear()
+    assert [str(homology(X, "quandle", d)) for d in (2, 3, 4)] == \
+        ["0", "Z_3", "Z_3"]
+    cx = chain_complex(X, "quandle", None)
+    assert calls == [
+        (len(cx.boundary(k)[0]) - len(cx.smith(k - 1).unit_columns),
+         len(boundary_matrix(X, "quandle", k).col_basis))
+        for k in (2, 3, 4, 5)]
+    assert all(cx.smith(k - 1).unit_columns for k in (3, 4, 5))
+    chain_complex.cache_clear()
+    homology(X, "quandle", 2)
+    assert len(calls) == 6
 
 
 def test_cocycle_space_trivial_tables():
@@ -715,8 +776,7 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
     raised = 0
     for X, flavour, degree, word in cases:
         def build(spanning):
-            return _boundary_rows(X, flavour, degree, word, False,
-                                  DEFAULT_SIZE_GUARD, spanning)
+            return chain_complex(X, flavour, word).boundary(degree, spanning)
         try:
             bm = boundary_matrix(X, flavour, degree, word=word)
         except SubcomplexClosureViolated as exc:

@@ -294,12 +294,19 @@ def test_identity_homology_of_an_unsatisfied_word_fails_its_check(tmp_path):
      "gen alexander_zn needs 2 parameters, got 1"),
     (["gen", "burnside", "1", "2"], 2,
      "gen burnside needs 3 parameters, got 2"),
-    (["extend", "{table}", "--mod", "0", "--cocycle", "{cocycle}"], 1,
+    (["extend", "{table}", "--mod", "0", "--cocycle", "{cocycle}"], 2,
      "modulus must be >= 2"),
-], ids=["dihedral", "alexander_zn", "burnside", "extend-mod-0"])
+    (["extend", "{table}", "--mod", "1", "--cocycle", "missing.txt"], 2,
+     "modulus must be >= 2"),
+    (["subcomplex", "{table}", "--word", "aa", "--degree", "1"], 2,
+     "subcomplex generators need degree >= 2"),
+], ids=["dihedral", "alexander_zn", "burnside", "extend-mod-0",
+        "extend-mod-1-before-the-cocycle-file", "subcomplex-degree-1"])
 def test_cli_bad_parameters_give_one_error_line(tmp_path, args, code, message):
-    """Too few gen parameters are a usage error (exit 2); a modulus below 2
-    is a failed check (exit 1), found before the cocycle file is read."""
+    """Too few gen parameters, a modulus below 2 and a subcomplex degree
+    below 2 are usage errors (exit 2), like homology --degree 0 and
+    cocycles --mod 1; the modulus is checked before the cocycle file is
+    read."""
     table = tmp_path / "d3.txt"
     table.write_text(DIH3_TEXT)
     cocycle = tmp_path / "phi.txt"

@@ -184,12 +184,15 @@ class ChainComplex:
         return self._smith[degree]
 
 
-@lru_cache(maxsize=512)
+_complexes = lru_cache(maxsize=512)(ChainComplex)
+
+
 def chain_complex(X: QuandleTable, complex: str,
                   word: Optional[Word] = None) -> ChainComplex:
-    """The ChainComplex of (X, complex, word); pass arguments positionally,
-    so that each complex has one cache key."""
-    return ChainComplex(X, complex, word)
+    """The ChainComplex of (X, complex, word), one per triple however the
+    arguments are passed: the module-level cache _complexes is keyed on the
+    positional triple, the word dropped outside the identity flavour."""
+    return _complexes(X, complex, word if complex == "identity" else None)
 
 
 def boundary_matrix(X: QuandleTable, complex: str, degree: int,
@@ -412,13 +415,13 @@ def cocycle_space(X: QuandleTable, modulus: int,
     The cocycle condition phi(x,y) - phi(x,z) + phi(x*y,z) - phi(x*z,y*z) = 0
     says phi(d(x,y,z)) = 0, so the cocycles are the phi on the rows of the
     rack d_3 with phi d_3 = 0 (mod d); quandle mode adds a unit column at
-    each row (x, x).  They are read off the unit-pivot elimination of that
-    matrix, the one homology runs, by left_kernel_mod: the orders are the
-    nontrivial gcd(f, d) over the invariant factors f of its core, in chain
-    order, then d for every rank the matrix lacks.  Columns that generate
-    im d_3 give the same phi, so d_3 is formed on the spanning columns of
-    the lemma in homology's docstring only: the invariant factors and the
-    rank, and so the orders, are those of the whole d_3, while the
+    each row (x, x).  They are read off the elimination of that matrix, the
+    one homology runs, by left_kernel_mod: the orders are the nontrivial
+    gcd(f, d) over the invariant factors f of what its unit pivots leave,
+    in chain order, then d for every rank the matrix lacks.  Columns that
+    generate im d_3 give the same phi, so d_3 is formed on the spanning
+    columns of the lemma in homology's docstring only: the invariant factors
+    and the rank, and so the orders, are those of the whole d_3, while the
     generators may differ.
     """
     if modulus < 2:

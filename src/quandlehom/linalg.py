@@ -2,20 +2,21 @@
 matrix mod d, and integer lattices.
 
 Everything is arbitrary-precision, and a matrix is its sparse rows, one
-{col: value} map of Python ints per row, plus a column count.  A Smith form
+{col: value} map of Python ints per row, plus a column count.  One
+row/column store and two loops on it serve all three: the unit-pivot loop
 eliminates +-1 pivots, each an invariant factor 1 and each picked by a
-limited Markowitz search over columns bucketed by count, and hands only the
-residual core, made dense, to the minimal-pivot elimination; it reports the
-columns of its unit pivots, the cells that homology drops from the boundary
-one degree up.  The left kernel mod d runs the same two stages, recording
-the row operations of the unit pivots and the core's row transform, and
-solves by back-substitution.
-The lattice class takes sparse {index: value} vectors and builds its
-echelon basis on the same row/column store, unit pivots first, then minimal
-pivot: the unit-pivot loop of the Smith form, whose row operations keep the
-lattice, and then a minimal-pivot column elimination of the rows left.  It
-keeps only the sparse pivot rows and reduces query vectors against them.
-These are the only eliminations the library runs.
+limited Markowitz search over columns bucketed by count, and the
+minimal-pivot column loop brings the rows it leaves to echelon form, column
+by column.  The lattice class takes sparse {index: value} vectors, runs the
+two loops once and keeps only the sparse pivot rows, to reduce query vectors
+against.  A Smith form runs the unit-pivot loop, reporting the columns of
+its pivots, the cells that homology drops from the boundary one degree up,
+and diagonalizes the residue by the column loop, run on the rows and on the
+transposed echelon in turn.  The left kernel mod d runs the same two
+stages, recording the row operations of the unit pivots and carrying the
+residue's row transform in identity columns past the matrix, and solves by
+back-substitution.  These are the only eliminations the library runs, and
+no matrix is made dense.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-Matrix = list[list[int]]
-
-
-def identity_matrix(k: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,19 @@ def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int) -> SmithForm:
     unchanged, and its column count, which trailing zero columns leave
     implicit.  Entries equal to +-1 are eliminated one at a time, each
     contributing an invariant factor 1 and each the cheapest Markowitz cost
-    among the units of the first few shortest columns that hold one, and the
-    dense minimal-pivot elimination then runs only on the residual core of
-    rows and columns that are still nonzero.  The columns of the unit
-    pivots come back as unit_columns.
+    among the units of the first few shortest columns that hold one; the
+    columns of these unit pivots come back as unit_columns.  The rows left
+    are diagonalized by _diagonalize, row and column echelon forms in turn
+    (Kannan & Bachem, SIAM J. Comput. 8 (1979)), whose docstring shows that
+    it ends; the rest of the invariant factors are its diagonal.
     """
-    store = _sparse_store([dict(row) for row in rows])
-    units = frozenset(q for _, q, _, _, _ in _eliminate_unit_pivots(*store))
-    facs = _dense_smith(list(_dense_core(*store).values()))
+    rows_left, cols = _sparse_store([dict(row) for row in rows])
+    units = frozenset(q for _, q, _, _, _
+                      in _eliminate_unit_pivots(rows_left, cols))
+    diagonal, _ = _diagonalize(list(rows_left.values()), ncols)
     return SmithForm(shape=(len(rows), ncols),
-                     invariant_factors=(1,) * len(units) + facs,
+                     invariant_factors=(1,) * len(units) + tuple(
+                         v for row in diagonal for v in row.values()),
                      unit_columns=units)
 
 
@@ -78,30 +76,34 @@ def left_kernel_mod(rows: Sequence[dict[int, int]],
     unit pivot (p, q), of unit u, subtracts f = A_iq * u times row p from
     every other row i holding q; in the coordinates that these row
     operations change to, phi_p = 0, which back-substitution in reverse
-    pivot order turns into phi_p = -sum_i f * phi_i.  The residual core C
-    goes to the dense elimination with its row transform U, U C V = D: row k
-    of U times d / gcd(f_k, d) solves the core at order gcd(f_k, d) for the
-    k-th invariant factor f_k (skipped at order 1), and each row of U past
-    the rank at order d.  A row neither taken as a pivot nor left in the
-    core is free, of order d.  The orders come out as the core's, in chain
-    order, then the d's.
+    pivot order turns into phi_p = -sum_i f * phi_i.  Row k of the residue C
+    gets a 1 in column width + k, past every column of A, so that the
+    diagonalization U C V = D leaves row k of U in the carried columns of
+    its k-th row: a row of D with entry f, its carried part times
+    d / gcd(f, d), solves C at order gcd(f, d) (skipped at order 1), and a
+    zero row of D at order d.  A row neither taken as a pivot nor left in
+    the residue is free, of order d.  The orders come out as the residue's
+    invariant factors mod d, in chain order, then the d's.
     """
-    store = _sparse_store([dict(row) for row in rows])
+    residue, cols = _sparse_store([dict(row) for row in rows])
     steps = [(p, updates) for p, _, _, _, updates
-             in _eliminate_unit_pivots(*store)]
-    core = _dense_core(*store)
-    U = identity_matrix(len(core))
-    facs = _dense_smith(list(core.values()), U)
+             in _eliminate_unit_pivots(residue, cols)]
+    width = 1 + max((j for row in residue.values() for j in row), default=-1)
+    seeded = list(residue)
+    for k, i in enumerate(seeded):
+        residue[i][width + k] = 1
+    diagonal, zero = _diagonalize(list(residue.values()), width)
     solved: list[tuple[int, dict[int, int]]] = []     # (order, phi's seeds)
-    for k, urow in enumerate(U):
-        order = math.gcd(facs[k], modulus) if k < len(facs) else modulus
+    for row in diagonal + zero:
+        f = next((v for j, v in row.items() if j < width), 0)
+        order = math.gcd(f, modulus)
         if order > 1:
             scale = modulus // order
-            solved.append((order, {i: v * scale % modulus
-                                   for i, v in zip(core, urow)}))
+            solved.append((order, {seeded[j - width]: v * scale % modulus
+                                   for j, v in row.items() if j >= width}))
     pivots = {p for p, _ in steps}
     solved += [(modulus, {i: 1}) for i in range(len(rows))
-               if i not in pivots and i not in core]
+               if i not in pivots and i not in residue]
     gens = []
     for _, seeds in solved:
         phi = [0] * len(rows)
@@ -153,13 +155,6 @@ def _eliminate_unit_pivots(rows, cols):
         yield p, q, u, prow, updates
 
 
-def _dense_core(rows, cols) -> dict[int, list[int]]:
-    """The rows of a sparse store made dense: row -> its entries in the
-    still nonzero columns, ascending."""
-    live = sorted(j for j, held in cols.items() if held)
-    return {i: [row.get(j, 0) for j in live] for i, row in rows.items()}
-
-
 def _pick_unit_pivot(rows, cols, buckets, count):
     """(row, col) of the cheapest +-1 entry in the first _SEARCH_COLUMNS
     unit-holding columns by count, or None when no entry is a unit.  A
@@ -201,17 +196,119 @@ def _rebucket(buckets, count, j: int, c: int) -> None:
 
 
 def _sparse_store(mat: list[dict[int, int]]):
-    """Sparse rows without zero entries as row -> {col: value} maps plus
-    col -> {rows holding it} sets; empty rows are left out.  The maps are
-    taken over, not copied: eliminations change them in place."""
+    """Sparse rows as row -> {col: value} maps plus col -> {rows holding it}
+    sets, zero entries dropped and empty rows left out.  The maps are taken
+    over, not copied: eliminations change them in place."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for i, entries in enumerate(mat):
+        if 0 in entries.values():
+            for j in [j for j, v in entries.items() if not v]:
+                del entries[j]
         if entries:
             rows[i] = entries
             for j in entries:
                 cols.setdefault(j, set()).add(i)
     return rows, cols
+
+
+def _column_loop(rows, cols, width: int):
+    """Minimal-pivot column elimination, in place on a sparse store of
+    _sparse_store.  Column by column below width, ascending, the rows
+    holding the column are reduced against the one with the least absolute
+    entry, the least row on a tie, until a single row is left; made
+    positive, it is taken out of the store and yielded with the column.
+    Each pivot column is zero in every later pivot row, and the rows left in
+    the store have no entry below width."""
+    for col in sorted(j for j in cols if j < width):
+        held = cols[col]
+        if not held:
+            continue
+        while True:
+            k = min(held, key=lambda i: (abs(rows[i][col]), i))
+            base = rows[k]
+            if base[col] < 0:
+                for j in base:
+                    base[j] = -base[j]
+            if len(held) == 1:
+                break
+            piv = base[col]
+            for i in [i for i in held if i != k]:
+                q = rows[i][col] // piv
+                if q:
+                    _subtract_row(rows, cols, i, q, base)
+        _take_row(rows, cols, k)
+        yield col, base
+
+
+def _echelon(rows: list[dict[int, int]], width: int):
+    """The column loop on the given rows, which it takes over: (the pivot
+    rows in pivot order, the rows left with no entry below width)."""
+    store = _sparse_store(rows)
+    pivots = [row for _, row in _column_loop(*store, width)]
+    return pivots, list(store[0].values())
+
+
+def _transpose_pass(echelon: list[dict[int, int]], width: int):
+    """Column operations on echelon rows, which it empties, as the column
+    loop on their transpose below width, whose columns are the pivot
+    positions k of the rows; transposed back into new rows, the columns
+    below width are renamed to the pivot positions of this pass, and each
+    row keeps its entries at width and beyond."""
+    flipped: dict[int, dict[int, int]] = {}
+    back: list[dict[int, int]] = []
+    for k, row in enumerate(echelon):
+        carried = {}
+        for j, v in row.items():
+            if j < width:
+                flipped.setdefault(j, {})[k] = v
+            else:
+                carried[j] = v
+        row.clear()             # free it before its copy grows
+        back.append(carried)
+    tpivots, _ = _echelon(list(flipped.values()), len(echelon))
+    for m, trow in enumerate(tpivots):
+        for k, v in trow.items():
+            back[k][m] = v
+    return back
+
+
+def _diagonalize(rows: list[dict[int, int]], width: int):
+    """The matrix of the entries below width of the given rows, which it
+    takes over, made diagonal by row and column operations; the entries at
+    width and beyond take part in every row operation, so identity columns
+    there carry the row transform.  Returns (diagonal, zero): the rows with
+    one entry below width, each positive and dividing the next, and the rows
+    with none.
+
+    The column loop brings the rows to echelon form, and _transpose_pass
+    runs it on the transpose, its columns keyed by pivot position, until
+    each row has one entry below width (Kannan & Bachem, SIAM J. Comput. 8
+    (1979)).  This ends.  A pass makes the entry at the first pivot position
+    the gcd of the first column or row before it, which holds that entry,
+    so the entry only falls to proper divisors until it divides its row and
+    column; the next pass then clears both, and from then on its row is
+    alone in its column and is taken first, unchanged, by every pass, as is
+    its column; the argument goes on at the second position, and so on.
+    Once diagonal, the first entry f_k that does not divide f_(k+1) has row
+    k + 1 added to row k, and the passes go on: the earlier positions stay,
+    and position k falls to a divisor of gcd(f_k, f_(k+1)) < f_k.  So the
+    diagonal falls in lexicographic order, among the finitely many tuples of
+    positive integers with its product, the absolute determinant of the
+    rank x rank matrix that the transposed passes work on.
+    """
+    echelon, zero = _echelon(rows, width)
+    while True:
+        if all(sum(j < width for j in row) == 1 for row in echelon):
+            facs = [next(v for j, v in row.items() if j < width)
+                    for row in echelon]
+            k = next((k for k in range(len(facs) - 1)
+                      if facs[k + 1] % facs[k]), None)
+            if k is None:
+                return echelon, zero
+            for j, v in echelon[k + 1].items():
+                echelon[k][j] = echelon[k].get(j, 0) + v
+        echelon, _ = _echelon(_transpose_pass(echelon, width), width)
 
 
 def _subtract_row(rows, cols, i: int, f: int, prow: dict[int, int]) -> None:
@@ -241,99 +338,6 @@ def _take_row(rows, cols, i: int) -> dict[int, int]:
     return row
 
 
-def _dense_smith(A: Matrix, U: Optional[Matrix] = None) -> tuple[int, ...]:
-    """Invariant factors of a dense matrix by deterministic minimal-pivot
-    elimination, which takes A over and changes it in place.  Given U, of
-    one row per row of A, every row operation is also made on U, so that a
-    U that starts as the identity ends with U A V = D for a unimodular V
-    that is never formed."""
-    m = len(A)
-    n = len(A[0]) if A else 0
-
-    def row_sub(i, k, q):          # row_i -= q * row_k
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_sub(j, k, q):          # col_j -= q * col_k
-        for row in A:
-            row[j] -= q * row[k]
-
-    def row_swap(i, k):
-        if i != k:
-            A[i], A[k] = A[k], A[i]
-            if U is not None:
-                U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        if j != k:
-            for row in A:
-                row[j], row[k] = row[k], row[j]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        if U is not None:
-            U[i] = [-a for a in U[i]]
-
-    def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = abs(row[j])
-                if v and (best is None or v < best):
-                    best, where = v, (i, j)
-                    if v == 1:
-                        return where
-        return where
-
-    t = 0
-    while t < min(m, n):
-        if find_pivot(t) is None:
-            break
-        while True:
-            # always restart from the smallest entry: remainders produced by
-            # the reductions below become the next pivot, which keeps the
-            # classical coefficient explosion in check
-            i, j = find_pivot(t)
-            row_swap(t, i)
-            col_swap(t, j)
-            if A[t][t] < 0:
-                row_negate(t)
-            d = A[t][t]
-            dirty = False
-            for i2 in range(t + 1, m):
-                if A[i2][t]:
-                    q = A[i2][t] // d
-                    row_sub(i2, t, q)
-                    if A[i2][t]:
-                        dirty = True
-            for j2 in range(t + 1, n):
-                if A[t][j2]:
-                    q = A[t][j2] // d
-                    col_sub(j2, t, q)
-                    if A[t][j2]:
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility sweep into the trailing block
-            offender = None
-            for i2 in range(t + 1, m):
-                row = A[i2]
-                for j2 in range(t + 1, n):
-                    if row[j2] % d:
-                        offender = i2
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)   # add the offending row to the pivot row
-        t += 1
-    return tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
-
-
 class IntLattice:
     """Integer row lattice with an echelon basis for membership and solves.
 
@@ -342,12 +346,11 @@ class IntLattice:
     through add(), which copies them; the echelon basis is built in one
     batch pass on first query, in exact Python integers: unit pivots first,
     then minimal pivot.  The unit-pivot loop of smith_normal_form takes the
-    +-1 entries, each pivot row kept made positive; then, column by column,
-    the rows left holding the column are reduced against the one with the
-    least absolute entry until a single row, made positive, is left as that
-    column's pivot row.  Each pivot column is zero in every later pivot
-    row.  Only the sparse pivot rows are kept; sparse_basis() returns copies
-    of them.
+    +-1 entries, each pivot row kept made positive; then _column_loop, the
+    column loop of the Smith form's diagonalization, takes the rows left,
+    column by column.  Each pivot column is zero in every later pivot row.
+    Only the sparse pivot rows are kept; sparse_basis() returns copies of
+    them.
     """
 
     _exact = True        # rows are Python ints; read by the bench tracer
@@ -401,25 +404,7 @@ class IntLattice:
             base = {j: u * v for j, v in prow.items()}
             base[q] = 1
             self._pivots.append((q, base))
-        for col in sorted(cols):
-            held = cols[col]
-            if not held:
-                continue
-            while True:
-                k = min(held, key=lambda i: (abs(rows[i][col]), i))
-                base = rows[k]
-                if base[col] < 0:
-                    for j in base:
-                        base[j] = -base[j]
-                if len(held) == 1:
-                    break
-                piv = base[col]
-                for i in [i for i in held if i != k]:
-                    q = rows[i][col] // piv
-                    if q:
-                        _subtract_row(rows, cols, i, q, base)
-            _take_row(rows, cols, k)
-            self._pivots.append((col, base))
+        self._pivots += _column_loop(rows, cols, self.dim)
 
     # -- queries ---------------------------------------------------------------
     def reduce(self, vec: dict[int, int]):

@@ -60,8 +60,13 @@ from quandlehom.homology import (BoundaryMatrix, CocycleSpace, CocycleTable,
                                  evaluate_cocycle)
 from quandlehom.identities import (_SCAN_CHUNK, Assignment,
                                    SatisfactionReport)
-from quandlehom.linalg import (IntLattice, Matrix, identity_matrix,
-                               smith_normal_form)
+from quandlehom.linalg import IntLattice, smith_normal_form
+
+Matrix = list[list[int]]
+
+
+def identity_matrix(k: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def zeros_matrix(m: int, n: int) -> Matrix:

@@ -16,8 +16,9 @@ from oracles import (full_boundary_homology, kernel_basis,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
 from quandlehom.chains import (FormalChain, _generators, identity_cycle,
                                subcomplex_generators)
-from quandlehom.homology import (CocycleTable, HomologyGroup, _in_basis,
-                                 _spanning_columns, boundary_matrix,
+from quandlehom.homology import (CocycleTable, HomologyGroup, _complexes,
+                                 _in_basis, _spanning_columns,
+                                 boundary_matrix,
                                  chain_complex, coboundary,
                                  cocycle_condition_holds, cocycle_space,
                                  evaluate_cocycle, homology)
@@ -343,11 +344,11 @@ def test_homology_does_not_depend_on_the_order_degrees_are_asked_in():
                 want = {d: full_boundary_homology(Y, flavour, d, None)
                         for d in degrees}
                 for order in (degrees, reversed(degrees)):
-                    chain_complex.cache_clear()
+                    _complexes.cache_clear()
                     got = {d: homology(Y, flavour, d) for d in order}
                     assert got == want, (Y.rows, flavour)
                 for d in degrees:
-                    chain_complex.cache_clear()
+                    _complexes.cache_clear()
                     assert homology(Y, flavour, d) == want[d], \
                         (Y.rows, flavour, d)
                 checked += len(want)
@@ -369,7 +370,7 @@ def test_each_boundary_is_eliminated_once_per_complex(monkeypatch):
 
     monkeypatch.setattr(module, "smith_normal_form", counted)
     X = dihedral(3)
-    chain_complex.cache_clear()
+    _complexes.cache_clear()
     assert [str(homology(X, "quandle", d)) for d in (2, 3, 4)] == \
         ["0", "Z_3", "Z_3"]
     cx = chain_complex(X, "quandle", None)
@@ -378,9 +379,40 @@ def test_each_boundary_is_eliminated_once_per_complex(monkeypatch):
          len(boundary_matrix(X, "quandle", k).col_basis))
         for k in (2, 3, 4, 5)]
     assert all(cx.smith(k - 1).unit_columns for k in (3, 4, 5))
-    chain_complex.cache_clear()
+    _complexes.cache_clear()
     homology(X, "quandle", 2)
     assert len(calls) == 6
+
+
+def test_one_chain_complex_per_triple_whatever_the_call_form(monkeypatch):
+    """Positional, keyword and defaulted words, and a word outside the
+    identity flavour, all reach one cached complex: its Smith forms of d_2
+    and d_3 serve homology(X, "quandle", 2) with no further elimination.
+    The cache is a module-level lru_cache, which a sweep over every
+    module-level cache_clear, the benchmark's reset between rounds,
+    empties."""
+    module = sys.modules["quandlehom.homology"]
+    calls = []
+    eliminate = module.smith_normal_form
+    monkeypatch.setattr(module, "smith_normal_form",
+                        lambda rows, ncols: calls.append(ncols)
+                        or eliminate(rows, ncols))
+    X = dihedral(3)
+    _complexes.cache_clear()
+    cx = chain_complex(X, "quandle")
+    assert all(cx is other for other in (
+        chain_complex(X, "quandle", None),
+        chain_complex(X, "quandle", word=None),
+        chain_complex(X=X, complex="quandle"),
+        chain_complex(X, "quandle", parse_word("abab"))))
+    cx.smith(3)
+    assert str(homology(X, "quandle", 2)) == "0"
+    assert len(calls) == 2 and _complexes.cache_info().currsize == 1
+    for val in vars(module).values():
+        if callable(getattr(val, "cache_clear", None)):
+            val.cache_clear()
+    assert _complexes.cache_info().currsize == 0
+    assert chain_complex(X, "quandle") is not cx
 
 
 def test_cocycle_space_trivial_tables():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -9,10 +10,9 @@ from oracles import (det_bareiss, kernel_basis, lattice_from_rows,
                      naive_invariant_factors, rank_fraction_free, sparse,
                      sparse_rows, transform_smith)
 from quandlehom.homology import boundary_matrix
-from quandlehom.linalg import (_SEARCH_COLUMNS, IntLattice, _dense_core,
-                               _dense_smith, _eliminate_unit_pivots,
-                               _sparse_store, left_kernel_mod,
-                               smith_normal_form)
+from quandlehom.linalg import (_SEARCH_COLUMNS, IntLattice, _diagonalize,
+                               _eliminate_unit_pivots, _sparse_store,
+                               left_kernel_mod, smith_normal_form)
 from quandlehom.shell import corpus
 
 
@@ -61,29 +61,28 @@ def test_snf_permutation_invariance():
             == smith_normal_form(*sparse_rows(permuted)).invariant_factors
 
 
-# ------------------------------- sparse route against the dense route
+# -------------------------- sparse route against the reference Smith form
 
 def unit_stage(rows):
     """The unit-pivot stage on copies of the sparse rows: (pivot count,
-    the residue made dense)."""
-    store = _sparse_store([dict(row) for row in rows])
-    units = sum(1 for _ in _eliminate_unit_pivots(*store))
-    return units, _dense_core(*store)
+    the residue's rows as the store holds them, row -> {col: value})."""
+    residue, cols = _sparse_store([dict(row) for row in rows])
+    units = sum(1 for _ in _eliminate_unit_pivots(residue, cols))
+    return units, residue
 
 
 def assert_routes_agree(rows, ncols):
-    """The sparse unit-pivot route gives the invariant factors of the
-    library's dense elimination on the whole matrix and of the reference
-    Smith form (with verified transforms), takes its shape from ncols, and
-    leaves the input maps as they were, entry order included."""
+    """The sparse route gives the invariant factors of the reference
+    Smith form (with verified transforms) on the whole dense matrix, takes
+    its shape from ncols, and leaves the input maps as they were, entry
+    order included."""
     before = [list(row.items()) for row in rows]
     mat = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    expect = _dense_smith([list(r) for r in mat])
     ref = transform_smith(mat)
     assert ref.check(mat)
     sparse = smith_normal_form(rows, ncols)
     assert sparse.shape == (len(rows), ncols)
-    assert sparse.invariant_factors == ref.invariant_factors == expect
+    assert sparse.invariant_factors == ref.invariant_factors
     assert [list(row.items()) for row in rows] == before
 
 
@@ -124,11 +123,11 @@ def test_sparse_route_matches_dense(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(sparse_matrices(values=(-2, 2, 3, -4, 6)))
 def test_sparse_route_core_only(case):
-    """No entry is a unit, so the dense core does all the work."""
+    """No entry is a unit, so the diagonalization does all the work."""
     rows, ncols = case
-    units, core = unit_stage(rows)
+    units, residue = unit_stage(rows)
     assert units == 0
-    assert sum(map(any, core.values())) == sum(map(bool, rows))
+    assert len(residue) == sum(map(bool, rows))
     assert_routes_agree(rows, ncols)
 
 
@@ -162,9 +161,10 @@ def unit_rich_matrices(draw):
 @given(unit_rich_matrices())
 def test_sparse_route_across_many_unit_pivots(case):
     rows, ncols, k = case
-    units, core = unit_stage(rows)
+    units, residue = unit_stage(rows)
     assert units >= k >= 20
-    assert not any(v in (1, -1) for row in core.values() for v in row)
+    assert not any(v in (1, -1) for row in residue.values()
+                   for v in row.values())
     assert_routes_agree(rows, ncols)
 
 
@@ -176,8 +176,8 @@ def test_unit_search_passes_over_columns_without_units():
     mat = [[2 if j == i else 0 for j in range(k + 2)] for i in range(k)]
     mat += [[0] * k + [1, 1], [0] * k + [1, -1]]
     rows, ncols = sparse_rows(mat)
-    units, core = unit_stage(rows)
-    assert units == 1 and len(core) == k + 1
+    units, residue = unit_stage(rows)
+    assert units == 1 and len(residue) == k + 1
     assert_routes_agree(rows, ncols)
     assert smith_normal_form(rows, ncols).invariant_factors \
         == (1,) + (2,) * (k + 1)
@@ -211,6 +211,82 @@ def test_sparse_route_matches_dense_on_corpus_boundaries():
                 assert sparse.invariant_factors == ref.invariant_factors
                 checked += 1
     assert checked >= 50
+
+
+# ------------------------------------------------------ the diagonalization
+
+def test_smith_form_of_coprime_diagonal_entries():
+    """diag(2, 3) is diagonal but out of divisibility order: adding the row
+    of 3 to the row of 2 and going on gives 1 and 6."""
+    assert smith_normal_form([{0: 2}, {1: 3}], 2).invariant_factors == (1, 6)
+
+
+@pytest.mark.parametrize("rows, width, facs", [
+    ([{2: -3, 3: 1}, {2: 15}], 4, (1, 15)),
+    ([{0: 9}, {0: 10, 1: 6}], 2, (1, 54)),
+])
+def test_diagonalize_ends_where_row_labels_would_cycle(rows, width, facs):
+    """Residues on which passes that take the transposed columns in the
+    rows' own order, not in pivot order, run forever."""
+    carried = [{**row, width + i: 1} for i, row in enumerate(rows)]
+    diagonal, zero = _diagonalize(carried, width)
+    assert tuple(v for row in diagonal for j, v in row.items()
+                 if j < width) == facs
+    assert zero == []
+    assert smith_normal_form(rows, width).invariant_factors == facs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_matrices())
+def test_diagonalize_carries_a_unimodular_row_transform(case):
+    """_diagonalize on a whole matrix A, units included, with identity
+    columns carried past it.  Each diagonal row has one entry below width,
+    the entries divide in turn and are the reference invariant factors; the
+    carried part u of a zero row has u A = 0, and that of the row of entry
+    f has u A of gcd f; the carried parts stacked have determinant +-1."""
+    rows, width = case
+    m = len(rows)
+    mat = [[row.get(j, 0) for j in range(width)] for row in rows]
+    diagonal, zero = _diagonalize(
+        [{**row, width + i: 1} for i, row in enumerate(rows)], width)
+
+    def split(row):
+        main = [v for j, v in row.items() if j < width]
+        u = [row.get(width + i, 0) for i in range(m)]
+        return main, [sum(c * r[j] for c, r in zip(u, mat))
+                      for j in range(width)], u
+
+    facs = []
+    for row in diagonal:
+        main, uA, _ = split(row)
+        assert len(main) == 1
+        facs += main
+        assert math.gcd(*uA) == main[0]
+    assert all(b % a == 0 for a, b in zip(facs, facs[1:]))
+    assert tuple(facs) == transform_smith(mat).invariant_factors
+    for row in zero:
+        main, uA, _ = split(row)
+        assert not main and not any(uA)
+    assert abs(det_bareiss([split(row)[2] for row in diagonal + zero])) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_matrices(), st.integers(2, 12),
+       st.randoms(use_true_random=False))
+def test_explicit_zero_entries_change_nothing(case, modulus, rng):
+    """Rows with explicit 0 entries give the Smith form, unit columns
+    included, and the left kernel of the rows without them."""
+    rows, ncols = case
+    padded = [{**row, **{j: 0 for j in range(ncols)
+                         if j not in row and rng.random() < 0.3}}
+              for row in rows]
+    assert smith_normal_form(padded, ncols) == smith_normal_form(rows, ncols)
+    assert left_kernel_mod(padded, modulus) == left_kernel_mod(rows, modulus)
+
+
+def test_an_explicit_zero_is_no_pivot():
+    assert smith_normal_form([{0: 0, 1: 2}], 2).invariant_factors == (2,)
+    assert left_kernel_mod([{0: 0, 1: 2}], 4) == ([[2]], [2])
 
 
 # ------------------------------------------------ the left kernel mod d
@@ -264,6 +340,16 @@ def test_left_kernel_mod_chained_pivots():
     gens, orders = left_kernel_mod(rows, 6)
     assert orders == [2]
     assert gens == [[3, 3, 3]]
+
+
+def test_left_kernel_mod_of_coprime_diagonal_entries():
+    """2a = 3b = 0 (mod 6) is the cyclic group of (3, 2), one generator of
+    order 6, not two of orders 2 and 3."""
+    gens, orders = left_kernel_mod([{0: 2}, {1: 3}], 6)
+    assert orders == [6] and len(gens) == 1
+    a, b = gens[0]
+    assert {(c * a % 6, c * b % 6) for c in range(6)} \
+        == {(x, y) for x in (0, 3) for y in (0, 2, 4)}
 
 
 def test_rank_agreement():

@@ -16,8 +16,10 @@ import numpy as np
 
 from .core import QuandleTable, cycle_lengths, is_connected, make_table
 from .errors import (
+    IdentityNotSatisfied,
     NotAnAutomorphism,
     NotAUnit,
+    NotConnected,
     NotPrime,
     PNotGreaterThanN,
     ReducibleModulusAllowed,
@@ -375,13 +377,13 @@ def burnside_family(m: int, n: int, p: int) -> QuandleTable:
         ring = PolyRing(p, repetition_polynomial(m, n))
     unit = ring.t
     if not ring.is_unit(ring.sub(ring.one, unit)):
-        raise AssertionError("1 - t must be a unit for p > n")
+        raise NotAUnit("1 - t is not a unit in the quotient")
     word = Word.canonical(list(range(m)) * n)
     if not affine_satisfies(ring, unit, word):
-        raise AssertionError("repetition identity fails at ring level")
+        raise IdentityNotSatisfied(word)
     X = _affine_table(ring, unit)
     if not is_connected(X):
-        raise AssertionError("family member must be connected")
+        raise NotConnected("the family member is not connected")
     return X
 
 

@@ -134,6 +134,10 @@ class NotAnAutomorphism(QuandleError):
     pass
 
 
+class NotConnected(QuandleError):
+    pass
+
+
 class NotPrime(QuandleError):
     def __init__(self, p: int):
         self.p = p

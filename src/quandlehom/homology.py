@@ -155,8 +155,6 @@ class ChainComplex:
                 first = tuple(tups[columns[col[outside][0]]].tolist())
                 raise SubcomplexClosureViolated(
                     FormalChain(degree, {first: 1}))
-            if complex == "rack":
-                raise AssertionError("boundary left the tuple basis")
             # quandle: a degenerate face is projected out
             row, col, coefs = row[~outside], col[~outside], coefs[~outside]
         mat: list[dict[int, int]] = [{} for _ in range(int(row_basis.sum()))]

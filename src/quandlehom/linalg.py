@@ -12,11 +12,11 @@ two loops once and keeps only the sparse pivot rows, to reduce query vectors
 against.  A Smith form runs the unit-pivot loop, reporting the columns of
 its pivots, the cells that homology drops from the boundary one degree up,
 and diagonalizes the residue by the column loop, run on the rows and on the
-transposed echelon in turn.  The left kernel mod d runs the same two
-stages, recording the row operations of the unit pivots and carrying the
-residue's row transform in identity columns past the matrix, and solves by
-back-substitution.  These are the only eliminations the library runs, and
-no matrix is made dense.
+transposed echelon in turn, starting on the short side.  The left kernel
+mod d runs the same two stages, recording the row operations of the unit
+pivots and carrying the residue's row transform in identity columns past
+the matrix, and solves by back-substitution.  These are the only
+eliminations the library runs, and no matrix is made dense.
 """
 
 from __future__ import annotations
@@ -250,11 +250,11 @@ def _echelon(rows: list[dict[int, int]], width: int):
 
 
 def _transpose_pass(echelon: list[dict[int, int]], width: int):
-    """Column operations on echelon rows, which it empties, as the column
-    loop on their transpose below width, whose columns are the pivot
-    positions k of the rows; transposed back into new rows, the columns
-    below width are renamed to the pivot positions of this pass, and each
-    row keeps its entries at width and beyond."""
+    """Column operations on rows, in echelon form but on a first pass, which
+    it empties, as the column loop on their transpose below width, whose
+    columns are the positions k of the rows; transposed back into new rows,
+    the columns below width are renamed to the pivot positions of this pass,
+    and each row keeps its entries at width and beyond."""
     flipped: dict[int, dict[int, int]] = {}
     back: list[dict[int, int]] = []
     for k, row in enumerate(echelon):
@@ -277,19 +277,23 @@ def _diagonalize(rows: list[dict[int, int]], width: int):
     """The matrix of the entries below width of the given rows, which it
     takes over, made diagonal by row and column operations; the entries at
     width and beyond take part in every row operation, so identity columns
-    there carry the row transform.  Returns (diagonal, zero): the rows with
-    one entry below width, each positive and dividing the next, and the rows
-    with none.
+    there carry the row transform, and no column operation touches them.
+    Returns (diagonal, zero): the rows with one entry below width, each
+    positive and dividing the next, and the rows with none.
 
-    The column loop brings the rows to echelon form, and _transpose_pass
-    runs it on the transpose, its columns keyed by pivot position, until
-    each row has one entry below width (Kannan & Bachem, SIAM J. Comput. 8
-    (1979)).  This ends.  A pass makes the entry at the first pivot position
-    the gcd of the first column or row before it, which holds that entry,
-    so the entry only falls to proper divisors until it divides its row and
-    column; the next pass then clears both, and from then on its row is
-    alone in its column and is taken first, unchanged, by every pass, as is
-    its column; the argument goes on at the second position, and so on.
+    The first pass runs along the short side: on fewer rows than columns it
+    is _transpose_pass, which leaves at most as many columns as rows (on a
+    tall matrix it is slower).  Then the column loop brings the rows to
+    echelon form, and _transpose_pass runs it on the transpose, its columns
+    keyed by pivot position, until each row has one entry below width
+    (Kannan & Bachem, SIAM J. Comput. 8 (1979)).  This ends; a transposed
+    first pass is column operations, after which the argument starts.  A
+    pass makes the entry at the first pivot position the gcd of the first
+    column or row before it, which holds that entry, so the entry only falls
+    to proper divisors until it divides its row and column; the next pass
+    then clears both, and from then on its row is alone in its column and is
+    taken first, unchanged, by every pass, as is its column; the argument
+    goes on at the second position, and so on.
     Once diagonal, the first entry f_k that does not divide f_(k+1) has row
     k + 1 added to row k, and the passes go on: the earlier positions stay,
     and position k falls to a divisor of gcd(f_k, f_(k+1)) < f_k.  So the
@@ -297,6 +301,8 @@ def _diagonalize(rows: list[dict[int, int]], width: int):
     positive integers with its product, the absolute determinant of the
     rank x rank matrix that the transposed passes work on.
     """
+    if len(rows) < width:
+        rows = _transpose_pass(rows, width)
     echelon, zero = _echelon(rows, width)
     while True:
         if all(sum(j < width for j in row) == 1 for row in echelon):

@@ -14,9 +14,12 @@ from quandlehom.constructions import (PolyRing, alexander_poly, alexander_zn,
                                       generalized_alexander, make,
                                       repetition_polynomial, ring_element,
                                       affine_satisfies, trivial)
-from quandlehom.errors import (NotAnAutomorphism, NotAUnit,
-                               NotPrime, PNotGreaterThanN,
-                               ReducibleModulusAllowed, SizeGuardExceeded)
+from quandlehom import constructions
+from quandlehom.errors import (IdentityNotSatisfied, NotAnAutomorphism,
+                               NotAUnit, NotConnected, NotPrime,
+                               PNotGreaterThanN, ReducibleModulusAllowed,
+                               SizeGuardExceeded)
+from quandlehom.shell import cli
 
 
 def test_dihedral_table():
@@ -55,6 +58,26 @@ def test_construction_errors():
         burnside_family(1, 3, 3)
     with pytest.raises(NotPrime):
         PolyRing(6, (1, 1))
+
+
+@pytest.mark.parametrize("owner, name, check, error, message", [
+    (PolyRing, "is_unit", lambda ring, u: False, NotAUnit,
+     "1 - t is not a unit in the quotient"),
+    (constructions, "affine_satisfies", lambda ring, unit, w: False,
+     IdentityNotSatisfied, "table does not satisfy the identity xaa = x"),
+    (constructions, "is_connected", lambda X: False, NotConnected,
+     "the family member is not connected"),
+], ids=["unit", "identity", "connected"])
+def test_burnside_self_checks_raise_named_errors(monkeypatch, capsys, owner,
+                                                 name, check, error, message):
+    """Each self-check of burnside_family raises its own QuandleError, which
+    gen burnside reports as one error line with exit 1."""
+    monkeypatch.setattr(owner, name, check)
+    with pytest.raises(error, match=message):
+        burnside_family(1, 2, 3)
+    assert cli(["gen", "burnside", "1", "2", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 def test_reducible_modulus_warns():

@@ -88,12 +88,15 @@ def assert_routes_agree(rows, ncols):
 
 @st.composite
 def sparse_matrices(draw, values=(-1, 1, -2, 2, 3)):
-    """Random sparse matrices as (sparse rows, column count), possibly with
-    no rows, optionally with a zero row, a zero column and a duplicated
-    column spliced in, with trailing zero columns that only the column count
-    shows, and with each row's entries in shuffled order."""
-    m = draw(st.integers(0, 8))
-    n = draw(st.integers(1, 10))
+    """Random sparse matrices as (sparse rows, column count), up to 8 x 10
+    and possibly with no rows, or one in four short and wide, 1-4 rows by
+    20-60 columns; optionally with a zero row, a zero column and a
+    duplicated column spliced in, with trailing zero columns that only the
+    column count shows, and with each row's entries in shuffled order."""
+    if draw(st.integers(0, 3)):
+        m, n = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    else:
+        m, n = draw(st.integers(1, 4)), draw(st.integers(20, 60))
     density = draw(st.sampled_from((0.15, 0.3, 0.6)))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     mat = [[rng.choice(values) if rng.random() < density else 0

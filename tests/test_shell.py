@@ -9,10 +9,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quandlehom
 from quandlehom import chains
+from quandlehom.chains import digits
 from quandlehom.constructions import alexander_zn, dihedral
 from quandlehom.errors import MissingDataset, ParseError
 from quandlehom import shell
@@ -117,7 +119,7 @@ def test_cli_info_json(tmp_path):
     code, out = run_cli(["info", str(path), "--json"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["results"] == {
         "is_rack": True, "is_quandle": True, "is_connected": True,
         "is_medial": True, "is_faithful": True, "type": 2,
@@ -494,6 +496,39 @@ def test_reproduce_boundary_checks_catch_a_flipped_twisted_face(monkeypatch):
     sec = shell.reproduce_boundary_checks()
     assert sec["status"] == "fail"
     assert {kind for _, kind in sec["details"]["failures"]} == {"xx"}
+
+
+def test_reproduce_boundary_checks_take_every_tuple(monkeypatch):
+    """A fault on one class of tuples: the h = 2 twisted sign flipped on
+    tuples of equal entries, on tables of order 5 and more.  Every tuple
+    goes through both boundaries, so each (table, degree) pair of such a
+    table fails beside its d(x, x), and two runs report the same details."""
+    sec = shell.reproduce_boundary_checks()
+    assert sec["details"] == {"tuples_checked": 3923, "failures": [],
+                              "idempotency_cycles_checked": 51}
+    face_indices = chains.face_indices
+
+    def flipped(X, idx, degree):
+        faces, signs = face_indices(X, idx, degree)
+        if X.order < 5:
+            return faces, signs
+        signs = np.broadcast_to(signs, faces.shape).copy()
+        tups = digits(np.asarray(idx), X.order, degree)
+        signs[0, 1, (tups == tups[..., :1]).all(axis=-1)] *= -1
+        return faces, signs
+
+    monkeypatch.setattr(chains, "face_indices", flipped)
+    first, second = (shell.reproduce_boundary_checks() for _ in range(2))
+    failures = first["details"]["failures"]
+    assert first["status"] == "fail"
+    assert {name for name, kind in failures if kind == "xx"} == {
+        name for name, X in corpus() if X.order >= 5}
+    assert [f for f in failures if f[1] != "xx"] == [
+        ("alexander_zn(5,2)", 3), ("alexander_zn(5,2)", 4),
+        ("alexander_zn(5,3)", 3), ("alexander_zn(5,3)", 4),
+        ("alexander_poly(2,t^3+t^2+1,t)", 3),
+        ("alexander_poly(2,t^3+t+1,t)", 3), ("burnside(2,2,3)", 3)]
+    assert first["details"] == second["details"]
 
 
 def test_reproduce_census_on_synthetic_dataset(tmp_path):

@@ -11,8 +11,8 @@ by column.  The lattice class takes sparse {index: value} vectors, runs the
 two loops once and keeps only the sparse pivot rows, to reduce query vectors
 against.  A Smith form runs the unit-pivot loop, reporting the columns of
 its pivots, the cells that homology drops from the boundary one degree up,
-and diagonalizes the residue by the column loop, run on the rows and on the
-transposed echelon in turn, starting on the short side.  The left kernel
+and diagonalizes the residue by the column loop, run first on its transpose,
+then on the rows and on the transposed echelon in turn.  The left kernel
 mod d runs the same two stages, recording the row operations of the unit
 pivots and carrying the residue's row transform in identity columns past
 the matrix, and solves by back-substitution.  These are the only
@@ -249,15 +249,15 @@ def _echelon(rows: list[dict[int, int]], width: int):
     return pivots, list(store[0].values())
 
 
-def _transpose_pass(echelon: list[dict[int, int]], width: int):
-    """Column operations on rows, in echelon form but on a first pass, which
-    it empties, as the column loop on their transpose below width, whose
-    columns are the positions k of the rows; transposed back into new rows,
-    the columns below width are renamed to the pivot positions of this pass,
-    and each row keeps its entries at width and beyond."""
+def _transpose_pass(rows: list[dict[int, int]], width: int):
+    """Column operations on rows, which it empties, as the column loop on
+    their transpose below width, whose columns are the positions k of the
+    rows; transposed back into new rows, the columns below width are renamed
+    to the pivot positions of this pass, and each row keeps its entries at
+    width and beyond."""
     flipped: dict[int, dict[int, int]] = {}
     back: list[dict[int, int]] = []
-    for k, row in enumerate(echelon):
+    for k, row in enumerate(rows):
         carried = {}
         for j, v in row.items():
             if j < width:
@@ -266,7 +266,7 @@ def _transpose_pass(echelon: list[dict[int, int]], width: int):
                 carried[j] = v
         row.clear()             # free it before its copy grows
         back.append(carried)
-    tpivots, _ = _echelon(list(flipped.values()), len(echelon))
+    tpivots, _ = _echelon(list(flipped.values()), len(rows))
     for m, trow in enumerate(tpivots):
         for k, v in trow.items():
             back[k][m] = v
@@ -281,13 +281,13 @@ def _diagonalize(rows: list[dict[int, int]], width: int):
     Returns (diagonal, zero): the rows with one entry below width, each
     positive and dividing the next, and the rows with none.
 
-    The first pass runs along the short side: on fewer rows than columns it
-    is _transpose_pass, which leaves at most as many columns as rows (on a
-    tall matrix it is slower).  Then the column loop brings the rows to
-    echelon form, and _transpose_pass runs it on the transpose, its columns
-    keyed by pivot position, until each row has one entry below width
-    (Kannan & Bachem, SIAM J. Comput. 8 (1979)).  This ends; a transposed
-    first pass is column operations, after which the argument starts.  A
+    The first pass is _transpose_pass, which leaves at most as many columns
+    as rows, so a short, wide residue is cut down along its short side
+    before any row pass.  Then the column loop brings the rows to echelon
+    form, and _transpose_pass runs it on the transpose, its columns keyed by
+    pivot position, until each row has one entry below width (Kannan &
+    Bachem, SIAM J. Comput. 8 (1979)).  This ends; the first pass is column
+    operations only, and the argument starts after it.  A
     pass makes the entry at the first pivot position the gcd of the first
     column or row before it, which holds that entry, so the entry only falls
     to proper divisors until it divides its row and column; the next pass
@@ -301,9 +301,7 @@ def _diagonalize(rows: list[dict[int, int]], width: int):
     positive integers with its product, the absolute determinant of the
     rank x rank matrix that the transposed passes work on.
     """
-    if len(rows) < width:
-        rows = _transpose_pass(rows, width)
-    echelon, zero = _echelon(rows, width)
+    echelon, zero = _echelon(_transpose_pass(rows, width), width)
     while True:
         if all(sum(j < width for j in row) == 1 for row in echelon):
             facs = [next(v for j, v in row.items() if j < width)

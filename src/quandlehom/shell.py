@@ -367,7 +367,8 @@ def reproduce_boundary_checks() -> dict:
             xs = np.arange(n)
             nonzero, _, _ = block_boundary(X, xs, xs * (n + 1),
                                            np.ones(n, dtype=np.int64), 2)
-            failures += [(name, "xx")] * len(np.unique(nonzero))
+            if len(nonzero):
+                failures.append((name, "xx"))
             idempotent += n
         for degree in (3, 4) if n <= 5 else (3,):
             tups = np.arange(n ** degree)

@@ -7,11 +7,11 @@ and the identity subcomplex of a satisfied word (worked in lattice coordinates
 of the generated span, not its saturation, so torsion is preserved exactly).
 One ChainComplex per (table, flavour, word) builds every boundary as sparse
 rows and a column count, and eliminates each once, on the rows that the unit
-pivots one degree down leave; homology and cocycles take each tuple boundary
-on a spanning set of its columns, picked from the cycles of one right
-translation R_x0 (both lemmas in homology's docstring).  boundary_matrix
-keeps every column and alone forms bases.  A 2-cocycle space is
-Hom(coker d_3, Z_d), read off the unit-pivot elimination of the rack d_3.
+pivots one degree down leave; homology reads a quandle's rack and degenerate
+groups off its quandle groups and, as cocycles do, takes each tuple boundary
+on a spanning set of its columns (both lemmas in homology's docstring).
+boundary_matrix keeps every column and alone forms bases.  A 2-cocycle space
+is Hom(coker d_3, Z_d), read off the unit-pivot elimination of the rack d_3.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class ChainComplex:
                  size_guard: int = DEFAULT_SIZE_GUARD
                  ) -> tuple[Sequence[dict[int, int]], int]:
         """The sparse rows of d_degree and its column count; identity rows
-        are the span's own, so read-only.  Spanning, a tuple flavour forms
+        are the span's own, so read-only.  Spanning, rack and quandle form
         only the columns of _spanning_columns, at their positions in the
         whole basis, where the lemma in homology's docstring holds."""
         X, complex, n = self.X, self.complex, self.X.order
@@ -137,7 +137,7 @@ class ChainComplex:
         SizeGuardExceeded.check(n ** degree, size_guard)
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, complex)
-        spanning = spanning and (complex != "degenerate" or X.is_quandle)
+        spanning = spanning and complex != "degenerate"
         take = basis & _spanning_columns(X, tups) if spanning else basis
         columns = np.flatnonzero(take)
         position = (np.cumsum(basis) - 1)[take]
@@ -166,10 +166,8 @@ class ChainComplex:
     def smith(self, degree: int,
               size_guard: int = DEFAULT_SIZE_GUARD) -> SmithForm:
         """The Smith form of d_degree on its spanning columns and on the
-        rows that smith(degree - 1).unit_columns leave, cached per degree.
-        d_degree is built before the degree below, so a build that leaves
-        the subcomplex raises at the highest degree; a cached degree is not
-        built again, so size_guard does not bind it."""
+        rows that smith(degree - 1).unit_columns leave, cached per degree; a
+        cached degree is not built again, so size_guard does not bind it."""
         if degree not in self._smith:
             rows, dim = self.boundary(degree, True, size_guard)
             if degree == 1:
@@ -248,6 +246,42 @@ def _degree_cap(order: int) -> int:
     return 2
 
 
+def _group(cx: ChainComplex, degree: int, size_guard: int) -> HomologyGroup:
+    n, up = cx.smith(degree, size_guard), cx.smith(degree + 1, size_guard)
+    return HomologyGroup(n.shape[1] - n.rank - up.rank,
+                         tuple(d for d in up.invariant_factors if d > 1))
+
+
+def _invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
+    """Invariant factors > 1 of the sum of the Z_o; Z_a+Z_b = Z_gcd+Z_lcm."""
+    chain: list[int] = []
+    for c in orders:
+        for i in reversed(range(len(chain))):
+            chain[i], c = math.lcm(chain[i], c), math.gcd(chain[i], c)
+        if c > 1:
+            chain.insert(0, c)
+    return tuple(chain)
+
+
+def _split(X: QuandleTable, complex: str, degree: int,
+           size_guard: int) -> HomologyGroup:
+    """Rack or degenerate H_degree of a quandle, by homology's docstring."""
+    quandle, rack = {}, {-1: (0, ()), 0: (1, ())}   # (free rank, torsion)
+    for k in range(1, degree + 1):
+        free, orders = 0, ()
+        for p in range(1, k):       # H^Q_p (x) H^R_(k-1-p), Tor(.., R_(k-2-p))
+            (a, s), (b, t) = quandle[p], rack[k - 1 - p]
+            free += a * b
+            orders += s * b + t * a + tuple(math.gcd(u, v) for u in s
+                                            for v in t + rack[k - 2 - p][1])
+        if k < degree or complex == "rack":
+            h = _group(chain_complex(X, "quandle"), k, size_guard)
+            quandle[k] = h.free_rank, h.torsion
+            free, orders = free + h.free_rank, orders + h.torsion
+            rack[k] = free, _invariant_factors(orders)
+    return HomologyGroup(free, _invariant_factors(orders))
+
+
 def homology(X: QuandleTable, complex: str, degree: int,
              word: Optional[Word] = None,
              max_degree: Optional[int] = None,
@@ -265,20 +299,16 @@ def homology(X: QuandleTable, complex: str, degree: int,
     columns of d_k agree modulo the columns at tuples ending in x0, and
     im d_k is spanned by those columns plus one column per cycle that holds
     no tuple ending in x0 (d_1 = 0 needs none).  This holds in the rack
-    complex; in the quandle complex, where a degenerate tuple is zero, as
-    c.R_x0 and (c, x0) are non-degenerate with c when c does not end in x0;
-    and in the degenerate complex of a quandle, as they are degenerate with
-    c.  x0 is the x whose R_x has the fewest cycles, the least on a tie.
+    complex, and in the quandle complex, where a degenerate tuple is zero,
+    as c.R_x0 and (c, x0) are non-degenerate with c when c does not end in
+    x0.  x0 is the x whose R_x has the fewest cycles, the least on a tie.
     The image lattice, hence the rank and the invariant factors, is
     unchanged on any rows, and a +-1 pivot among the kept columns is a unit
     pivot of the whole matrix; columns keep their whole-basis positions, so
     the unit columns of d_k index the rows of d_{k+1}.  The identity flavour
-    is built on every column, in the echelon bases of its spans, and so are
-    the degenerate tuples of a rack that is not a quandle, which are no
-    subcomplex: the build raises SubcomplexClosureViolated at the first
-    column whose boundary leaves them.
+    is built on every column, in the echelon bases of its spans.
 
-    One sweep serves all four flavours: d'_k is d_k on the rows outside
+    One sweep serves each complex: d'_k is d_k on the rows outside
     Q_(k-1), the unit pivot columns of d'_(k-1); Q_1 is empty as d_1 = 0,
     so d'_2 = d_2.  The lemma: let A be an integer matrix, (P, Q) its unit
     pivot rows and columns and Q' the other columns.  A[P,Q] is unimodular,
@@ -292,12 +322,20 @@ def homology(X: QuandleTable, complex: str, degree: int,
     A = d'_n projects ker d_n one-to-one onto a pure L outside Q_n, and
     im d_(n+1) onto im d'_(n+1), so H_n = L / im d'_(n+1): the torsion is
     the non-unit invariant factors of d'_(n+1), the free rank
-    dim - rank d'_n - rank d'_(n+1).  The quandle flavour is a quotient
-    complex only on a quandle, so a rack that is not one raises
-    IdempotencyFails at its least x with x*x != x; an identity word that X
-    fails raises IdentityNotSatisfied.
+    dim - rank d'_n - rank d'_(n+1).  A quandle's rack and degenerate groups
+    come from its quandle groups H^Q_p alone: H^R_k = H^Q_k + H^D_k
+    (Litherland & Nelson, JPAA 178 (2003)), and H^D is fixed by lower
+    groups (Przytycki & Putyra, Eur. J. Math. 2 (2016)), here in the form,
+    from H^R_0 = Z and H^R_-1 = 0, each sum brought to invariant factors:
+        H^D_k = sum_{0<p<k} (H^Q_p (x) H^R_(k-1-p) + Tor(H^Q_p, H^R_(k-2-p)))
+    So H^D_1 = 0 and H^D_n needs H^Q_p for p < n only.  The tests and CI
+    check this exact form against direct elimination, not against that
+    paper.  max_degree and size_guard bind the quandle builds.  The quandle
+    and degenerate flavours are complexes only on a quandle, so another
+    rack raises IdempotencyFails at its least x with x*x != x; an identity
+    word that X fails raises IdentityNotSatisfied.
     """
-    if complex == "quandle" and not X.is_quandle:
+    if complex in ("quandle", "degenerate") and not X.is_quandle:
         raise IdempotencyFails(next(x for x in range(X.order)
                                     if X.rows[x][x] != x))
     if complex == "identity" and word is not None \
@@ -308,12 +346,9 @@ def homology(X: QuandleTable, complex: str, degree: int,
         degree, cap,
         f"degree {degree} exceeds the degree cap {cap} for order "
         f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
-    cx = chain_complex(X, complex, word)
-    snf_n = cx.smith(degree, size_guard)
-    snf_up = cx.smith(degree + 1, size_guard)
-    return HomologyGroup(
-        free_rank=snf_n.shape[1] - snf_n.rank - snf_up.rank,
-        torsion=tuple(d for d in snf_up.invariant_factors if d > 1))
+    if complex in ("rack", "degenerate") and X.is_quandle and degree > 0:
+        return _split(X, complex, degree, size_guard)
+    return _group(chain_complex(X, complex, word), degree, size_guard)
 
 
 # ------------------------------------------------------------------ cocycles

@@ -374,7 +374,7 @@ class IntLattice:
     def _rows(self) -> list[list[int]]:
         # the nonzero values of each basis row, for the rank and entry-bit
         # counters of qhbench/spans.py; delete once the tracer reads a
-        # recorder instead (ROADMAP item 7)
+        # recorder instead (ROADMAP item 5)
         return [list(row.values()) for _, row in self._pivots]
 
     def sparse_basis(self) -> list[dict[int, int]]:

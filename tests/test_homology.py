@@ -1,3 +1,4 @@
+import collections
 import importlib
 import itertools
 import math
@@ -16,9 +17,9 @@ from oracles import (full_boundary_homology, kernel_basis,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
 from quandlehom.chains import (FormalChain, _generators, identity_cycle,
                                subcomplex_generators)
-from quandlehom.homology import (CocycleTable, HomologyGroup, _complexes,
-                                 _in_basis, _spanning_columns,
-                                 boundary_matrix,
+from quandlehom.homology import (ChainComplex, CocycleTable, HomologyGroup,
+                                 _complexes, _in_basis, _invariant_factors,
+                                 _spanning_columns, boundary_matrix,
                                  chain_complex, coboundary,
                                  cocycle_condition_holds, cocycle_space,
                                  evaluate_cocycle, homology)
@@ -220,14 +221,15 @@ def test_degenerate_restriction_requires_quandle():
                          ids=["rack3", "fixes-0"])
 def test_quandle_homology_requires_a_quandle(rows, x):
     """The degenerate tuples of a rack that is not a quandle are no
-    subcomplex, so there is no quotient complex: quandle homology raises at
-    the least x with x*x != x instead of reading groups off a d with
-    dd != 0, while the rack flavour still answers."""
+    subcomplex, so there is no quotient complex: quandle and degenerate
+    homology raise at the least x with x*x != x instead of reading groups
+    off a d with dd != 0, while the rack flavour still answers."""
     X = make_table(rows, require="rack")
     for degree in (1, 2, 3):
-        with pytest.raises(IdempotencyFails) as exc:
-            homology(X, "quandle", degree)
-        assert exc.value.x == x
+        for flavour in ("quandle", "degenerate"):
+            with pytest.raises(IdempotencyFails) as exc:
+                homology(X, flavour, degree)
+            assert exc.value.x == x
         assert homology(X, "rack", degree).free_rank >= 0
 
 
@@ -262,9 +264,12 @@ def test_spanning_columns_generate_the_image():
     """The lemma in homology's docstring: every column of d_k that the
     spanning set leaves out lies in the integer span of the columns it
     keeps, and the kept columns are those of boundary_matrix at their
-    positions in the whole basis; on every case of _lemma_cases."""
+    positions in the whole basis; on every rack and quandle case of
+    _lemma_cases."""
     kept = left_out = 0
     for X, flavour, degree in _lemma_cases():
+        if flavour == "degenerate":
+            continue
         full = boundary_matrix(X, flavour, degree)
         n = X.order
         tups = digits(np.arange(n ** degree), n, degree)
@@ -289,24 +294,18 @@ def test_spanning_columns_generate_the_image():
     assert left_out > kept
 
 
-def _first_closure_violation(X, degree):
-    """The chain boundary_matrix raises on at degree, else at degree + 1."""
-    for k in (degree, degree + 1):
-        try:
-            boundary_matrix(X, "degenerate", k)
-        except SubcomplexClosureViolated as exc:
-            return exc.chain
-    return None
-
-
 def test_homology_on_reduced_boundaries_equals_the_full_route():
-    """Forming only the spanning columns of each boundary, and eliminating
-    each d_k on the rows that the unit pivots of d_(k-1) leave, changes no
-    group: on every case of _lemma_cases and on two identity spans at
-    degrees 1..3.
-    Degenerate homology on a rack that is not a quandle raises on the chain
-    that boundary_matrix raises on."""
+    """Forming only the spanning columns of each boundary, eliminating each
+    d_k on the rows that the unit pivots of d_(k-1) leave, and reading the
+    rack and degenerate groups of a quandle off its quandle groups change
+    no group: on every case of _lemma_cases, on the connected quandles of
+    order 6 at degrees 2..3 and on two identity spans at degrees 1..3.
+    Degenerate homology on a rack that is not a quandle raises at the least
+    x with x*x != x."""
     cases = list(_lemma_cases())
+    cases += [(X, flavour, degree) for X in enumerate_connected(6)
+              for flavour in ("rack", "quandle", "degenerate")
+              for degree in (2, 3)]
     cases += [(X, "identity", degree)
               for X in (dihedral(3), alexander_zn(5, 2)) for degree in (1, 2, 3)]
     words = {3: parse_word("aa"), 5: parse_word("abab")}
@@ -317,10 +316,10 @@ def test_homology_on_reduced_boundaries_equals_the_full_route():
             (X.rows, flavour, degree)
         assert got.free_rank >= 0
         if not X.is_quandle:
-            want = _first_closure_violation(X, degree)
-            with pytest.raises(SubcomplexClosureViolated) as exc:
+            with pytest.raises(IdempotencyFails) as exc:
                 homology(X, "degenerate", degree)
-            assert exc.value.chain == want
+            assert exc.value.x == min(x for x in range(X.order)
+                                      if X.rows[x][x] != x)
     assert len(cases) >= 300
 
 
@@ -486,6 +485,53 @@ def test_homology_regression_pins(dih3, gf4, az52, az53):
     assert groups(gf4) == ("Z_2", "Z ⊕ Z_2", "Z_2 ⊕ Z_4")
     assert groups(az52) == ("0", "Z", "0")
     assert groups(az53) == ("0", "Z", "0")
+
+
+def test_rack_and_degenerate_pins_that_need_the_tor_term(gf4):
+    """Direct elimination of the rack and degenerate tuple complexes gave
+    these groups; without the Tor sum S4 degenerate H_6 would read
+    Z + Z_2^19 + Z_4^5."""
+    def group(X, flavour, degree):
+        h = homology(X, flavour, degree, max_degree=degree,
+                     size_guard=10 ** 6)
+        return h.free_rank, dict(collections.Counter(h.torsion))
+
+    assert group(gf4, "rack", 6) == (1, {2: 29, 4: 7})
+    assert group(gf4, "degenerate", 6) == (1, {2: 20, 4: 5})
+    assert group(dihedral(5), "rack", 5) == (1, {5: 4})
+    assert group(dihedral(5), "degenerate", 5) == (1, {5: 3})
+
+
+def test_rack_and_degenerate_groups_of_a_quandle_eliminate_no_own_complex(
+        gf4, monkeypatch):
+    """With ChainComplex.smith made to raise for every flavour but quandle,
+    the rack and degenerate groups of dihedral(3) and S4 at degrees 1..4
+    still answer, and equal the full boundary route."""
+    smith = ChainComplex.smith
+
+    def quandle_only(cx, *args):
+        if cx.complex != "quandle":
+            raise AssertionError(f"a {cx.complex} complex was eliminated")
+        return smith(cx, *args)
+
+    monkeypatch.setattr(ChainComplex, "smith", quandle_only)
+    for X in (dihedral(3), gf4):
+        for flavour in ("rack", "degenerate"):
+            for degree in range(1, 5):
+                assert homology(X, flavour, degree, max_degree=4) == \
+                    full_boundary_homology(X, flavour, degree), \
+                    (X.order, flavour, degree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 720), max_size=24))
+def test_invariant_factor_merge_matches_the_prime_power_parts(orders):
+    """The merge returns a divisibility chain of factors above 1, from the
+    least, with the prime-power parts of its input."""
+    chain = _invariant_factors(orders)
+    assert all(d > 1 for d in chain)
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+    assert _prime_powers(chain) == _prime_powers(orders)
 
 
 def test_quandle_h2_two_routes_gf4(gf4):
@@ -823,8 +869,7 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
         assert len(rows) == len(bm.row_basis)
         assert not any(a is b for a, b in zip(bm.sparse_rows, rows))
         keep = set(range(dim))
-        if flavour != "identity" and (flavour != "degenerate"
-                                      or X.is_quandle):
+        if flavour in ("rack", "quandle"):
             n = X.order
             tups = digits(np.arange(n ** degree), n, degree)
             keep = set(np.flatnonzero(

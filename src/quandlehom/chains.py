@@ -425,8 +425,8 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     built as whole arrays of term indices from the word's prefix products;
     chains and provenance are formed on first access.  SizeGuardExceeded
     is raised before any is built when the rows to enumerate, n^degree
-    tuples or (degree - 1) * n^(degree - 1 + letters) identity rows, exceed
-    size_guard.
+    tuples or (degree - 1) * n^(degree - 1 + letters) identity rows, with
+    n the order or 2 if larger, exceed size_guard.
 
     The result is cached per process, so the subcomplex command, identity
     homology and boundary_matrix share one GeneratorSet per span: its lattice
@@ -436,10 +436,12 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     if degree < 2:
         raise DegreeTooSmall("subcomplex generators need degree >= 2")
     # the rows enumerated before duplicates go: one per tuple, or one per
-    # (slot, entries, letters)
-    rows = X.order ** degree
+    # (slot, entries, letters); an order-1 table counts as order 2, so that
+    # the count grows with the degree
+    n = max(X.order, 2)
+    rows = n ** degree
     if kind == "identity" and word is not None:
-        rows = (degree - 1) * X.order ** (degree - 1 + word.letters)
+        rows = (degree - 1) * n ** (degree - 1 + word.letters)
     SizeGuardExceeded.check(
         rows, size_guard,
         f"{rows} generator rows exceed the guard {size_guard}")

@@ -15,13 +15,12 @@ class SizeGuardExceeded(QuandleError):
     """The one refusal of every size limit, raised by ``check`` before the
     work: needed counts what the work would take, guard is the limit."""
 
-    def __init__(self, needed: int, guard: int, message: str = ""):
+    def __init__(self, needed: int, guard: int, message: str):
         self.needed, self.guard = needed, guard
-        super().__init__(
-            message or f"{needed} basis tuples exceed the guard {guard}")
+        super().__init__(message)
 
     @classmethod
-    def check(cls, needed: int, guard: int, message: str = ""):
+    def check(cls, needed: int, guard: int, message: str):
         if needed > guard:
             raise cls(needed, guard, message)
 

@@ -134,7 +134,12 @@ class ChainComplex:
                 return [], 0
             return subcomplex_generators(X, "identity", degree, self.word,
                                          size_guard).boundary_rows()
-        SizeGuardExceeded.check(n ** degree, size_guard)
+        needed = max(n, 2) ** degree    # order 1 as 2: grows with the degree
+        SizeGuardExceeded.check(
+            needed, size_guard,
+            f"d_{degree} enumerates {needed} tuples, over the guard "
+            f"{size_guard}; the size_guard argument of homology and "
+            f"boundary_matrix raises it (the CLI has no option)")
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, complex)
         spanning = spanning and complex != "degenerate"
@@ -238,16 +243,9 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-def _degree_cap(order: int) -> int:
-    if order <= 8:
-        return 4
-    if order <= 16:
-        return 3
-    return 2
-
-
 def _group(cx: ChainComplex, degree: int, size_guard: int) -> HomologyGroup:
-    n, up = cx.smith(degree, size_guard), cx.smith(degree + 1, size_guard)
+    up = cx.smith(degree + 1, size_guard)   # guards d_(degree+1) first
+    n = cx.smith(degree, size_guard)
     return HomologyGroup(n.shape[1] - n.rank - up.rank,
                          tuple(d for d in up.invariant_factors if d > 1))
 
@@ -266,6 +264,8 @@ def _invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
 def _split(X: QuandleTable, complex: str, degree: int,
            size_guard: int) -> HomologyGroup:
     """Rack or degenerate H_degree of a quandle, by homology's docstring."""
+    cx = chain_complex(X, "quandle")
+    cx.smith(degree + (complex == "rack"), size_guard)  # guards the top d
     quandle, rack = {}, {-1: (0, ()), 0: (1, ())}   # (free rank, torsion)
     for k in range(1, degree + 1):
         free, orders = 0, ()
@@ -275,7 +275,7 @@ def _split(X: QuandleTable, complex: str, degree: int,
             orders += s * b + t * a + tuple(math.gcd(u, v) for u in s
                                             for v in t + rack[k - 2 - p][1])
         if k < degree or complex == "rack":
-            h = _group(chain_complex(X, "quandle"), k, size_guard)
+            h = _group(cx, k, size_guard)
             quandle[k] = h.free_rank, h.torsion
             free, orders = free + h.free_rank, orders + h.torsion
             rack[k] = free, _invariant_factors(orders)
@@ -284,7 +284,6 @@ def _split(X: QuandleTable, complex: str, degree: int,
 
 def homology(X: QuandleTable, complex: str, degree: int,
              word: Optional[Word] = None,
-             max_degree: Optional[int] = None,
              size_guard: int = DEFAULT_SIZE_GUARD) -> HomologyGroup:
     """H_degree = ker(boundary) / im(boundary from one degree up), read off
     the Smith forms of chain_complex(X, complex, word).
@@ -330,10 +329,14 @@ def homology(X: QuandleTable, complex: str, degree: int,
         H^D_k = sum_{0<p<k} (H^Q_p (x) H^R_(k-1-p) + Tor(H^Q_p, H^R_(k-2-p)))
     So H^D_1 = 0 and H^D_n needs H^Q_p for p < n only.  The tests and CI
     check this exact form against direct elimination, not against that
-    paper.  max_degree and size_guard bind the quandle builds.  The quandle
-    and degenerate flavours are complexes only on a quandle, so another
-    rack raises IdempotencyFails at its least x with x*x != x; an identity
-    word that X fails raises IdentityNotSatisfied.
+    paper.  size_guard is the one limit, on the tuples of a tuple boundary
+    and the generator rows of an identity span, an order-1 table counted
+    as order 2; every call builds its largest boundary first, d_(degree+1)
+    or, for degenerate groups, the quandle d_degree, so a refusal comes
+    before any work.  The quandle and degenerate flavours are complexes
+    only on a quandle, so another rack raises IdempotencyFails at its least
+    x with x*x != x; an identity word that X fails raises
+    IdentityNotSatisfied.
     """
     if complex in ("quandle", "degenerate") and not X.is_quandle:
         raise IdempotencyFails(next(x for x in range(X.order)
@@ -341,11 +344,6 @@ def homology(X: QuandleTable, complex: str, degree: int,
     if complex == "identity" and word is not None \
             and not satisfies_cached(X, word):
         raise IdentityNotSatisfied(word)
-    cap = max_degree if max_degree is not None else _degree_cap(X.order)
-    SizeGuardExceeded.check(
-        degree, cap,
-        f"degree {degree} exceeds the degree cap {cap} for order "
-        f"{X.order}; pass max_degree (CLI: --max-degree) to go higher")
     if complex in ("rack", "degenerate") and X.is_quandle and degree > 0:
         return _split(X, complex, degree, size_guard)
     return _group(chain_complex(X, complex, word), degree, size_guard)

@@ -552,7 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "identity"), default="rack")
     p.add_argument("--word")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None)
 
     p = command("cocycles", _run_cocycles, "2-cocycle space mod d")
     p.add_argument("--mod", type=int, required=True)
@@ -692,8 +691,7 @@ def _run_subcomplex(args):
 def _run_homology(args):
     table, digests = _load_table(args)
     word = _word_arg(args.word) if args.word else None
-    group = homology(table, args.complex, args.degree, word=word,
-                     max_degree=args.max_degree)
+    group = homology(table, args.complex, args.degree, word=word)
     return {"complex": args.complex, "degree": args.degree,
             "group": str(group), "free_rank": group.free_rank,
             "torsion": list(group.torsion)}, True, digests

@@ -26,8 +26,8 @@ from quandlehom.homology import (ChainComplex, CocycleTable, HomologyGroup,
 from quandlehom.identities import (Assignment, parse_word, satisfies_all,
                                    two_letter_universe)
 from quandlehom.linalg import IntLattice, smith_normal_form
-from quandlehom.constructions import (alexander_zn, dihedral,
-                                      enumerate_connected, trivial)
+from quandlehom.constructions import (alexander_poly, alexander_zn,
+                                      dihedral, enumerate_connected, trivial)
 from quandlehom.core import digits, inner_group, make_table
 from quandlehom.errors import DegreeMismatch, IdempotencyFails, \
     IdentityNotSatisfied, InvalidCocycle, SizeGuardExceeded, \
@@ -200,11 +200,70 @@ def test_homology_str_forms():
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 ⊕ Z_2 ⊕ Z_4"
 
 
-def test_homology_degree_guard(dih3):
+def test_homology_refuses_at_its_largest_boundary_before_any_build(
+        monkeypatch):
+    """With every build made to raise, R7 and GF8 quandle H_6, R7 rack H_6
+    and R7 degenerate H_7 are refused at the tuples of the quandle d_7, and
+    Z5_2 abab identity H_5 at the generator rows of its degree-6 span: each
+    call runs the guard on its largest boundary before it builds any."""
+    def build(*args):
+        raise AssertionError("a boundary was built before the guard")
+
+    monkeypatch.setattr(sys.modules["quandlehom.homology"],
+                        "block_boundary", build)
+    monkeypatch.setattr(sys.modules["quandlehom.chains"], "_generators",
+                        build)
+    _complexes.cache_clear()
+    for X, flavour, degree, word, needed in (
+            (dihedral(7), "quandle", 6, None, 823_543),
+            (alexander_poly(2, [1, 1, 0, 1], [0, 1]), "quandle", 6, None,
+             2_097_152),
+            (dihedral(7), "rack", 6, None, 823_543),
+            (dihedral(7), "degenerate", 7, None, 823_543),
+            (alexander_zn(5, 2), "identity", 5, parse_word("abab"),
+             390_625)):
+        with pytest.raises(SizeGuardExceeded) as err:
+            homology(X, flavour, degree, word=word)
+        assert (err.value.needed, err.value.guard) == (needed, 200_000)
+
+
+def test_homology_admits_every_degree_its_guard_admits():
+    """Groups that only size_guard bounds now, each read in under a second;
+    the same routes gave the same values before homology's separate degree
+    limit was removed."""
+    def group(X, flavour, degree):
+        h = homology(X, flavour, degree)
+        return h.free_rank, dict(collections.Counter(h.torsion))
+
+    assert group(dihedral(3), "rack", 5) == (1, {3: 4})
+    assert group(dihedral(3), "quandle", 10) == (0, {3: 9})
+    # degenerate H_11 tops out at the quandle d_11, rack H_11 at d_12
+    assert group(dihedral(3), "degenerate", 11) == (1, {3: 114})
     with pytest.raises(SizeGuardExceeded):
-        homology(dih3, "rack", 5)
-    h = homology(dih3, "rack", 4, max_degree=4, size_guard=300000)
-    assert h.free_rank >= 0
+        homology(dihedral(3), "rack", 11)
+    assert group(alexander_zn(5, 2), "quandle", 6) == (0, {})
+    assert sorted(str(homology(X, "quandle", 5))
+                  for X in enumerate_connected(6)) == ["Z_12", "Z_2 ⊕ Z_24"]
+    assert group(make_table(PERMUTATION_RACK, require="rack"), "rack",
+                 9) == (1, {})
+
+
+def test_order_one_tables_are_counted_as_order_two(triv1):
+    """Every count of trivial(1) is 1, so the guards count it as order 2:
+    rack H_16 reads d_17 at 2^17 tuples, H_17 is refused at d_18, the aa
+    span of degree 18 at 17 * 2^18 generator rows, and every flavour at
+    degree 10^4 before smith recurses."""
+    assert homology(triv1, "rack", 16) == HomologyGroup(1, ())
+    with pytest.raises(SizeGuardExceeded) as err:
+        homology(triv1, "rack", 17)
+    assert err.value.needed == 2 ** 18
+    with pytest.raises(SizeGuardExceeded) as err:
+        subcomplex_generators(triv1, "identity", 18, parse_word("aa"))
+    assert err.value.needed == 17 * 2 ** 18
+    for flavour in ("rack", "quandle", "degenerate", "identity"):
+        word = parse_word("aa") if flavour == "identity" else None
+        with pytest.raises(SizeGuardExceeded):
+            homology(triv1, flavour, 10 ** 4, word=word)
 
 
 def test_degenerate_restriction_requires_quandle():
@@ -492,8 +551,7 @@ def test_rack_and_degenerate_pins_that_need_the_tor_term(gf4):
     these groups; without the Tor sum S4 degenerate H_6 would read
     Z + Z_2^19 + Z_4^5."""
     def group(X, flavour, degree):
-        h = homology(X, flavour, degree, max_degree=degree,
-                     size_guard=10 ** 6)
+        h = homology(X, flavour, degree)
         return h.free_rank, dict(collections.Counter(h.torsion))
 
     assert group(gf4, "rack", 6) == (1, {2: 29, 4: 7})
@@ -518,7 +576,7 @@ def test_rack_and_degenerate_groups_of_a_quandle_eliminate_no_own_complex(
     for X in (dihedral(3), gf4):
         for flavour in ("rack", "degenerate"):
             for degree in range(1, 5):
-                assert homology(X, flavour, degree, max_degree=4) == \
+                assert homology(X, flavour, degree) == \
                     full_boundary_homology(X, flavour, degree), \
                     (X.order, flavour, degree)
 
@@ -629,14 +687,16 @@ def test_cocycle_space_matches_the_lattice_route():
     assert compared >= 300
 
 
-def test_homology_degree_cap_message():
-    """The degree cap names the degree, the cap and the override."""
+def test_homology_refusal_message():
+    """The tuple guard names the boundary, its tuples, the guard and the
+    library override: R3 quandle H_11 is refused at d_12."""
     with pytest.raises(SizeGuardExceeded) as err:
-        homology(dihedral(9), "quandle", 4)
-    assert (err.value.needed, err.value.guard) == (4, 3)
-    assert str(err.value) == ("degree 4 exceeds the degree cap 3 for order 9; "
-                              "pass max_degree (CLI: --max-degree) to go "
-                              "higher")
+        homology(dihedral(3), "quandle", 11)
+    assert (err.value.needed, err.value.guard) == (531_441, 200_000)
+    assert str(err.value) == ("d_12 enumerates 531441 tuples, over the guard "
+                              "200000; the size_guard argument of homology "
+                              "and boundary_matrix raises it (the CLI has no "
+                              "option)")
 
 
 def test_cocycle_members_limit_message():

@@ -39,6 +39,19 @@ from .linalg import IntLattice
 DEFAULT_SIZE_GUARD = 200_000
 
 
+def row_count(order: int, exponent: int, noun: str,
+              factor: int = 1) -> tuple[int, str]:
+    """factor * n^exponent rows, as a count for SizeGuardExceeded.check and
+    as text; order 1 counts as 2, so the count grows with the degree, and it
+    saturates at the int64 maximum, past which no build indexes its rows."""
+    n, top = max(order, 2), int(np.iinfo(np.int64).max)
+    count = min(factor * n ** exponent if exponent < 64 else top, top)
+    text = (f"{factor} * " if factor > 1 else "") + f"{n}^{exponent}" \
+        + (f" = {count} " if count < top else " ") + noun
+    return count, text + (", an order-1 table counted as order 2,"
+                          if order == 1 else "")
+
+
 class FormalChain:
     """Sparse integer linear combination of fixed-length element tuples."""
 
@@ -424,9 +437,9 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     lexicographic, with a chain equal to an earlier one left out.  They are
     built as whole arrays of term indices from the word's prefix products;
     chains and provenance are formed on first access.  SizeGuardExceeded
-    is raised before any is built when the rows to enumerate, n^degree
-    tuples or (degree - 1) * n^(degree - 1 + letters) identity rows, with
-    n the order or 2 if larger, exceed size_guard.
+    is raised before any is built when the rows enumerated before
+    duplicates go, n^degree tuples or (degree - 1) * n^(degree - 1 +
+    letters) identity rows (slot, entries, letters), exceed size_guard.
 
     The result is cached per process, so the subcomplex command, identity
     homology and boundary_matrix share one GeneratorSet per span: its lattice
@@ -435,16 +448,12 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     """
     if degree < 2:
         raise DegreeTooSmall("subcomplex generators need degree >= 2")
-    # the rows enumerated before duplicates go: one per tuple, or one per
-    # (slot, entries, letters); an order-1 table counts as order 2, so that
-    # the count grows with the degree
-    n = max(X.order, 2)
-    rows = n ** degree
+    exponent, factor = degree, 1
     if kind == "identity" and word is not None:
-        rows = (degree - 1) * n ** (degree - 1 + word.letters)
-    SizeGuardExceeded.check(
-        rows, size_guard,
-        f"{rows} generator rows exceed the guard {size_guard}")
+        exponent, factor = degree - 1 + word.letters, degree - 1
+    rows, text = row_count(X.order, exponent, "generator rows", factor)
+    SizeGuardExceeded.check(rows, size_guard,
+                            f"{text} exceed the guard {size_guard}")
     return _generators(X, kind, degree, word)
 
 

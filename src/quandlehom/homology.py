@@ -28,6 +28,7 @@ from .chains import (
     DEFAULT_SIZE_GUARD,
     FormalChain,
     block_boundary,
+    row_count,
     subcomplex_generators,
 )
 from .core import QuandleTable, cycle_labels, digits
@@ -134,12 +135,12 @@ class ChainComplex:
                 return [], 0
             return subcomplex_generators(X, "identity", degree, self.word,
                                          size_guard).boundary_rows()
-        needed = max(n, 2) ** degree    # order 1 as 2: grows with the degree
+        needed, text = row_count(n, degree, "tuples")
         SizeGuardExceeded.check(
             needed, size_guard,
-            f"d_{degree} enumerates {needed} tuples, over the guard "
-            f"{size_guard}; the size_guard argument of homology and "
-            f"boundary_matrix raises it (the CLI has no option)")
+            f"d_{degree} is counted at {text} over the guard {size_guard}; "
+            f"the size_guard argument of homology and boundary_matrix "
+            f"raises it (the CLI has no option)")
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, complex)
         spanning = spanning and complex != "degenerate"
@@ -329,9 +330,8 @@ def homology(X: QuandleTable, complex: str, degree: int,
         H^D_k = sum_{0<p<k} (H^Q_p (x) H^R_(k-1-p) + Tor(H^Q_p, H^R_(k-2-p)))
     So H^D_1 = 0 and H^D_n needs H^Q_p for p < n only.  The tests and CI
     check this exact form against direct elimination, not against that
-    paper.  size_guard is the one limit, on the tuples of a tuple boundary
-    and the generator rows of an identity span, an order-1 table counted
-    as order 2; every call builds its largest boundary first, d_(degree+1)
+    paper.  size_guard, on the rows that chains.row_count counts, is the
+    one limit; every call builds its largest boundary first, d_(degree+1)
     or, for degenerate groups, the quandle d_degree, so a refusal comes
     before any work.  The quandle and degenerate flavours are complexes
     only on a quandle, so another rack raises IdempotencyFails at its least

@@ -252,18 +252,42 @@ def test_order_one_tables_are_counted_as_order_two(triv1):
     """Every count of trivial(1) is 1, so the guards count it as order 2:
     rack H_16 reads d_17 at 2^17 tuples, H_17 is refused at d_18, the aa
     span of degree 18 at 17 * 2^18 generator rows, and every flavour at
-    degree 10^4 before smith recurses."""
+    degree 10^4 before smith recurses.  The messages say so."""
     assert homology(triv1, "rack", 16) == HomologyGroup(1, ())
     with pytest.raises(SizeGuardExceeded) as err:
         homology(triv1, "rack", 17)
     assert err.value.needed == 2 ** 18
+    assert str(err.value).startswith(
+        "d_18 is counted at 2^18 = 262144 tuples, an order-1 table counted "
+        "as order 2, over the guard 200000;")
     with pytest.raises(SizeGuardExceeded) as err:
         subcomplex_generators(triv1, "identity", 18, parse_word("aa"))
     assert err.value.needed == 17 * 2 ** 18
+    assert str(err.value) == (
+        "17 * 2^18 = 4456448 generator rows, an order-1 table counted as "
+        "order 2, exceed the guard 200000")
     for flavour in ("rack", "quandle", "degenerate", "identity"):
         word = parse_word("aa") if flavour == "identity" else None
         with pytest.raises(SizeGuardExceeded):
             homology(triv1, flavour, 10 ** 4, word=word)
+
+
+@pytest.mark.parametrize("degree", [10 ** 4, 10 ** 9])
+def test_absurd_degrees_are_refused_without_their_power(dih3, degree):
+    """At a degree whose count has thousands of digits or more, the guard
+    refuses at once: the count saturates at the int64 maximum and the
+    message gives the power, not its digits."""
+    with pytest.raises(SizeGuardExceeded) as err:
+        homology(dih3, "rack", degree)
+    assert err.value.needed == np.iinfo(np.int64).max
+    assert str(err.value).startswith(
+        f"d_{degree + 1} is counted at 3^{degree + 1} tuples over the guard "
+        "200000;")
+    with pytest.raises(SizeGuardExceeded) as err:
+        homology(dih3, "identity", degree, word=parse_word("aa"))
+    assert err.value.needed == np.iinfo(np.int64).max
+    assert str(err.value) == (f"{degree} * 3^{degree + 1} generator rows "
+                              "exceed the guard 200000")
 
 
 def test_degenerate_restriction_requires_quandle():
@@ -693,10 +717,10 @@ def test_homology_refusal_message():
     with pytest.raises(SizeGuardExceeded) as err:
         homology(dihedral(3), "quandle", 11)
     assert (err.value.needed, err.value.guard) == (531_441, 200_000)
-    assert str(err.value) == ("d_12 enumerates 531441 tuples, over the guard "
-                              "200000; the size_guard argument of homology "
-                              "and boundary_matrix raises it (the CLI has no "
-                              "option)")
+    assert str(err.value) == ("d_12 is counted at 3^12 = 531441 tuples over "
+                              "the guard 200000; the size_guard argument of "
+                              "homology and boundary_matrix raises it (the "
+                              "CLI has no option)")
 
 
 def test_cocycle_members_limit_message():

@@ -1,6 +1,6 @@
 """Free chain groups on element tuples, face and boundary maps, the two-cycle
-attached to a satisfied inner identity, and identity/degeneracy subcomplex
-generators with integer-span membership.
+attached to a satisfied inner identity, and identity subcomplex generators
+with integer-span membership.
 
 A degree-n chain is a sparse integer combination of n-tuples.  Faces follow
 the rack convention: the plain face deletes entry h, the twisted face acts by
@@ -13,6 +13,9 @@ Subcomplex generators are held as arrays of flat tuple indices, built from
 the word's prefix products in whole-array gathers.  An identity span of
 degree d is the span one degree down tensored with C_1 plus the span of the
 generators whose letter slot is last, and its lattice is built that way.
+The degeneracy subcomplex needs no generators: it is the tuples with two
+equal adjacent entries, closed under the boundary exactly when the table is
+a quandle (homology.chain_complex).
 """
 
 from __future__ import annotations
@@ -106,9 +109,6 @@ class FormalChain:
 
     def items(self):
         return self.terms.items()
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
 
     def __repr__(self):
         return f"FormalChain({format_chain(self)!r})"
@@ -286,13 +286,13 @@ def medial_cycle(X: QuandleTable, x: int, y: int, u: int, v: int,
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Generators of one subcomplex degree, with provenance per chain.
+    """Identity subcomplex generators of one degree, with provenance.
 
     The generators are held as one array of flat tuple indices, ``terms``
     (``tuple_index``), one row per generator and one column per term, a
     tuple that fills several columns counting once per column.  ``chains`` and
-    ``provenance`` are built from it on first access.  An identity set of
-    degree >= 3 reaches the set one degree down (``lower``): its lattice is
+    ``provenance`` are built from it on first access.  A set of degree >= 3
+    reaches the set one degree down (``lower``): its lattice is
     the lower lattice with each element appended, plus the generators whose
     letter slot is last, and its boundary map is written in the two echelon
     bases once (``boundary_rows``).
@@ -300,8 +300,7 @@ class GeneratorSet:
 
     order: int                      # element count of the underlying table
     degree: int
-    kind: str                       # "degenerate" | "identity"
-    word: Optional[Word]
+    word: Word
     _table: QuandleTable = field(repr=False)
     terms: np.ndarray = field(repr=False)       # generators x terms
     _sources: np.ndarray = field(repr=False)    # enumeration row per generator
@@ -321,16 +320,9 @@ class GeneratorSet:
 
     @cached_property
     def provenance(self) -> tuple[tuple, ...]:
-        """(first i with t_i = t_(i+1), t) per degenerate tuple t;
-        (j, xs, ys) per identity generator: letter slot j (0-based), the
-        other entries xs and the letter values ys."""
-        n, d = self.order, self.degree
-        if self.kind == "degenerate":
-            tups = digits(self._sources, n, d)
-            first = (tups[:, 1:] == tups[:, :-1]).argmax(axis=1)
-            return tuple((i, tuple(t)) for i, t in
-                         zip(first.tolist(), tups.tolist()))
-        m = self.word.letters
+        """(j, xs, ys) per generator: letter slot j (0-based), the other
+        entries xs and the letter values ys."""
+        n, d, m = self.order, self.degree, self.word.letters
         slot, row = np.divmod(self._sources, n ** (d - 1 + m))
         xs, ys = np.divmod(row, n ** m)
         return tuple((j + 1, tuple(x), tuple(y)) for j, x, y in zip(
@@ -339,12 +331,10 @@ class GeneratorSet:
 
     @property
     def lower(self) -> Optional["GeneratorSet"]:
-        """The identity set one degree down (cached); None at degree 2 and
-        for the degeneracy kind."""
-        if self.kind != "identity" or self.degree == 2:
+        """The set one degree down (cached); None at degree 2."""
+        if self.degree == 2:
             return None
-        return _generators(self._table, "identity", self.degree - 1,
-                           self.word)
+        return _generators(self._table, self.degree - 1, self.word)
 
     @cached_property
     def lattice(self) -> IntLattice:
@@ -426,20 +416,20 @@ def tuple_index(tup: Sequence[int], order: int) -> int:
     return idx
 
 
-def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
-                          word: Optional[Word] = None,
+def subcomplex_generators(X: QuandleTable, degree: int, word: Word,
                           size_guard: int = DEFAULT_SIZE_GUARD) -> GeneratorSet:
-    """Generators of the degeneracy or identity subcomplex at one degree.
+    """Generators of the identity subcomplex of a word at one degree (the
+    degeneracy subcomplex needs none: see the module docstring).
 
-    For the identity kind, the distinguished letter slot sits at positions
-    2..degree (j = 1..degree-1 prefix entries are pushed through the prefix
-    products).  The generators come in the order (j, xs, ys), each
-    lexicographic, with a chain equal to an earlier one left out.  They are
-    built as whole arrays of term indices from the word's prefix products;
-    chains and provenance are formed on first access.  SizeGuardExceeded
-    is raised before any is built when the rows enumerated before
-    duplicates go, n^degree tuples or (degree - 1) * n^(degree - 1 +
-    letters) identity rows (slot, entries, letters), exceed size_guard.
+    The distinguished letter slot sits at positions 2..degree (j =
+    1..degree-1 prefix entries are pushed through the prefix products).
+    The generators come in the order (j, xs, ys), each lexicographic, with
+    a chain equal to an earlier one left out.  They are built as whole
+    arrays of term indices from the word's prefix products; chains and
+    provenance are formed on first access.  SizeGuardExceeded is raised
+    before any is built when the rows enumerated before duplicates go,
+    (degree - 1) * n^(degree - 1 + letters) of them (slot, entries,
+    letters), exceed size_guard.
 
     The result is cached per process, so the subcomplex command, identity
     homology and boundary_matrix share one GeneratorSet per span: its lattice
@@ -448,29 +438,22 @@ def subcomplex_generators(X: QuandleTable, kind: str, degree: int,
     """
     if degree < 2:
         raise DegreeTooSmall("subcomplex generators need degree >= 2")
-    exponent, factor = degree, 1
-    if kind == "identity" and word is not None:
-        exponent, factor = degree - 1 + word.letters, degree - 1
-    rows, text = row_count(X.order, exponent, "generator rows", factor)
+    guard_rows(X.order, degree - 1 + word.letters, size_guard, degree - 1)
+    return _generators(X, degree, word)
+
+
+def guard_rows(order: int, exponent: int, size_guard: int,
+               factor: int = 1) -> None:
+    """Refuse factor * n^exponent generator rows over size_guard."""
+    rows, text = row_count(order, exponent, "generator rows", factor)
     SizeGuardExceeded.check(rows, size_guard,
                             f"{text} exceed the guard {size_guard}")
-    return _generators(X, kind, degree, word)
 
 
 @lru_cache(maxsize=512)
-def _generators(X: QuandleTable, kind: str, degree: int,
-                word: Optional[Word]) -> GeneratorSet:
+def _generators(X: QuandleTable, degree: int, word: Word) -> GeneratorSet:
     # called with every argument positional, so each span has one cache key
     n = X.order
-    if kind == "degenerate":
-        tups = digits(np.arange(n ** degree), n, degree)
-        keep = np.flatnonzero((tups[:, 1:] == tups[:, :-1]).any(axis=1))
-        return GeneratorSet(n, degree, "degenerate", None, X,
-                            keep[:, None], keep)
-    if kind != "identity":
-        raise ValueError("kind must be 'degenerate' or 'identity'")
-    if word is None:
-        raise ValueError("identity kind needs a word")
     # heads[i, y, x] = x*w_1*...*w_i for the letter tuple of index y, and
     # letter[i, y] is the value of the letter at word position i
     ys, P = zip(*prefix_products(X, word))
@@ -492,7 +475,7 @@ def _generators(X: QuandleTable, kind: str, degree: int,
     # a generator is the multiset of its terms: keep first occurrences
     _, first = np.unique(np.sort(terms, axis=1), axis=0, return_index=True)
     first.sort()
-    return GeneratorSet(n, degree, "identity", word, X, terms[first], first)
+    return GeneratorSet(n, degree, word, X, terms[first], first)
 
 
 def in_span(chain: FormalChain, gens: GeneratorSet) -> bool:

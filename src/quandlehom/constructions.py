@@ -396,8 +396,8 @@ def canonical_form(X: QuandleTable, cap: int = CANONICAL_FORM_CAP) -> tuple:
     best = None
     rows = X.rows
     for perm in itertools.permutations(range(n)):
-        flat = tuple(perm[rows[x][y]]
-                     for x in _inverse(perm) for y in _inverse(perm))
+        inv = _inverse(perm)
+        flat = tuple(perm[rows[x][y]] for x in inv for y in inv)
         if best is None or flat < best:
             best = flat
     return best
@@ -418,19 +418,19 @@ def are_isomorphic(X: QuandleTable, Y: QuandleTable,
 
 
 def _partial_distributivity_ok(T: list[list[Optional[int]]], n: int,
-                               assigned: int) -> bool:
-    """Check all triples whose entries are defined by columns 0..assigned."""
-    for c in range(assigned + 1):
+                               col: int) -> bool:
+    """(a*b)*c == (a*c)*(b*c) on the triples that column col completes:
+    b, c and b*c at most col, one of them col.  Columns 0..col are placed
+    and never change below col, so every other such triple was checked
+    when its last column was placed (b = c = 0 holds as 0*0 = 0)."""
+    for c in range(col + 1):
         col_c = [T[x][c] for x in range(n)]
-        for b in range(assigned + 1):
+        for b in range(col + 1):
             bc = T[b][c]
-            if bc is None or bc > assigned:
+            if bc > col or col not in (b, c, bc):
                 continue
             for a in range(n):
-                ab = T[a][b]
-                left = col_c[ab]
-                right = T[T[a][c]][bc]
-                if left != right:
+                if col_c[T[a][b]] != T[T[a][c]][bc]:
                     return False
     return True
 

@@ -38,7 +38,6 @@ from .errors import (
     IdentityNotSatisfied,
     InvalidCocycle,
     SizeGuardExceeded,
-    SubcomplexClosureViolated,
 )
 from .identities import Word, satisfies_cached
 from .linalg import SmithForm, left_kernel_mod, smith_normal_form
@@ -109,10 +108,14 @@ class BoundaryMatrix:
 class ChainComplex:
     """One flavour's chain complex on a table (and word): each boundary,
     built on each call, and each Smith form, kept once eliminated.  Get it
-    from chain_complex, which keeps one per (table, flavour, word)."""
+    from chain_complex, which keeps one per (table, flavour, word) and says
+    why a rack that is not a quandle raises IdempotencyFails here."""
 
     def __init__(self, X: QuandleTable, complex: str,
                  word: Optional[Word] = None):
+        if complex in ("quandle", "degenerate") and not X.is_quandle:
+            raise IdempotencyFails(next(x for x in range(X.order)
+                                        if X.rows[x][x] != x))
         self.X, self.complex, self.word = X, complex, word
         self._smith: dict[int, SmithForm] = {}
 
@@ -133,7 +136,7 @@ class ChainComplex:
                 raise ValueError("identity complex needs a word")
             if degree < 2:
                 return [], 0
-            return subcomplex_generators(X, "identity", degree, self.word,
+            return subcomplex_generators(X, degree, self.word,
                                          size_guard).boundary_rows()
         needed, text = row_count(n, degree, "tuples")
         SizeGuardExceeded.check(
@@ -155,14 +158,9 @@ class ChainComplex:
         row_basis = _in_basis(digits(np.arange(n ** (degree - 1)), n,
                                      degree - 1), complex)
         row = np.where(row_basis, np.cumsum(row_basis) - 1, -1)[face]
-        outside = row < 0
-        if outside.any():
-            if complex == "degenerate":
-                first = tuple(tups[columns[col[outside][0]]].tolist())
-                raise SubcomplexClosureViolated(
-                    FormalChain(degree, {first: 1}))
-            # quandle: a degenerate face is projected out
-            row, col, coefs = row[~outside], col[~outside], coefs[~outside]
+        # quandle: a degenerate face is projected out
+        keep = row >= 0
+        row, col, coefs = row[keep], col[keep], coefs[keep]
         mat: list[dict[int, int]] = [{} for _ in range(int(row_basis.sum()))]
         for i, j, c in zip(row.tolist(), position[col].tolist(),
                            coefs.tolist()):
@@ -193,7 +191,21 @@ def chain_complex(X: QuandleTable, complex: str,
                   word: Optional[Word] = None) -> ChainComplex:
     """The ChainComplex of (X, complex, word), one per triple however the
     arguments are passed: the module-level cache _complexes is keyed on the
-    positional triple, the word dropped outside the identity flavour."""
+    positional triple, the word dropped outside the identity flavour.
+
+    The quandle and degenerate flavours raise IdempotencyFails on a rack
+    that is not a quandle, by this theorem: at any degree k >= 2 the
+    degenerate k-tuples (two equal adjacent entries) close under the
+    boundary exactly when X is a quandle.  If so they span a subcomplex
+    (Carter, Jelsovsky, Kamada, Langford & Saito, Trans. AMS 355 (2003)).
+    If not, let y = x*x != x.  At k = 2, d(x, x) = +-((x) - (y)) != 0, and
+    degree 1 has no degenerate tuples.  At k >= 3 take t = (c, x, x), c
+    any non-degenerate (k-2)-tuple.  Every face at h <= k - 2 ends in x, x;
+    the plain faces at h = k - 1 and k are both (c, x) and cancel; so
+    modulo degenerate tuples d t = +-((c.R_x, x) - (c.R_x, y)).  c.R_x is
+    non-degenerate as R_x is a bijection, and the two tuples differ in
+    their last entry, so one of them is non-degenerate and d t leaves the
+    degenerate tuples."""
     return _complexes(X, complex, word if complex == "identity" else None)
 
 
@@ -205,8 +217,7 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
 
     identity complexes are expressed in echelon lattice bases of the generated
     spans; integral solvability of every column is part of the construction
-    and a failure raises SubcomplexClosureViolated with the offending chain,
-    as a degenerate tuple whose boundary leaves the degenerate tuples does.
+    and a failure raises SubcomplexClosureViolated with the offending chain.
     """
     rows, _ = chain_complex(X, complex, word).boundary(degree, False,
                                                        size_guard)
@@ -215,8 +226,7 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
         row_basis, col_basis = (_tuple_basis(X.order, d, complex)
                                 for d in (degree - 1, degree))
     elif degree >= 2:
-        gens = subcomplex_generators(X, "identity", degree, word,
-                                     size_guard)
+        gens = subcomplex_generators(X, degree, word, size_guard)
         row_basis, col_basis = getattr(gens.lower, "basis", ()), gens.basis
     return BoundaryMatrix(complex=complex, degree=degree,
                           sparse_rows=tuple(map(dict, rows)),
@@ -333,14 +343,10 @@ def homology(X: QuandleTable, complex: str, degree: int,
     paper.  size_guard, on the rows that chains.row_count counts, is the
     one limit; every call builds its largest boundary first, d_(degree+1)
     or, for degenerate groups, the quandle d_degree, so a refusal comes
-    before any work.  The quandle and degenerate flavours are complexes
-    only on a quandle, so another rack raises IdempotencyFails at its least
-    x with x*x != x; an identity word that X fails raises
-    IdentityNotSatisfied.
+    before any work.  The quandle and degenerate flavours on a rack that is
+    not a quandle raise IdempotencyFails (chain_complex); an identity word
+    that X fails raises IdentityNotSatisfied.
     """
-    if complex in ("quandle", "degenerate") and not X.is_quandle:
-        raise IdempotencyFails(next(x for x in range(X.order)
-                                    if X.rows[x][x] != x))
     if complex == "identity" and word is not None \
             and not satisfies_cached(X, word):
         raise IdentityNotSatisfied(word)

@@ -24,15 +24,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import censusdata
-from .chains import (FormalChain, block_boundary, boundary, format_chain,
-                     identity_cycle, identity_cycle_failures,
-                     subcomplex_generators)
+from .chains import (DEFAULT_SIZE_GUARD, block_boundary, boundary,
+                     format_chain, guard_rows, identity_cycle,
+                     identity_cycle_failures, subcomplex_generators)
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
 from .errors import (MissingDataset, ParseError, QuandleError,
                      SubcomplexClosureViolated, WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
-from .homology import CocycleTable, chain_complex, cocycle_space, homology
+from .homology import CocycleTable, cocycle_space, homology
 from .identities import (Assignment, ScanReport, Word, enumerate_words,
                          parse_word, satisfies_all, scan, two_letter_universe)
 from . import constructions
@@ -396,8 +396,7 @@ def reproduce_subcomplex_checks() -> dict:
         for w, rep in zip(words, satisfies_all(X, words)):
             if not rep.satisfied:
                 continue
-            gens = {d: subcomplex_generators(X, "identity", d, word=w)
-                    for d in (2, 3)}
+            gens = {d: subcomplex_generators(X, d, w) for d in (2, 3)}
             for d in (2, 3):
                 low = gens.get(d - 1)
                 terms = gens[d].terms
@@ -674,17 +673,28 @@ def _run_cycle(args):
 def _run_subcomplex(args):
     table, digests = _load_table(args)
     word = _word_arg(args.word) if args.word else None
-    if args.degree < 2:
+    n, k = table.order, args.degree
+    if k < 2:
         raise ValueError("subcomplex generators need degree >= 2")
-    gens = subcomplex_generators(table, args.kind, args.degree, word=word)
-    # the boundary build solves each basis boundary one degree down
-    try:
-        chain_complex(table, args.kind, word).boundary(args.degree)
-        closure_ok = True
-    except SubcomplexClosureViolated:
-        closure_ok = False
-    return {"kind": args.kind, "degree": args.degree,
-            "generators": len(gens), "span_rank": gens.lattice.rank,
+    if args.kind == "degenerate":
+        # the n^k - n(n-1)^(k-1) tuples with two equal adjacent entries, a
+        # subcomplex exactly when the table is a quandle (chain_complex)
+        guard_rows(n, k, DEFAULT_SIZE_GUARD)
+        count = span = n ** k - n * (n - 1) ** (k - 1)
+        closure_ok = table.is_quandle
+    else:
+        if word is None:
+            raise ValueError("identity kind needs a word")
+        gens = subcomplex_generators(table, k, word)
+        count, span = len(gens), gens.lattice.rank
+        # the boundary build solves each basis boundary one degree down
+        try:
+            gens.boundary_rows()
+            closure_ok = True
+        except SubcomplexClosureViolated:
+            closure_ok = False
+    return {"kind": args.kind, "degree": k, "generators": count,
+            "span_rank": span,
             "boundary_in_lower_span": closure_ok}, closure_ok, digests
 
 

@@ -114,7 +114,7 @@ def test_criterion_04_subcomplex_closure_and_worked_example(gf4):
         for w in two_letter_universe(4):
             if not satisfies(X, w).satisfied:
                 continue
-            gens = {d: subcomplex_generators(X, "identity", d, word=w)
+            gens = {d: subcomplex_generators(X, d, word=w)
                     for d in (2, 3, 4)}
             for ch in gens[2].chains:
                 assert boundary(X, ch).is_zero(), (name, w.text)
@@ -128,7 +128,7 @@ def test_criterion_04_subcomplex_closure_and_worked_example(gf4):
     # worked degree-4 example on a cubing-identity quandle: the plain-2,
     # twisted-2 and both h=4 pieces are degree-3 generators, h=3 cancels
     aaa = parse_word("aaa")
-    gens3 = subcomplex_generators(gf4, "identity", 3, word=aaa)
+    gens3 = subcomplex_generators(gf4, 3, word=aaa)
     gen3_keys = {frozenset(c.terms.items()) for c in gens3.chains}
     r = gf4.rows
 

@@ -154,29 +154,14 @@ def test_medial_cycle_above_order_64():
     assert medial_cycle(trivial(65), 0, 1, 2, 3, permissive=True).is_zero()
 
 
-def test_degenerate_generators(triv2):
-    gs = subcomplex_generators(triv2, "degenerate", 2)
-    assert sorted(c.support()[0] for c in gs.chains) == [(0, 0), (1, 1)]
+def test_subcomplex_generators_need_degree_two(triv2):
     with pytest.raises(DegreeTooSmall):
-        subcomplex_generators(triv2, "degenerate", 1)
-
-
-def test_degenerate_closure(dih3, gf4):
-    for X in (dih3, gf4):
-        for deg in (2, 3, 4):
-            gd = subcomplex_generators(X, "degenerate", deg)
-            if deg == 2:
-                for ch in gd.chains:
-                    assert boundary(X, ch).is_zero()
-            else:
-                low = subcomplex_generators(X, "degenerate", deg - 1)
-                for ch in gd.chains:
-                    assert in_span(boundary(X, ch), low)
+        subcomplex_generators(triv2, 1, parse_word("aa"))
 
 
 def test_identity_generators_degree2_shape(gf4):
     aaa = parse_word("aaa")
-    gs = subcomplex_generators(gf4, "identity", 2, word=aaa)
+    gs = subcomplex_generators(gf4, 2, word=aaa)
     rows = gf4.rows
     for ch, (j, xs, ys) in zip(gs.chains, gs.provenance):
         assert j == 1
@@ -190,7 +175,7 @@ def test_identity_generators_degree2_shape(gf4):
 def test_identity_generator_matches_worked_degree4_example(gf4):
     # c = (x1,x2,y,x4) + (x1*y, x2*y, y, x4) + (x1*y*y, x2*y*y, y, x4)
     aaa = parse_word("aaa")
-    gs = subcomplex_generators(gf4, "identity", 4, word=aaa)
+    gs = subcomplex_generators(gf4, 4, word=aaa)
     by_prov = {(j, xs, ys): ch for ch, (j, xs, ys) in
                zip(gs.chains, gs.provenance)}
     ch = by_prov.get((2, (0, 1, 3), (2,)))
@@ -208,7 +193,7 @@ def test_worked_degree4_boundary_pieces(gf4):
     identity: plain-2 and twisted-2 land on degree-3 generators, the h=3
     difference cancels, and both h=4 pieces are generators."""
     aaa = parse_word("aaa")
-    gs3 = subcomplex_generators(gf4, "identity", 3, word=aaa)
+    gs3 = subcomplex_generators(gf4, 3, word=aaa)
     gen3_set = {frozenset(c.terms.items()) for c in gs3.chains}
     r = gf4.rows
 
@@ -259,7 +244,7 @@ def test_worked_degree4_boundary_pieces(gf4):
 
 def test_in_span_examples(dih3):
     aa = parse_word("aa")
-    gens = subcomplex_generators(dih3, "identity", 2, word=aa)
+    gens = subcomplex_generators(dih3, 2, word=aa)
     assert in_span(FormalChain.zero(2), gens)
     assert not in_span(FormalChain.of((0, 1)), gens)
     with pytest.raises(DegreeMismatch):
@@ -268,15 +253,9 @@ def test_in_span_examples(dih3):
 
 def test_generator_dedup(gf4):
     aaa = parse_word("aaa")
-    gs = subcomplex_generators(gf4, "identity", 2, word=aaa)
+    gs = subcomplex_generators(gf4, 2, word=aaa)
     keys = {frozenset(c.terms.items()) for c in gs.chains}
     assert len(keys) == len(gs.chains) == 8
-
-
-def test_size_guard():
-    big = trivial(8)
-    with pytest.raises(SizeGuardExceeded):
-        subcomplex_generators(big, "degenerate", 7)
 
 
 def test_size_guard_counts_the_identity_rows(dih3):
@@ -284,18 +263,15 @@ def test_size_guard_counts_the_identity_rows(dih3):
     would be enumerated, not the n^degree tuples: abcabc on
     alexander_zn(7,3) at degree 4 has 2,401 tuples but 3 * 7^6 rows."""
     with pytest.raises(SizeGuardExceeded) as err:
-        subcomplex_generators(alexander_zn(7, 3), "identity", 4,
-                              word=parse_word("abcabc"))
+        subcomplex_generators(alexander_zn(7, 3), 4, parse_word("abcabc"))
     assert (err.value.needed, err.value.guard) == (352_947, 200_000)
     abab = parse_word("abab")
     # 27 tuples, 2 * 3^4 = 162 rows
     rows = 162
     with pytest.raises(SizeGuardExceeded) as err:
-        subcomplex_generators(dih3, "identity", 3, word=abab,
-                              size_guard=rows - 1)
+        subcomplex_generators(dih3, 3, abab, size_guard=rows - 1)
     assert (err.value.needed, err.value.guard) == (rows, rows - 1)
-    assert len(subcomplex_generators(dih3, "identity", 3, word=abab,
-                                     size_guard=rows)) > 0
+    assert len(subcomplex_generators(dih3, 3, abab, size_guard=rows)) > 0
 
 
 def test_format_chain(dih3):
@@ -396,7 +372,7 @@ def test_identity_generators_match_the_loop():
             for degree in (2, 3, 4):
                 if X.order ** (degree - 1 + w.letters) > LOOP_BUDGET:
                     continue
-                gs = subcomplex_generators(X, "identity", degree, word=w)
+                gs = subcomplex_generators(X, degree, word=w)
                 chains, prov = loop_identity_generators(X, w, degree)
                 assert len(gs) == len(chains)
                 assert [list(c.items()) for c in gs.chains] == \
@@ -421,7 +397,7 @@ def test_recursive_span_equals_the_span_of_all_chains(data):
     w = parse_word(data.draw(st.sampled_from(GENERATOR_WORDS)))
     degree = data.draw(st.sampled_from(
         [d for d in (3, 4) if X.order ** (d - 1 + w.letters) <= 625]))
-    gs = subcomplex_generators(X, "identity", degree, word=w)
+    gs = subcomplex_generators(X, degree, word=w)
     full = IntLattice(X.order ** degree)
     for chain in gs.chains:
         full.add(chain_vector(chain, X.order))
@@ -444,7 +420,7 @@ def test_order7_degree3_spans_do_not_depend_on_labels(X, text, rank):
                                                              X.order))
                     for seed in (1, 2, 3)]
     for T in tables:
-        gs = subcomplex_generators(T, "identity", 3, word=w)
+        gs = subcomplex_generators(T, 3, word=w)
         assert gs.lattice.rank == rank
         gs.boundary_rows()           # raises when closure fails
         h2 = homology(T, "identity", 2, word=w)

@@ -1,6 +1,9 @@
 import collections
+import contextlib
 import importlib
+import io
 import itertools
+import json
 import math
 import random
 import sys
@@ -15,7 +18,7 @@ from oracles import (full_boundary_homology, kernel_basis,
                      loop_boundary, loop_boundary_matrix,
                      loop_identity_generators, mat_mul,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
-from quandlehom.chains import (FormalChain, _generators, identity_cycle,
+from quandlehom.chains import (FormalChain, block_boundary, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (ChainComplex, CocycleTable, HomologyGroup,
                                  _complexes, _in_basis, _invariant_factors,
@@ -31,8 +34,8 @@ from quandlehom.constructions import (alexander_poly, alexander_zn,
 from quandlehom.core import digits, inner_group, make_table
 from quandlehom.errors import DegreeMismatch, IdempotencyFails, \
     IdentityNotSatisfied, InvalidCocycle, SizeGuardExceeded, \
-    SubcomplexClosureViolated
-from quandlehom.shell import corpus
+    SubcomplexClosureViolated, ValidationError
+from quandlehom.shell import cli, corpus, emit
 
 
 def test_boundary_matrix_trivial_order1(triv1):
@@ -84,18 +87,12 @@ PERMUTATION_RACK = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]      # x*y = x+1 mod 3
 FIXES_0_RACK = [[0, 0, 0], [2, 2, 2], [1, 1, 1]]
 
 
-def _build_or_raise(build, X, flavour, degree):
-    try:
-        return build(X, flavour, degree)
-    except SubcomplexClosureViolated as exc:
-        return exc.chain
-
-
 def test_boundary_matrix_matches_the_loop_builder():
     """The array build gives the tuple-by-tuple build's sparse rows, entry
-    order included, and both bases, or raises on the same first offending
-    degenerate tuple; on every corpus table and a relabelled copy, and on
-    two racks that are not quandles."""
+    order included, and both bases; on every corpus table and a relabelled
+    copy, and on two racks that are not quandles, where the quandle and
+    degenerate flavours raise IdempotencyFails at the least x with
+    x*x != x."""
     rng = random.Random(11)
     tables = [make_table(NON_QUANDLE_RACK, require="rack"),
               make_table(PERMUTATION_RACK, require="rack")]
@@ -109,23 +106,20 @@ def test_boundary_matrix_matches_the_loop_builder():
             for degree in (1, 2, 3, 4):
                 if X.order ** (2 * degree - 1) > BUILD_CELL_BUDGET:
                     continue
-                got = _build_or_raise(boundary_matrix, X, flavour, degree)
-                want = _build_or_raise(loop_boundary_matrix, X, flavour,
-                                       degree)
-                if isinstance(want, FormalChain):
-                    assert got == want
+                if flavour != "rack" and not X.is_quandle:
+                    with pytest.raises(IdempotencyFails) as exc:
+                        boundary_matrix(X, flavour, degree)
+                    assert exc.value.x == 0
                     raised += 1
                     continue
+                got = boundary_matrix(X, flavour, degree)
+                want = loop_boundary_matrix(X, flavour, degree)
                 assert [list(row.items()) for row in got.sparse_rows] == \
                     [list(row.items()) for row in want.sparse_rows]
                 assert got.row_basis == want.row_basis
                 assert got.col_basis == want.col_basis
                 checked += 1
-    assert checked >= 200 and raised == 6
-    perm_rack = tables[1]
-    with pytest.raises(SubcomplexClosureViolated) as exc:
-        boundary_matrix(perm_rack, "degenerate", 2)
-    assert exc.value.chain == FormalChain(2, {(0, 0): 1})
+    assert checked >= 200 and raised == 16
 
 
 def col(bm, j):
@@ -261,7 +255,7 @@ def test_order_one_tables_are_counted_as_order_two(triv1):
         "d_18 is counted at 2^18 = 262144 tuples, an order-1 table counted "
         "as order 2, over the guard 200000;")
     with pytest.raises(SizeGuardExceeded) as err:
-        subcomplex_generators(triv1, "identity", 18, parse_word("aa"))
+        subcomplex_generators(triv1, 18, parse_word("aa"))
     assert err.value.needed == 17 * 2 ** 18
     assert str(err.value) == (
         "17 * 2^18 = 4456448 generator rows, an order-1 table counted as "
@@ -291,12 +285,80 @@ def test_absurd_degrees_are_refused_without_their_power(dih3, degree):
 
 
 def test_degenerate_restriction_requires_quandle():
-    # on a rack that is not a quandle the degenerate tuples do not close
-    rack = [[1, 1], [0, 0]]
-    from quandlehom.core import make_table
-    X = make_table(rack, require="rack")
-    with pytest.raises(SubcomplexClosureViolated):
-        boundary_matrix(X, "degenerate", 2)
+    """On a rack that is not a quandle the degenerate tuples do not close,
+    so neither flavour that needs them makes a complex at any degree."""
+    X = make_table([[1, 1], [0, 0]], require="rack")
+    for flavour in ("quandle", "degenerate"):
+        for degree in (1, 2, 3, 4):
+            for call in (boundary_matrix,
+                         lambda X, f, d: chain_complex(X, f).smith(d)):
+                with pytest.raises(IdempotencyFails) as exc:
+                    call(X, flavour, degree)
+                assert exc.value.x == 0
+
+
+def test_quandle_flavours_refuse_a_rack_where_the_complex_is_made():
+    """On the permutation rack x*y = x+1 the quandle maps are no complex
+    (d_2 d_3 has 18 nonzero entries), so every way to the complex raises
+    IdempotencyFails at x = 0, not only homology."""
+    X = make_table(PERMUTATION_RACK, require="rack")
+    for call in (lambda: boundary_matrix(X, "quandle", 2),
+                 lambda: boundary_matrix(X, "degenerate", 2),
+                 lambda: chain_complex(X, "quandle").smith(3)):
+        with pytest.raises(IdempotencyFails) as exc:
+            call()
+        assert exc.value.x == 0
+
+
+def _all_racks(max_order):
+    """Every rack of order <= max_order: each table whose columns are
+    permutations that make_table accepts."""
+    out = []
+    for n in range(1, max_order + 1):
+        perms = list(itertools.permutations(range(n)))
+        for cols in itertools.product(perms, repeat=n):
+            try:
+                out.append(make_table([[col[x] for col in cols]
+                                       for x in range(n)], require="rack"))
+            except ValidationError:
+                pass
+    return out
+
+
+def test_degenerate_tuples_close_exactly_on_quandles(tmp_path):
+    """chain_complex's theorem: at degrees 2..4 the block_boundary of every
+    degenerate tuple stays in the degenerate tuples exactly when the table
+    is a quandle, on every rack of order <= 3, the three racks above that
+    are not quandles and the corpus; subcomplex --kind degenerate reports
+    that, with the n^k - n(n-1)^(k-1) degenerate tuples as generators and
+    span rank, without building them."""
+    tables = _all_racks(3) + [make_table(rows, require="rack") for rows in (
+        NON_QUANDLE_RACK, PERMUTATION_RACK, FIXES_0_RACK)]
+    tables += [X for _name, X in corpus()]
+    path = tmp_path / "table.txt"
+    seen = set()
+    for X in tables:
+        n = X.order
+        path.write_text(emit(X))
+        for k in (2, 3, 4):
+            tups = digits(np.arange(n ** k), n, k)
+            idx = np.flatnonzero((tups[:, 1:] == tups[:, :-1]).any(axis=1))
+            _, face, _ = block_boundary(X, np.arange(len(idx)), idx,
+                                        np.ones(len(idx), dtype=np.int64), k)
+            faces = digits(face, n, k - 1)
+            closed = bool((faces[:, 1:] == faces[:, :-1]).any(axis=1).all())
+            assert closed == X.is_quandle, (X.rows, k)
+            seen.add(closed)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli(["subcomplex", str(path), "--kind", "degenerate",
+                            "--degree", str(k), "--json"])
+            res = json.loads(out.getvalue())["results"]
+            count = n ** k - n * (n - 1) ** (k - 1)
+            assert (code, res["boundary_in_lower_span"]) == (
+                1 - closed, closed)
+            assert res["generators"] == res["span_rank"] == count == len(idx)
+    assert seen == {True, False} and len(tables) > 20
 
 
 @pytest.mark.parametrize("rows, x", [(PERMUTATION_RACK, 0),
@@ -755,7 +817,7 @@ def test_identity_complex_rank_consistency(dih3, gf4):
 
 
 def identity_invariants(X, w):
-    spans = tuple(subcomplex_generators(X, "identity", d, word=w).lattice.rank
+    spans = tuple(subcomplex_generators(X, d, word=w).lattice.rank
                   for d in (2, 3))
     groups = tuple(homology(X, flavour, 2, word=w) for flavour in
                    ("rack", "quandle", "degenerate", "identity"))
@@ -893,7 +955,7 @@ def test_z5_2_abab_degree4_span_rank_and_closure(az52):
         for tup, c in chain.items():
             dense[i, ((tup[0] * 5 + tup[1]) * 5 + tup[2]) * 5 + tup[3]] = c
     ranks = {_rank_mod(dense, p) for p in (1_000_003, 998_244_353)}
-    gens = subcomplex_generators(az52, "identity", 4, word=w)
+    gens = subcomplex_generators(az52, 4, word=w)
     assert ranks == {gens.lattice.rank}
     bm = boundary_matrix(az52, "identity", 4, word=w)
     assert bm.shape == (gens.lower.lattice.rank, gens.lattice.rank)
@@ -905,7 +967,7 @@ def test_identity_boundary_is_built_once_and_a_violation_raises_each_call():
     X = dihedral(3)
     w = parse_word("aa")
     first = boundary_matrix(X, "identity", 3, word=w)
-    gens = subcomplex_generators(X, "identity", 3, word=w)
+    gens = subcomplex_generators(X, 3, word=w)
     again = boundary_matrix(X, "identity", 3, word=w)
     assert first.sparse_rows == again.sparse_rows
     assert first.col_basis is again.col_basis is gens.basis
@@ -915,17 +977,16 @@ def test_identity_boundary_is_built_once_and_a_violation_raises_each_call():
         with pytest.raises(SubcomplexClosureViolated) as exc:
             boundary_matrix(rack, "identity", 2, word=w)
         assert exc.value.chain in subcomplex_generators(
-            rack, "identity", 2, word=w).basis
+            rack, 2, word=w).basis
 
 
 def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
     """boundary_matrix's rows are copies of the builder's full rows, and the
     builder's spanning rows are the full rows on the spanning columns, at
     their whole-basis positions: every tuple flavour at degrees 1..4 on R3,
-    Z5_2 and the permutation rack, where a degenerate build that leaves the
-    subcomplex raises on the same chain every way, and the identity flavour
-    on (R3, aa) and (Z5_2, aaaa) at degrees 2..3, which spans every
-    column."""
+    Z5_2 and the permutation rack, where the quandle and degenerate
+    flavours raise IdempotencyFails every way, and the identity flavour on
+    (R3, aa) and (Z5_2, aaaa) at degrees 2..3, which spans every column."""
     rack = make_table(PERMUTATION_RACK, require="rack")
     cases = [(X, flavour, degree, None)
              for X in (dihedral(3), alexander_zn(5, 2), rack)
@@ -939,15 +1000,15 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
     for X, flavour, degree, word in cases:
         def build(spanning):
             return chain_complex(X, flavour, word).boundary(degree, spanning)
-        try:
-            bm = boundary_matrix(X, flavour, degree, word=word)
-        except SubcomplexClosureViolated as exc:
-            for spanning in (False, True):
-                with pytest.raises(SubcomplexClosureViolated) as again:
-                    build(spanning)
-                assert again.value.chain == exc.chain
+        if flavour in ("quandle", "degenerate") and not X.is_quandle:
+            for call in (lambda: boundary_matrix(X, flavour, degree),
+                         lambda: build(False), lambda: build(True)):
+                with pytest.raises(IdempotencyFails) as exc:
+                    call()
+                assert exc.value.x == 0
             raised += 1
             continue
+        bm = boundary_matrix(X, flavour, degree, word=word)
         rows, dim = build(False)
         assert bm.sparse_rows == tuple(rows) and dim == len(bm.col_basis)
         assert len(rows) == len(bm.row_basis)
@@ -962,7 +1023,7 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
         assert span_dim == dim, (X.rows, flavour, degree)
         assert list(span_rows) == [{j: c for j, c in row.items() if j in keep}
                                    for row in rows], (X.rows, flavour, degree)
-    assert raised == 3          # the permutation rack's degenerate d_2..d_4
+    assert raised == 8          # the permutation rack's d_1..d_4, twice
 
 
 def test_identity_homology_of_an_unsatisfied_word_raises():
@@ -992,13 +1053,3 @@ def test_rack_boundary_memory_follows_its_nonzeros():
     """The rack d_8 of dihedral(3) is 2,187 x 6,561 with 47,568 nonzeros; a
     dense build would hold 14.3 M cells."""
     assert _peak_mib(lambda: boundary_matrix(dihedral(3), "rack", 8)) < 32
-
-
-def test_degeneracy_span_memory_follows_its_nonzeros():
-    """The degree-4 degeneracy span of dihedral(9) has rank 1,953 in
-    dimension 6,561, one nonzero per generator; a dense basis would hold
-    12.8 M entries."""
-    _generators.cache_clear()            # measure a fresh echelon
-    X = dihedral(9)
-    assert _peak_mib(lambda: subcomplex_generators(
-        X, "degenerate", 4).lattice.rank) < 16

@@ -304,13 +304,22 @@ def test_identity_homology_of_an_unsatisfied_word_fails_its_check(tmp_path):
      "modulus must be >= 2"),
     (["subcomplex", "{table}", "--word", "aa", "--degree", "1"], 2,
      "subcomplex generators need degree >= 2"),
+    (["subcomplex", "{table}", "--kind", "degenerate", "--degree", "1"], 2,
+     "subcomplex generators need degree >= 2"),
+    (["subcomplex", "{table}", "--word", "aa", "--degree", "12"], 1,
+     "11 * 3^12 = 5845851 generator rows exceed the guard 200000"),
+    (["subcomplex", "{table}", "--kind", "degenerate", "--degree", "12"], 1,
+     "3^12 = 531441 generator rows exceed the guard 200000"),
 ], ids=["dihedral", "alexander_zn", "burnside", "extend-mod-0",
-        "extend-mod-1-before-the-cocycle-file", "subcomplex-degree-1"])
+        "extend-mod-1-before-the-cocycle-file", "subcomplex-degree-1",
+        "subcomplex-degenerate-degree-1", "subcomplex-guard",
+        "subcomplex-degenerate-guard"])
 def test_cli_bad_parameters_give_one_error_line(tmp_path, args, code, message):
     """Too few gen parameters, a modulus below 2 and a subcomplex degree
     below 2 are usage errors (exit 2), like homology --degree 0 and
     cocycles --mod 1; the modulus is checked before the cocycle file is
-    read."""
+    read.  A subcomplex over the size guard is refused (exit 1), the
+    degenerate kind on its n^k tuples."""
     table = tmp_path / "d3.txt"
     table.write_text(DIH3_TEXT)
     cocycle = tmp_path / "phi.txt"

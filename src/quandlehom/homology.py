@@ -11,7 +11,7 @@ pivots one degree down leave; homology reads a quandle's rack and degenerate
 groups off its quandle groups and, as cocycles do, takes each tuple boundary
 on a spanning set of its columns (both lemmas in homology's docstring).
 boundary_matrix keeps every column and alone forms bases.  A 2-cocycle space
-is Hom(coker d_3, Z_d), read off the unit-pivot elimination of the rack d_3.
+is Hom(coker d_3, Z_d), read off the unit-pivot elimination of that d_3.
 """
 
 from __future__ import annotations
@@ -108,14 +108,22 @@ class BoundaryMatrix:
 class ChainComplex:
     """One flavour's chain complex on a table (and word): each boundary,
     built on each call, and each Smith form, kept once eliminated.  Get it
-    from chain_complex, which keeps one per (table, flavour, word) and says
-    why a rack that is not a quandle raises IdempotencyFails here."""
+    from chain_complex, which keeps one per (table, flavour, word).  Making
+    one is the one check that the complex exists; chain_complex says why a
+    rack has no quandle or degenerate complex."""
 
     def __init__(self, X: QuandleTable, complex: str,
                  word: Optional[Word] = None):
+        if complex not in COMPLEXES:
+            raise ValueError(f"complex must be one of {COMPLEXES}")
         if complex in ("quandle", "degenerate") and not X.is_quandle:
             raise IdempotencyFails(next(x for x in range(X.order)
                                         if X.rows[x][x] != x))
+        if complex == "identity":
+            if word is None:
+                raise ValueError("identity complex needs a word")
+            if not satisfies_cached(X, word):
+                raise IdentityNotSatisfied(word)
         self.X, self.complex, self.word = X, complex, word
         self._smith: dict[int, SmithForm] = {}
 
@@ -127,13 +135,9 @@ class ChainComplex:
         only the columns of _spanning_columns, at their positions in the
         whole basis, where the lemma in homology's docstring holds."""
         X, complex, n = self.X, self.complex, self.X.order
-        if complex not in COMPLEXES:
-            raise ValueError(f"complex must be one of {COMPLEXES}")
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if complex == "identity":
-            if self.word is None:
-                raise ValueError("identity complex needs a word")
             if degree < 2:
                 return [], 0
             return subcomplex_generators(X, degree, self.word,
@@ -142,8 +146,8 @@ class ChainComplex:
         SizeGuardExceeded.check(
             needed, size_guard,
             f"d_{degree} is counted at {text} over the guard {size_guard}; "
-            f"the size_guard argument of homology and boundary_matrix "
-            f"raises it (the CLI has no option)")
+            f"only the size_guard argument of homology, boundary_matrix and "
+            f"ChainComplex raises it")
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, complex)
         spanning = spanning and complex != "degenerate"
@@ -216,8 +220,9 @@ def boundary_matrix(X: QuandleTable, complex: str, degree: int,
     and with its bases; its rows are the caller's own copy.
 
     identity complexes are expressed in echelon lattice bases of the generated
-    spans; integral solvability of every column is part of the construction
-    and a failure raises SubcomplexClosureViolated with the offending chain.
+    spans of a word that X satisfies; integral solvability of every column
+    is part of the construction and a failure raises
+    SubcomplexClosureViolated with the offending chain.
     """
     rows, _ = chain_complex(X, complex, word).boundary(degree, False,
                                                        size_guard)
@@ -343,13 +348,8 @@ def homology(X: QuandleTable, complex: str, degree: int,
     paper.  size_guard, on the rows that chains.row_count counts, is the
     one limit; every call builds its largest boundary first, d_(degree+1)
     or, for degenerate groups, the quandle d_degree, so a refusal comes
-    before any work.  The quandle and degenerate flavours on a rack that is
-    not a quandle raise IdempotencyFails (chain_complex); an identity word
-    that X fails raises IdentityNotSatisfied.
+    before any work; ChainComplex refuses a complex that does not exist.
     """
-    if complex == "identity" and word is not None \
-            and not satisfies_cached(X, word):
-        raise IdentityNotSatisfied(word)
     if complex in ("rack", "degenerate") and X.is_quandle and degree > 0:
         return _split(X, complex, degree, size_guard)
     return _group(chain_complex(X, complex, word), degree, size_guard)
@@ -447,34 +447,34 @@ class CocycleSpace:
 
 def cocycle_space(X: QuandleTable, modulus: int,
                   mode: str = "quandle") -> CocycleSpace:
-    """All Z_d-valued 2-cocycles, as Hom(coker d_3, Z_d).
+    """All Z_d-valued 2-cocycles, as Hom(coker d_3, Z_d), d_3 that of
+    chain_complex(X, mode): quandle mode on a rack raises IdempotencyFails.
 
     The cocycle condition phi(x,y) - phi(x,z) + phi(x*y,z) - phi(x*z,y*z) = 0
-    says phi(d(x,y,z)) = 0, so the cocycles are the phi on the rows of the
-    rack d_3 with phi d_3 = 0 (mod d); quandle mode adds a unit column at
-    each row (x, x).  They are read off the elimination of that matrix, the
-    one homology runs, by left_kernel_mod: the orders are the nontrivial
-    gcd(f, d) over the invariant factors f of what its unit pivots leave,
-    in chain order, then d for every rank the matrix lacks.  Columns that
-    generate im d_3 give the same phi, so d_3 is formed on the spanning
-    columns of the lemma in homology's docstring only: the invariant factors
-    and the rank, and so the orders, are those of the whole d_3, while the
-    generators may differ.
+    says phi(d(x,y,z)) = 0, so the cocycles are the phi on the rows of d_3
+    with phi d_3 = 0 (mod d); the quandle d_3 has no row (x, x), where phi
+    is 0.  They are read off the unit-pivot elimination of d_3 by
+    left_kernel_mod: the orders are the nontrivial gcd(f, d) over the
+    invariant factors f of what its unit pivots leave, in chain order, then
+    d for every rank the matrix lacks.  Columns that generate im d_3 give
+    the same phi, so d_3 is formed on the spanning columns of the lemma in
+    homology's docstring only: the invariant factors and the rank, and so
+    the orders, are those of the whole d_3, while the generators may differ.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if mode not in ("rack", "quandle"):
         raise ValueError("mode must be 'rack' or 'quandle'")
     n = X.order
-    # the rack d_3 in both modes: the quandle-flavour d_3 describes the same
-    # cocycles only when X is a quandle
-    rows, width = chain_complex(X, "rack", None).boundary(3, True)
-    if mode == "quandle":
-        for x in range(n):
-            rows[x * n + x][width + x] = 1
+    rows, _ = chain_complex(X, mode).boundary(3, True)
     vectors, orders = left_kernel_mod(rows, modulus)
-    gens = tuple(CocycleTable(modulus=modulus, values=tuple(
-        tuple(vec[x * n:(x + 1) * n]) for x in range(n))) for vec in vectors)
+    # row i of d_3 is the i-th pair of the flavour's basis
+    pairs = np.flatnonzero(_in_basis(digits(np.arange(n * n), n, 2), mode))
+    values = np.zeros((len(vectors), n * n), dtype=object)
+    for row, vec in zip(values, vectors):
+        row[pairs] = vec
+    gens = tuple(CocycleTable(modulus=modulus, values=tuple(map(tuple, v)))
+                 for v in values.reshape(-1, n, n).tolist())
     space = CocycleSpace(base_order=n, modulus=modulus, mode=mode,
                          generators=gens, orders=tuple(orders),
                          size=math.prod(orders))

@@ -32,7 +32,7 @@ from .core import (QuandleTable, group_exponent, inner_group, invariants,
 from .errors import (MissingDataset, ParseError, QuandleError,
                      SubcomplexClosureViolated, WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
-from .homology import CocycleTable, cocycle_space, homology
+from .homology import COMPLEXES, CocycleTable, cocycle_space, homology
 from .identities import (Assignment, ScanReport, Word, enumerate_words,
                          parse_word, satisfies_all, scan, two_letter_universe)
 from . import constructions
@@ -516,9 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("gen", _run_gen, "construct a table and print its matrix",
                 table=False)
-    p.add_argument("kind", choices=("trivial", "dihedral", "alexander_zn",
-                                    "alexander_poly", "burnside",
-                                    "conjugation", "gen_alexander"))
+    p.add_argument("kind", choices=tuple(_GEN_PARAMS))
     p.add_argument("params", nargs="*",
                    help="integers; alexander_poly takes p and ascending "
                         "comma-separated modulus/unit coefficient lists; "
@@ -547,8 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
 
     p = command("homology", _run_homology, "homology of a chain complex")
-    p.add_argument("--complex", choices=("rack", "quandle", "degenerate",
-                                         "identity"), default="rack")
+    p.add_argument("--complex", choices=COMPLEXES, default="rack")
     p.add_argument("--word")
     p.add_argument("--degree", type=int, required=True)
 
@@ -687,7 +684,8 @@ def _run_subcomplex(args):
             raise ValueError("identity kind needs a word")
         gens = subcomplex_generators(table, k, word)
         count, span = len(gens), gens.lattice.rank
-        # the boundary build solves each basis boundary one degree down
+        # the boundary build solves each basis boundary one degree down, at
+        # this degree alone and for any word, so not through ChainComplex
         try:
             gens.boundary_rows()
             closure_ok = True
@@ -760,7 +758,7 @@ _GEN_DEFAULTS = {"alexander_poly": ("0,1",)}       # the unit t
 
 
 def _gen_from_params(kind: str, params: Sequence[str]) -> QuandleTable:
-    readers = _GEN_PARAMS.get(kind, ())
+    readers = _GEN_PARAMS[kind]
     defaults = _GEN_DEFAULTS.get(kind, ())
     need = len(readers) - len(defaults)
     if len(params) < need:

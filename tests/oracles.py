@@ -8,8 +8,9 @@ reference Smith form with both transforms, U M V = D, by minimal-pivot
 elimination on the whole dense matrix; its check() verifies them with
 det_bareiss and mat_mul.  kernel_basis reads the kernel off its V, and
 lattice_cocycle_space reads the cocycles off the V of the Smith form of
-the image lattice of the rack d_3, a second route beside the library's
-left kernel of d_3.  lattice_from_rows is a shorthand for filling the
+the image lattice of the rack d_3 (plus the chains (x, x) in quandle
+mode), a second route beside the library's left kernel of the rack or
+quandle d_3.  lattice_from_rows is a shorthand for filling the
 library's IntLattice with dense rows, sparse turns a dense vector into the
 {index: value} map the lattice takes, sparse_rows turns a dense matrix into
 the sparse rows and column count the Smith form takes, and relabelled
@@ -605,7 +606,10 @@ def lattice_cocycle_space(X, modulus, mode):
     the rack d_3, plus the chains (x, x) in quandle mode, go into an
     IntLattice, and the reference Smith form U B V = D of its basis gives
     the columns of V scaled by d / gcd(f_i, d) over the invariant factors
-    f_i, and the remaining columns of V at full order d."""
+    f_i, and the remaining columns of V at full order d.  Quandle mode thus
+    never forms the quandle d_3 that cocycle_space reads, so on a quandle
+    it is an independent reference for that mode; it does not check that X
+    is a quandle."""
     n = X.order
     unknowns = n * n
     image = IntLattice(unknowns)

@@ -95,8 +95,13 @@ def test_extension_spec_rejects_non_square_cocycles(dih3, values):
 def test_extension_by_a_cocycle_is_a_rack(X, d):
     """The rack cocycle condition is equivalent to the extension being a
     rack, so extend builds no axiom check; the full one runs here, on every
-    member of both cocycle spaces."""
+    member of both cocycle spaces of a quandle and of the rack space of a
+    rack, whose quandle space raises."""
     for mode in MODES:
+        if mode == "quandle" and not X.is_quandle:
+            with pytest.raises(IdempotencyFails):
+                cocycle_space(X, d, mode=mode)
+            continue
         for member in cocycle_space(X, d, mode=mode).members():
             E = extend(ExtensionSpec(X, d, member))
             assert make_table(E.rows, require="rack") == E
@@ -220,9 +225,10 @@ def test_batched_identity_cycles_match_the_assignment_loop(data):
     """The batched cocycle side of check_extension_identity and the batched
     cycle check give, field by field, what the per-assignment loop gives:
     relabelled corpus tables, words of length <= 6 on <= 3 letters (the
-    cycle check also on unsatisfied words), random cocycles of both modes;
-    a quandle cocycle that does not vanish has its first nonzero pairing
-    past the first assignment."""
+    cycle check also on unsatisfied words), random cocycles of both modes,
+    of rack mode only on the rack, where quandle mode raises; a quandle
+    cocycle that does not vanish has its first nonzero pairing past the
+    first assignment."""
     X = data.draw(st.sampled_from(BATCH_TABLES))
     Y = relabelled(X, data.draw(st.permutations(range(X.order))))
     w = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=6)
@@ -236,7 +242,12 @@ def test_batched_identity_cycles_match_the_assignment_loop(data):
         w = data.draw(st.sampled_from(SATISFIED_WORDS[X]))
     assert identity_cycle_failures(Y, w) == []
     d = data.draw(st.sampled_from([2, 3, 5]))
-    space = cocycle_space(Y, d, mode=data.draw(st.sampled_from(MODES)))
+    mode = data.draw(st.sampled_from(MODES))
+    if mode == "quandle" and not Y.is_quandle:
+        with pytest.raises(IdempotencyFails):
+            cocycle_space(Y, d, mode=mode)
+        mode = "rack"
+    space = cocycle_space(Y, d, mode=mode)
     phi = _cocycle_combination(space, [data.draw(st.integers(0, k - 1))
                                        for k in space.orders])
     rep = check_extension_identity(ExtensionSpec(Y, d, phi), w)

@@ -706,7 +706,8 @@ def test_quandle_h2_two_routes_gf4(gf4):
 def test_cocycle_space_composite_modulus(dih3):
     """Composite coefficients need the integer Smith route (not field
     elimination); full brute force over 4^9 candidate tables is the oracle,
-    on dihedral(3) and on a rack that is not a quandle, in both modes."""
+    on dihedral(3) in both modes and on a rack that is not a quandle in rack
+    mode, where quandle mode raises."""
     rack = make_table([[1, 1, 1], [0, 0, 0], [2, 2, 2]], require="rack")
     sizes = {}
     for name, X in (("R3", dih3), ("rack", rack)):
@@ -720,6 +721,10 @@ def test_cocycle_space_composite_modulus(dih3):
                 if cocycle_condition_holds(X, tab, mode="quandle"):
                     brute["quandle"].add(tab.values)
         for mode, found in brute.items():
+            if mode == "quandle" and not X.is_quandle:
+                with pytest.raises(IdempotencyFails):
+                    cocycle_space(X, 4, mode=mode)
+                continue
             sp = cocycle_space(X, 4, mode=mode)
             solved = {m.values for m in sp.members()}
             assert sp.size == len(solved) == len(found)
@@ -752,16 +757,22 @@ def test_cocycle_count_universal_coefficients():
 
 
 def test_cocycle_space_matches_the_lattice_route():
-    """cocycle_space, read off the unit-pivot elimination of d_3 on its
-    spanning columns, against the reference route through the image lattice
-    of every column of d_3 and the Smith form with transforms: the same
-    generator orders on every table of _lemma_tables, mod 2, 3, 4, 6 and 9,
-    in both modes, and the same members wherever there are at most
-    20,000."""
+    """cocycle_space, read off the unit-pivot elimination of the rack or
+    quandle d_3 on its spanning columns, against the reference route through
+    the image lattice of every column of the rack d_3, plus the chains
+    (x, x) in quandle mode, and the Smith form with transforms: the same
+    generator orders on every table of _lemma_tables, mod 2, 3, 4, 6, 7 and
+    9, in both modes on a quandle and in rack mode on a rack, where quandle
+    mode raises IdempotencyFails, and the same members wherever there are
+    at most 20,000."""
     compared = 0
     for X in _lemma_tables():
-        for d in (2, 3, 4, 6, 9):
+        for d in (2, 3, 4, 6, 7, 9):
             for mode in ("rack", "quandle"):
+                if mode == "quandle" and not X.is_quandle:
+                    with pytest.raises(IdempotencyFails):
+                        cocycle_space(X, d, mode)
+                    continue
                 space = cocycle_space(X, d, mode)
                 ref = lattice_cocycle_space(X, d, mode)
                 assert (space.orders, space.size) == (ref.orders, ref.size), \
@@ -775,14 +786,45 @@ def test_cocycle_space_matches_the_lattice_route():
 
 def test_homology_refusal_message():
     """The tuple guard names the boundary, its tuples, the guard and the
-    library override: R3 quandle H_11 is refused at d_12."""
+    calls that can raise it: R3 quandle H_11 is refused at d_12."""
     with pytest.raises(SizeGuardExceeded) as err:
         homology(dihedral(3), "quandle", 11)
     assert (err.value.needed, err.value.guard) == (531_441, 200_000)
     assert str(err.value) == ("d_12 is counted at 3^12 = 531441 tuples over "
-                              "the guard 200000; the size_guard argument of "
-                              "homology and boundary_matrix raises it (the "
-                              "CLI has no option)")
+                              "the guard 200000; only the size_guard "
+                              "argument of homology, boundary_matrix and "
+                              "ChainComplex raises it")
+
+
+@pytest.mark.parametrize("mode", ["rack", "quandle"])
+def test_cocycle_space_refuses_a_large_d3_before_any_build(mode,
+                                                           monkeypatch):
+    """cocycle_space takes no size_guard: on Z59_2 its d_3, 59^3 tuples, is
+    refused by the default guard with the message homology gives, and no
+    face of it is formed."""
+    def no_build(*args):
+        raise AssertionError("a boundary was built")
+    monkeypatch.setattr(sys.modules["quandlehom.homology"], "block_boundary",
+                        no_build)
+    with pytest.raises(SizeGuardExceeded) as err:
+        cocycle_space(alexander_zn(59, 2), 2, mode)
+    assert (err.value.needed, err.value.guard) == (205_379, 200_000)
+    assert str(err.value) == ("d_3 is counted at 59^3 = 205379 tuples over "
+                              "the guard 200000; only the size_guard "
+                              "argument of homology, boundary_matrix and "
+                              "ChainComplex raises it")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_quandle_cocycles_of_a_rack_raise(d):
+    """Quandle cocycles are the cochains of the quandle complex, which a
+    rack that is not a quandle does not have: quandle mode raises at the
+    least x with x*x != x, rack mode answers."""
+    X = make_table(PERMUTATION_RACK, require="rack")
+    with pytest.raises(IdempotencyFails) as exc:
+        cocycle_space(X, d, "quandle")
+    assert exc.value.x == 0
+    assert cocycle_space(X, d, "rack").size == d ** 3
 
 
 def test_cocycle_members_limit_message():
@@ -974,10 +1016,12 @@ def test_identity_boundary_is_built_once_and_a_violation_raises_each_call():
     assert first.row_basis is gens.lower.basis
     rack = make_table(PERMUTATION_RACK, require="rack")
     for _ in range(2):
-        with pytest.raises(SubcomplexClosureViolated) as exc:
+        with pytest.raises(IdentityNotSatisfied):
             boundary_matrix(rack, "identity", 2, word=w)
-        assert exc.value.chain in subcomplex_generators(
-            rack, 2, word=w).basis
+        gens = subcomplex_generators(rack, 2, word=w)
+        with pytest.raises(SubcomplexClosureViolated) as exc:
+            gens.boundary_rows()
+        assert exc.value.chain in gens.basis
 
 
 def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
@@ -1028,15 +1072,42 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
 
 def test_identity_homology_of_an_unsatisfied_word_raises():
     """The identity flavour is a subcomplex only for a satisfied word; the
-    permissive builds still reach the closure violation."""
+    generators of one degree still reach the closure violation."""
     X = dihedral(3)
     w = parse_word("abab")
     for degree in (1, 2):
         with pytest.raises(IdentityNotSatisfied) as exc:
             homology(X, "identity", degree, word=w)
         assert exc.value.word == w
-    with pytest.raises(SubcomplexClosureViolated):
+    with pytest.raises(IdentityNotSatisfied) as exc:
         boundary_matrix(X, "identity", 2, word=w)
+    assert exc.value.word == w
+    with pytest.raises(SubcomplexClosureViolated):
+        subcomplex_generators(X, 2, word=w).boundary_rows()
+
+
+def test_identity_complex_of_an_unsatisfied_word_is_refused_everywhere():
+    """R3 fails ab, and its ab span closes at degree 3 but not at degree 2:
+    chain_complex, boundary_matrix and homology refuse the complex at every
+    degree alike, where boundary_matrix once returned the degree-3 rows.
+    An unknown flavour and an identity flavour without a word are refused
+    where the complex is made, too."""
+    X = dihedral(3)
+    w = parse_word("ab")
+    assert subcomplex_generators(X, 3, word=w).boundary_rows()[1] > 0
+    calls = [lambda: chain_complex(X, "identity", w)]
+    calls += [lambda k=k: boundary_matrix(X, "identity", k, word=w)
+              for k in (1, 2, 3)]
+    calls += [lambda k=k: homology(X, "identity", k, word=w)
+              for k in (1, 2, 3)]
+    for call in calls:
+        with pytest.raises(IdentityNotSatisfied) as exc:
+            call()
+        assert exc.value.word == w
+    for flavour, word, message in (("bogus", None, "complex must be one"),
+                                   ("identity", None, "needs a word")):
+        with pytest.raises(ValueError, match=message):
+            chain_complex(X, flavour, word)
 
 
 def _peak_mib(fn):

@@ -249,6 +249,19 @@ def test_cli_subcomplex_degenerate_closure_on_a_rack(tmp_path):
     assert json.loads(out)["results"]["boundary_in_lower_span"] is False
 
 
+def test_cli_subcomplex_of_an_unsatisfied_word_is_asked_per_degree(tmp_path):
+    """R3 fails ab, so it has no ab identity complex, but subcomplex asks
+    closure at one degree of any word: the ab span closes at degree 3
+    (exit 0) and not at degree 2 (exit 1)."""
+    path = tmp_path / "d3.txt"
+    path.write_text(DIH3_TEXT)
+    for degree, closed in ((3, True), (2, False)):
+        code, out = run_cli(["subcomplex", str(path), "--word", "ab",
+                             "--degree", str(degree), "--json"])
+        res = json.loads(out)["results"]
+        assert (code, res["boundary_in_lower_span"]) == (1 - closed, closed)
+
+
 def test_homology_and_subcomplex_build_no_bases(tmp_path, monkeypatch):
     """Homology, identity included, and the subcomplex command of both
     kinds read each boundary's rows and column count alone: with the

@@ -7,14 +7,23 @@ that equivalence are computed here and must agree.
 """
 
 from quandlehom import (Assignment, ExtensionSpec, check_extension_identity,
-                        cocycle_space, evaluate_cocycle, extend,
-                        extension_type_survey, identity_cycle, parse_word)
+                        cocycle_orders, cocycle_space, evaluate_cocycle,
+                        extend, extension_type_survey, homology,
+                        identity_cycle, parse_word)
 from quandlehom.constructions import alexander_zn, dihedral
 
 dih3 = dihedral(3)
 aa = parse_word("aa")
 
 # ---------------------------------------------------------------------------
+# the orders for every d come off one H_2 (universal coefficients); the
+# generators come from the left-kernel route of cocycle_space
+print(f"quandle H_2 of dihedral(3): {homology(dih3, 'quandle', 2)}")
+for d in range(2, 10):
+    orders = cocycle_orders(dih3, d, mode="quandle")
+    assert orders == cocycle_space(dih3, d, mode="quandle").orders
+    print(f"  mod {d}: cocycle orders {orders}")
+
 space = cocycle_space(dih3, 3, mode="quandle")
 print(f"quandle 2-cocycles of dihedral(3) mod 3: {space.size} "
       f"(generators with orders {space.orders})")

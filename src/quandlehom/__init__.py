@@ -3,12 +3,12 @@
 The pipeline: validate operation tables and compute scalar invariants
 (core), test inner identities x*w = x (identities), build the attached
 two-cycles and identity/degeneracy subcomplexes (chains), compute integer
-homology with exact Smith forms, and 2-cocycle spaces as Hom(coker d_3, Z_d)
-read off the same unit-pivot elimination of the rack or quandle boundary d_3
-that its homology runs (homology, linalg), form abelian extensions and check
-that they inherit identities exactly when the cocycle kills the two-cycles
-(extensions), and construct standard families plus enumerate small
-connected quandles (constructions).  File ingestion, the CLI, and the
+homology with exact Smith forms, and 2-cocycle spaces as Hom(coker d_3, Z_d),
+their orders read off H_2 and their generators off the unit-pivot
+elimination of the rack or quandle boundary d_3 (homology, linalg), form
+abelian extensions and check that they inherit identities exactly when the
+cocycle kills the two-cycles (extensions), and construct standard families
+plus enumerate small connected quandles (constructions).  File ingestion, the CLI, and the
 census harness live in shell, which is imported on first use of one of its
 names here, so that `python -m quandlehom.shell` runs it fresh.
 """
@@ -67,6 +67,7 @@ from .homology import (
     chain_complex,
     coboundary,
     cocycle_condition_holds,
+    cocycle_orders,
     cocycle_space,
     evaluate_cocycle,
     homology,

@@ -11,7 +11,9 @@ pivots one degree down leave; homology reads a quandle's rack and degenerate
 groups off its quandle groups and, as cocycles do, takes each tuple boundary
 on a spanning set of its columns (both lemmas in homology's docstring).
 boundary_matrix keeps every column and alone forms bases.  A 2-cocycle space
-is Hom(coker d_3, Z_d), read off the unit-pivot elimination of that d_3.
+is Hom(coker d_3, Z_d): cocycle_orders reads its orders off H_2 of the same
+complex, and cocycle_space forms its generators from the left, by the
+unit-pivot elimination of that d_3, and checks their orders against H_2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .chains import (
     row_count,
     subcomplex_generators,
 )
-from .core import QuandleTable, cycle_labels, digits
+from .core import QuandleTable, cycle_labels, digits, orbit_minima
 from .errors import (
     DegreeMismatch,
     IdempotencyFails,
@@ -445,10 +447,28 @@ class CocycleSpace:
                                    values=tuple(map(tuple, member)))
 
 
+def cocycle_orders(X: QuandleTable, modulus: int,
+                   mode: str = "quandle") -> tuple[int, ...]:
+    """The orders of cocycle_space(X, modulus, mode), no generator formed:
+    cocycles are Hom(C_2 / B_2, Z_d), C_2 / B_2 = H_2 + B_1 and B_1 is free
+    of rank n - o (o orbits), so they are the gcd(t, d) > 1 over the torsion
+    t of homology(X, mode, 2), in chain order, then d, free rank of H_2 plus
+    n - o times.  It raises as cocycle_space does, the guard before a build."""
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    if mode not in ("rack", "quandle"):
+        raise ValueError("mode must be 'rack' or 'quandle'")
+    h2 = homology(X, mode, 2)
+    free = h2.free_rank + X.order - len(orbit_minima(X))
+    return tuple(g for t in h2.torsion if (g := math.gcd(t, modulus)) > 1) \
+        + (modulus,) * free
+
+
 def cocycle_space(X: QuandleTable, modulus: int,
                   mode: str = "quandle") -> CocycleSpace:
     """All Z_d-valued 2-cocycles, as Hom(coker d_3, Z_d), d_3 that of
     chain_complex(X, mode): quandle mode on a rack raises IdempotencyFails.
+    For the orders alone, cocycle_orders reads H_2 and forms no generator.
 
     The cocycle condition phi(x,y) - phi(x,z) + phi(x*y,z) - phi(x*z,y*z) = 0
     says phi(d(x,y,z)) = 0, so the cocycles are the phi on the rows of d_3
@@ -460,11 +480,9 @@ def cocycle_space(X: QuandleTable, modulus: int,
     the same phi, so d_3 is formed on the spanning columns of the lemma in
     homology's docstring only: the invariant factors and the rank, and so
     the orders, are those of the whole d_3, while the generators may differ.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if mode not in ("rack", "quandle"):
-        raise ValueError("mode must be 'rack' or 'quandle'")
+    A generator that fails the cocycle condition, or orders other than
+    cocycle_orders gives, raise InvalidCocycle."""
+    orders_of_h2 = cocycle_orders(X, modulus, mode)
     n = X.order
     rows, _ = chain_complex(X, mode).boundary(3, True)
     vectors, orders = left_kernel_mod(rows, modulus)
@@ -478,6 +496,10 @@ def cocycle_space(X: QuandleTable, modulus: int,
     space = CocycleSpace(base_order=n, modulus=modulus, mode=mode,
                          generators=gens, orders=tuple(orders),
                          size=math.prod(orders))
+    if space.orders != orders_of_h2:
+        raise InvalidCocycle(
+            f"cocycle_space found orders {list(space.orders)} mod {modulus} "
+            f"in {mode} mode, and H_2 gives {list(orders_of_h2)}")
     for gen in space.generators:
         if not cocycle_condition_holds(X, gen, mode=mode):
             raise InvalidCocycle(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -32,7 +33,8 @@ from .core import (QuandleTable, group_exponent, inner_group, invariants,
 from .errors import (MissingDataset, ParseError, QuandleError,
                      SubcomplexClosureViolated, WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
-from .homology import COMPLEXES, CocycleTable, cocycle_space, homology
+from .homology import (COMPLEXES, CocycleTable, cocycle_orders, cocycle_space,
+                       homology)
 from .identities import (Assignment, ScanReport, Word, enumerate_words,
                          parse_word, satisfies_all, scan, two_letter_universe)
 from . import constructions
@@ -707,11 +709,10 @@ def _run_homology(args):
 
 def _run_cocycles(args):
     table, digests = _load_table(args)
-    space = cocycle_space(table, args.mod, mode=args.mode)
+    orders = cocycle_orders(table, args.mod, mode=args.mode)
     return {"modulus": args.mod, "mode": args.mode,
-            "generators": len(space.generators),
-            "generator_orders": list(space.orders),
-            "size": space.size}, True, digests
+            "generators": len(orders), "generator_orders": list(orders),
+            "size": math.prod(orders)}, True, digests
 
 
 def _run_extend(args):

@@ -24,8 +24,8 @@ from quandlehom.homology import (ChainComplex, CocycleTable, HomologyGroup,
                                  _complexes, _in_basis, _invariant_factors,
                                  _spanning_columns, boundary_matrix,
                                  chain_complex, coboundary,
-                                 cocycle_condition_holds, cocycle_space,
-                                 evaluate_cocycle, homology)
+                                 cocycle_condition_holds, cocycle_orders,
+                                 cocycle_space, evaluate_cocycle, homology)
 from quandlehom.identities import (Assignment, parse_word, satisfies_all,
                                    two_letter_universe)
 from quandlehom.linalg import IntLattice, smith_normal_form
@@ -744,38 +744,45 @@ def _hom_order(group, d):
 def test_cocycle_count_universal_coefficients():
     """|Z^2(X; Z_d)| = |Hom(H_2, Z_d)| * d^(n - o): cocycles are
     Hom(C_2 / B_2, Z_d), and C_2 / B_2 is H_2 plus the free group B_1 of rank
-    n - o.  Ties cocycle_space to homology on every corpus table, in both
-    modes, and on alexander_zn(13,2) mod 13 and alexander_zn(23,5) mod 23."""
+    n - o.  Ties cocycle_space and cocycle_orders to homology on every
+    corpus table, in both modes, on alexander_zn(13,2) mod 13 and
+    alexander_zn(23,5) mod 23, and on alexander_zn(16,5), whose H_2 has
+    torsion Z_4^4, mod 2 and 6, where gcd(4, d) is neither 1 nor 4."""
     cases = [(X, d) for _, X in corpus() for d in (2, 3, 4, 6)]
-    cases += [(alexander_zn(13, 2), 13), (alexander_zn(23, 5), 23)]
+    cases += [(alexander_zn(13, 2), 13), (alexander_zn(23, 5), 23),
+              (alexander_zn(16, 5), 2), (alexander_zn(16, 5), 6)]
     for X, d in cases:
         free_part = d ** (X.order - _orbit_count(X))
         for mode in ("rack", "quandle"):
-            h2 = homology(X, mode, 2)
-            assert cocycle_space(X, d, mode).size == \
-                _hom_order(h2, d) * free_part, (X.rows, d, mode)
+            count = _hom_order(homology(X, mode, 2), d) * free_part
+            assert cocycle_space(X, d, mode).size == count, (X.rows, d, mode)
+            assert math.prod(cocycle_orders(X, d, mode)) == count, \
+                (X.rows, d, mode)
 
 
 def test_cocycle_space_matches_the_lattice_route():
     """cocycle_space, read off the unit-pivot elimination of the rack or
-    quandle d_3 on its spanning columns, against the reference route through
-    the image lattice of every column of the rack d_3, plus the chains
-    (x, x) in quandle mode, and the Smith form with transforms: the same
-    generator orders on every table of _lemma_tables, mod 2, 3, 4, 6, 7 and
-    9, in both modes on a quandle and in rack mode on a rack, where quandle
-    mode raises IdempotencyFails, and the same members wherever there are
-    at most 20,000."""
+    quandle d_3 on its spanning columns, and cocycle_orders, read off H_2,
+    against the reference route through the image lattice of every column
+    of the rack d_3, plus the chains (x, x) in quandle mode, and the Smith
+    form with transforms: the same generator orders on every table of
+    _lemma_tables, mod 2, 3, 4, 6, 7 and 9, in both modes on a quandle and
+    in rack mode on a rack, where quandle mode raises IdempotencyFails from
+    both, and the same members wherever there are at most 20,000."""
     compared = 0
     for X in _lemma_tables():
         for d in (2, 3, 4, 6, 7, 9):
             for mode in ("rack", "quandle"):
                 if mode == "quandle" and not X.is_quandle:
-                    with pytest.raises(IdempotencyFails):
-                        cocycle_space(X, d, mode)
+                    for route in (cocycle_space, cocycle_orders):
+                        with pytest.raises(IdempotencyFails):
+                            route(X, d, mode)
                     continue
                 space = cocycle_space(X, d, mode)
                 ref = lattice_cocycle_space(X, d, mode)
                 assert (space.orders, space.size) == (ref.orders, ref.size), \
+                    (X.rows, d, mode)
+                assert cocycle_orders(X, d, mode) == ref.orders, \
                     (X.rows, d, mode)
                 if space.size <= 20_000:
                     assert {m.values for m in space.members()} == \
@@ -799,20 +806,22 @@ def test_homology_refusal_message():
 @pytest.mark.parametrize("mode", ["rack", "quandle"])
 def test_cocycle_space_refuses_a_large_d3_before_any_build(mode,
                                                            monkeypatch):
-    """cocycle_space takes no size_guard: on Z59_2 its d_3, 59^3 tuples, is
-    refused by the default guard with the message homology gives, and no
-    face of it is formed."""
+    """cocycle_space and cocycle_orders take no size_guard: on Z59_2 their
+    d_3, 59^3 tuples, is refused by the default guard with the message
+    homology gives, and no face of it is formed."""
     def no_build(*args):
         raise AssertionError("a boundary was built")
     monkeypatch.setattr(sys.modules["quandlehom.homology"], "block_boundary",
                         no_build)
-    with pytest.raises(SizeGuardExceeded) as err:
-        cocycle_space(alexander_zn(59, 2), 2, mode)
-    assert (err.value.needed, err.value.guard) == (205_379, 200_000)
-    assert str(err.value) == ("d_3 is counted at 59^3 = 205379 tuples over "
-                              "the guard 200000; only the size_guard "
-                              "argument of homology, boundary_matrix and "
-                              "ChainComplex raises it")
+    for route in (cocycle_space, cocycle_orders):
+        with pytest.raises(SizeGuardExceeded) as err:
+            route(alexander_zn(59, 2), 2, mode)
+        assert (err.value.needed, err.value.guard) == (205_379, 200_000)
+        assert str(err.value) == ("d_3 is counted at 59^3 = 205379 tuples "
+                                  "over the guard 200000; only the "
+                                  "size_guard argument of homology, "
+                                  "boundary_matrix and ChainComplex raises "
+                                  "it")
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -894,6 +903,19 @@ def test_cocycle_space_rejects_a_failing_generator(dih3, monkeypatch):
                         lambda X, phi, mode="rack": False)
     with pytest.raises(InvalidCocycle):
         hm.cocycle_space(dih3, 3, mode="quandle")
+
+
+def test_cocycle_space_rejects_orders_that_h2_does_not_give(dih3,
+                                                            monkeypatch):
+    """cocycle_space checks the orders of its generators against those that
+    cocycle_orders reads off H_2, and names both on a mismatch."""
+    hm = importlib.import_module("quandlehom.homology")
+    assert hm.cocycle_space(dih3, 3, "quandle").orders == (3, 3)
+    monkeypatch.setattr(hm, "cocycle_orders", lambda X, d, mode: (3,))
+    with pytest.raises(InvalidCocycle) as err:
+        hm.cocycle_space(dih3, 3, mode="quandle")
+    assert str(err.value) == ("cocycle_space found orders [3, 3] mod 3 in "
+                              "quandle mode, and H_2 gives [3]")
 
 
 # ------------------------------------------- theorem oracles at degree 3

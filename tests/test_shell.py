@@ -220,6 +220,34 @@ def test_cli_cocycles_and_extend(tmp_path):
     assert E.order == 9 and E.is_quandle
 
 
+@pytest.mark.parametrize("mode", ["rack", "quandle"])
+def test_cli_cocycles_read_h2_and_eliminate_nothing_of_their_own(
+        tmp_path, mode, monkeypatch):
+    """cocycles answers with the orders of cocycle_space but runs no left
+    kernel, and after homology --degree 2 on the same file, in the same
+    process, it builds no boundary either."""
+    hm = sys.modules["quandlehom.homology"]
+    path = tmp_path / "d4.txt"
+    save(dihedral(4), path)
+    orders = list(hm.cocycle_space(dihedral(4), 4, mode).orders)
+    want = {"modulus": 4, "mode": mode, "generators": len(orders),
+            "generator_orders": orders, "size": int(np.prod(orders))}
+
+    def refuse(*args):
+        raise AssertionError("the cocycles command eliminated or built")
+    argv = ["cocycles", str(path), "--mod", "4", "--mode", mode, "--json"]
+    hm._complexes.cache_clear()
+    monkeypatch.setattr(hm, "left_kernel_mod", refuse)
+    code, out = run_cli(argv)
+    assert code == 0 and json.loads(out)["results"] == want
+    hm._complexes.cache_clear()
+    assert run_cli(["homology", str(path), "--complex", mode,
+                    "--degree", "2"])[0] == 0
+    monkeypatch.setattr(hm, "block_boundary", refuse)
+    code, out = run_cli(argv)
+    assert code == 0 and json.loads(out)["results"] == want
+
+
 @pytest.mark.parametrize("x, ys, message", [
     ("0", "1", "--x value 0 outside 1..3"),
     ("1", "4", "--ys value 4 outside 1..3")])

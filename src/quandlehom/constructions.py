@@ -3,6 +3,11 @@ polynomial quotient rings, group-based constructions, the repeated-word
 family of connected affine quandles, and brute-force enumeration of small
 connected quandles up to isomorphism, each capped at an order
 (SizeGuardExceeded) as it tries every permutation of the elements.
+
+Z_p[t]/(f) of degree k is held as k x k matrices over Z_p, as Nelson
+(Topology Proc. 27 (2003)) treats it as a module on which t acts: t is the
+companion matrix of f, and element i, whose base-p digit j is its
+coefficient of t^j, is that polynomial in t.
 """
 
 from __future__ import annotations
@@ -32,23 +37,16 @@ CANONICAL_FORM_CAP = 8
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 class PolyRing:
-    """Z_p[t]/(f) with f monic; elements are coefficient tuples of degree
-    below deg f, also addressable as integer indices in base p."""
+    """Z_p[t]/(f), f made monic, as matrices over Z_p acting on coefficient
+    vectors.  t is the companion matrix C of f: column j is the vector of
+    t * t^j, so the last column holds -f_0, ..., -f_(k-1).  An element
+    sum c_j t^j is the matrix sum c_j C^j mod p; its first column, the
+    element times 1, is its coefficient vector.  The p^k elements are
+    numbered in base p with digit j the coefficient of t^j."""
 
     def __init__(self, p: int, modulus: Sequence[int]):
         if not _is_prime(p):
@@ -58,123 +56,57 @@ class PolyRing:
             mod.pop()
         if len(mod) < 2:
             raise ValueError("modulus must have degree >= 1")
-        lead = mod[-1]
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            mod = [c * inv % p for c in mod]
+        inv = pow(mod[-1], -1, p)
         self.p = p
-        self.modulus = tuple(mod)
-        self.degree = len(mod) - 1
-        self.size = p ** self.degree
-        if not self._is_irreducible():
+        self.modulus = tuple(c * inv % p for c in mod)
+        self.degree = k = len(mod) - 1
+        self.size = p ** k
+        self._weights = p ** np.arange(k, dtype=np.int64)
+        self.t = np.eye(k, k, -1, dtype=np.int64)
+        self.t[:, -1] = [-c % p for c in self.modulus[:-1]]
+        # f is reducible iff a monic g of degree at most k/2 shares a factor
+        # with it, that is iff g(C) is singular
+        if any(not self.is_unit(self.element([*g, 1]))
+               for d in range(1, k // 2 + 1)
+               for g in itertools.product(range(p), repeat=d)):
             warnings.warn(
                 f"modulus {self.poly_str(self.modulus)} is reducible mod {p}; "
                 "the quotient is a ring, not a field",
                 ReducibleModulusAllowed, stacklevel=3)
 
-    # -- element codecs -------------------------------------------------------
-    def element(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree):
-            index, r = divmod(index, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def index(self, coeffs: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(list(coeffs)):
-            idx = idx * self.p + (c % self.p)
-        return idx
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.degree
-
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.degree - 1)
-
-    @property
-    def t(self) -> tuple[int, ...]:
-        if self.degree == 1:
-            # t is congruent to the negated constant term of the modulus
-            return ((-self.modulus[0]) % self.p,)
-        return (0, 1) + (0,) * (self.degree - 2)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
+    def element(self, value: Sequence[int] | int) -> np.ndarray:
+        """The matrix of an element given by its index or by ascending
+        coefficients of any length."""
         p = self.p
-        d = self.degree
-        res = [0] * (2 * d - 1 if d > 1 else 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        for i in range(len(res) - 1, d - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(self.degree + 1):
-                    res[i - self.degree + j] = (
-                        res[i - self.degree + j] - c * self.modulus[j]) % p
-        return tuple(res[:d])
-
-    def pow(self, a, e: int):
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
+        coeffs = value // self._weights % p if isinstance(value, int) \
+            else value
+        out = np.zeros_like(self.t)
+        power = np.eye(self.degree, dtype=np.int64)
+        for c in coeffs:
+            out = (out + c % p * power) % p
+            power = power @ self.t % p
         return out
 
-    def is_unit(self, a) -> bool:
-        # unit iff gcd with the modulus is 1 in Z_p[t]
-        return self._poly_gcd(list(a), list(self.modulus)) == [1]
+    def index(self, a: np.ndarray) -> int:
+        return int(a[:, 0] % self.p @ self._weights)
 
-    def _poly_gcd(self, a: list[int], b: list[int]) -> list[int]:
-        p = self.p
+    def _times(self, a: np.ndarray) -> np.ndarray:
+        """Row x: the coefficient vector of a times element x."""
+        digits = np.arange(self.size)[:, None] // self._weights % self.p
+        return digits @ a.T % self.p
 
-        def norm(v):
-            while v and v[-1] % p == 0:
-                v.pop()
-            return [c % p for c in v]
-
-        a, b = norm(list(a)), norm(list(b))
-        while b:
-            inv = pow(b[-1], -1, p)
-            r = list(a)
-            while len(r) >= len(b) and any(r):
-                if r[-1] % p == 0:
-                    r.pop()
-                    continue
-                coef = r[-1] * inv % p
-                shift = len(r) - len(b)
-                for i, c in enumerate(b):
-                    r[shift + i] = (r[shift + i] - coef * c) % p
-                r = norm(r)
-            a, b = b, norm(r)
-        if a:
-            inv = pow(a[-1], -1, p)
-            a = [c * inv % p for c in a]
-        return a if a else []
-
-    def _is_irreducible(self) -> bool:
-        if self.degree == 1:
-            return True
-        # no roots, and no monic factor of degree <= deg/2
-        for d in range(1, self.degree // 2 + 1):
-            for coeffs in itertools.product(range(self.p), repeat=d):
-                cand = list(coeffs) + [1]
-                g = self._poly_gcd(list(self.modulus), cand)
-                if len(g) - 1 >= 1:
-                    return False
+    def is_unit(self, a: np.ndarray) -> bool:
+        """Whether multiplication by a permutes the elements, that is whether
+        a has full rank mod p, by Gaussian elimination on its k rows."""
+        rows = a.tolist()
+        for c in range(self.degree):
+            pivot = next((r for r in rows if r[c] % self.p), None)
+            if pivot is None:
+                return False
+            rows.remove(pivot)
+            f = pow(pivot[c], -1, self.p)
+            rows = [[(x - r[c] * f * y) % self.p for x, y in zip(r, pivot)]
+                    for r in rows]
         return True
 
     @staticmethod
@@ -220,36 +152,13 @@ def alexander_zn(n: int, t: int) -> QuandleTable:
         require="quandle")
 
 
-def _affine_table(ring: PolyRing, unit) -> QuandleTable:
-    """x*y = u*x + (1-u)*y over a polynomial quotient ring, vectorized."""
-    p, size = ring.p, ring.size
-    tmul = [ring.index(ring.mul(unit, ring.element(i))) for i in range(size)]
-    cou = ring.sub(ring.one, unit)
-    smul = [ring.index(ring.mul(cou, ring.element(i))) for i in range(size)]
-    digits = np.zeros((size, ring.degree), dtype=np.int64)
-    idx = np.arange(size)
-    for j in range(ring.degree):
-        digits[:, j] = (idx // p ** j) % p
-    summed = (digits[:, None, :] + digits[None, :, :]) % p
-    weights = p ** np.arange(ring.degree, dtype=np.int64)
-    add_index = (summed * weights).sum(axis=2)
-    tarr = np.asarray(tmul)
-    sarr = np.asarray(smul)
-    table = add_index[tarr[:, None], sarr[None, :]]
+def _affine_table(ring: PolyRing, unit: np.ndarray) -> QuandleTable:
+    """x*y = u*x + (1-u)*y: the coefficient vectors of u*x and (1-u)*y
+    for every x and y, summed mod p and read back as indices."""
+    ux = ring._times(unit)
+    vy = ring._times(ring.element([1]) - unit)
+    table = (ux[:, None, :] + vy[None, :, :]) % ring.p @ ring._weights
     return make_table(table.tolist(), require="quandle")
-
-
-def ring_element(ring: PolyRing, coeffs: Sequence[int] | int):
-    """Element from an index or an ascending coefficient list of any length."""
-    if isinstance(coeffs, int):
-        return ring.element(coeffs)
-    out = ring.zero
-    tpow = ring.one
-    for c in coeffs:
-        const = (c % ring.p,) + (0,) * (ring.degree - 1)
-        out = ring.add(out, ring.mul(const, tpow))
-        tpow = ring.mul(tpow, ring.t)
-    return out
 
 
 def alexander_poly(p: int, modulus: Sequence[int],
@@ -257,9 +166,10 @@ def alexander_poly(p: int, modulus: Sequence[int],
     """Affine quandle over Z_p[t]/(f); unit given as coefficients (ascending)
     or as an element index."""
     ring = PolyRing(p, modulus)
-    u = ring_element(ring, unit)
+    u = ring.element(unit)
     if not ring.is_unit(u):
-        raise NotAUnit(f"{PolyRing.poly_str(u)} is not a unit in the quotient")
+        raise NotAUnit(f"{PolyRing.poly_str(u[:, 0].tolist())} is not a unit "
+                       "in the quotient")
     return _affine_table(ring, u)
 
 
@@ -334,29 +244,18 @@ def repetition_polynomial(m: int, n: int) -> list[int]:
     return coeffs
 
 
-def affine_word_multiplier_offsets(ring: PolyRing, unit, w: Word):
-    """Closed form of x -> x*w on an affine quandle: the multiplier u^k and
-    the per-letter offset coefficients (1-u) * sum of u^(k-i) over the
-    positions of each letter."""
-    k = w.length
-    mult = ring.pow(unit, k)
-    cou = ring.sub(ring.one, unit)
-    offsets = []
-    for letter in range(w.letters):
-        acc = ring.zero
-        for i, t in enumerate(w.tau, start=1):
-            if t == letter:
-                acc = ring.add(acc, ring.pow(unit, k - i))
-        offsets.append(ring.mul(cou, acc))
-    return mult, offsets
-
-
-def affine_satisfies(ring: PolyRing, unit, w: Word) -> bool:
-    """Exact satisfaction test for affine quandles at ring level: the word map
-    is affine, so it is the identity for all inputs iff the multiplier is one
-    and every letter coefficient vanishes."""
-    mult, offsets = affine_word_multiplier_offsets(ring, unit, w)
-    return mult == ring.one and all(off == ring.zero for off in offsets)
+def affine_satisfies(ring: PolyRing, unit: np.ndarray, w: Word) -> bool:
+    """Exact satisfaction test for affine quandles at ring level: x*w is
+    u^L x + (1-u) sum_i u^(L-i) y_(tau_i), the identity for all inputs iff
+    u^L = 1 and, for every letter l, (1-u) sum_(i: tau_i = l) u^(L-i) = 0."""
+    p, L = ring.p, w.length
+    powers = [ring.element([1])]
+    for _ in range(L):
+        powers.append(powers[-1] @ unit % p)
+    sums = np.zeros((w.letters, ring.degree, ring.degree), dtype=np.int64)
+    np.add.at(sums, list(w.tau), np.stack(powers[L - 1::-1]))
+    return bool((powers[L] == powers[0]).all()
+                and not ((powers[0] - unit) @ sums % p).any())
 
 
 def burnside_family(m: int, n: int, p: int) -> QuandleTable:
@@ -376,7 +275,7 @@ def burnside_family(m: int, n: int, p: int) -> QuandleTable:
         warnings.simplefilter("ignore", ReducibleModulusAllowed)
         ring = PolyRing(p, repetition_polynomial(m, n))
     unit = ring.t
-    if not ring.is_unit(ring.sub(ring.one, unit)):
+    if not ring.is_unit(ring.element([1, -1])):
         raise NotAUnit("1 - t is not a unit in the quotient")
     word = Word.canonical(list(range(m)) * n)
     if not affine_satisfies(ring, unit, word):
@@ -390,24 +289,21 @@ def burnside_family(m: int, n: int, p: int) -> QuandleTable:
 # ------------------------------------------------- enumeration + isomorphism
 
 def canonical_form(X: QuandleTable, cap: int = CANONICAL_FORM_CAP) -> tuple:
-    """Minimum relabeling of the flattened table; usable up to order cap."""
+    """Least relabelling of the flattened table; usable up to order cap.
+    Every relabelling is one row of an array, the table under each
+    permutation s read as s(T[s^-1 x][s^-1 y]), and the rows are cut to
+    those holding the least entry, column by column."""
     n = X.order
     SizeGuardExceeded.check(n, cap, f"canonical form capped at order {cap}")
-    best = None
-    rows = X.rows
-    for perm in itertools.permutations(range(n)):
-        inv = _inverse(perm)
-        flat = tuple(perm[rows[x][y]] for x in inv for y in inv)
-        if best is None or flat < best:
-            best = flat
-    return best
-
-
-def _inverse(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return inv
+    perms = np.array(list(itertools.permutations(range(n))))
+    inv = np.argsort(perms, axis=1)
+    T = np.array(X.rows)
+    forms = np.take_along_axis(
+        perms, T[inv[:, :, None], inv[:, None, :]].reshape(len(perms), -1),
+        axis=1)
+    for j in range(n * n):
+        forms = forms[forms[:, j] == forms[:, j].min()]
+    return tuple(forms[0].tolist())
 
 
 def are_isomorphic(X: QuandleTable, Y: QuandleTable,

@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +32,8 @@ from .chains import (DEFAULT_SIZE_GUARD, block_boundary, boundary,
 from .core import (QuandleTable, group_exponent, inner_group, invariants,
                    make_table, quandle_type, validate)
 from .errors import (MissingDataset, ParseError, QuandleError,
-                     SubcomplexClosureViolated, WordError)
+                     ReducibleModulusAllowed, SubcomplexClosureViolated,
+                     WordError)
 from .extensions import ExtensionSpec, check_extension_identity, extend
 from .homology import (COMPLEXES, CocycleTable, cocycle_orders, cocycle_space,
                        homology)
@@ -766,8 +768,20 @@ def _gen_from_params(kind: str, params: Sequence[str]) -> QuandleTable:
         raise ValueError(f"gen {kind} needs {need} parameter"
                          f"{'s' if need > 1 else ''}, got {len(params)}")
     texts = [*params[:len(readers)], *defaults[len(params) - need:]]
-    return constructions.make(
-        kind, *(read(text) for read, text in zip(readers, texts)))
+    show = warnings.showwarning
+
+    def one_line(message, category, *rest):
+        # a reducible modulus as one line with no source path, so that
+        # stderr stays byte-deterministic; other warnings as before
+        if not issubclass(category, ReducibleModulusAllowed):
+            return show(message, category, *rest)
+        print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ReducibleModulusAllowed)
+        warnings.showwarning = one_line
+        return constructions.make(
+            kind, *(read(text) for read, text in zip(readers, texts)))
 
 
 def main() -> None:

@@ -95,6 +95,7 @@ def invocations() -> list[list[str]]:
         ["gen", "alexander_zn", "5", "2"],
         ["gen", "alexander_poly", "2", "1,1,0,1"],
         ["gen", "alexander_poly", "2", "1,1,1", "0,1"],
+        ["gen", "alexander_poly", "2", "1,0,1"],    # reducible: one warning
         ["gen", "burnside", "1", "2", "3"],
         ["gen", "conjugation", "s3.txt"],
         ["gen", "gen_alexander", "z4.txt", "0,3,2,1"],

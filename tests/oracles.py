@@ -36,6 +36,12 @@ shared-prefix satisfies_all; loop_first_axiom_violation checks
 distributivity by one pass per a, the reference for the library's blocked
 axiom check.
 
+loop_canonical_form tries every relabelling of a table one at a time,
+where the library forms them all as one array.  affine_poly_table and
+has_zero_divisor use plain Python ints alone, neither numpy nor the
+library: schoolbook polynomial products reduced mod f, where the library
+multiplies companion matrices.
+
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
 boundary one assignment at a time, in the full scan order; the inheritance
@@ -452,6 +458,21 @@ def relabelled(X, perm):
     return make_table(rows, require="rack")
 
 
+def loop_canonical_form(X):
+    """Least relabelling of the flattened table, one permutation at a time."""
+    n = X.order
+    best = None
+    rows = X.rows
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for i, v in enumerate(perm):
+            inv[v] = i
+        flat = tuple(perm[rows[x][y]] for x in inv for y in inv)
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
 def boundary_of_tuple(X, tup):
     """Boundary of a single basis tuple as a sparse term map, by the
     alternating sum of its faces for h = 2..n."""
@@ -720,3 +741,64 @@ def inheritance_count(X, d, mode, w):
     for e in factors:
         count *= math.gcd(e, d)
     return count
+
+
+def _monic(p, f):
+    f = [c % p for c in f]
+    while f[-1] == 0:
+        f.pop()
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _poly_mod(p, a, f):
+    """The remainder of a on division by the monic f, deg f coefficients."""
+    k = len(f) - 1
+    a = [c % p for c in a] + [0] * k
+    for i in range(len(a) - 1, k - 1, -1):
+        c = a[i]
+        for j in range(k + 1):
+            a[i - k + j] = (a[i - k + j] - c * f[j]) % p
+    return a[:k]
+
+
+def _poly_mul(p, a, b, f):
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_mod(p, prod, f)
+
+
+def _coefficients(p, k, x):
+    """Element x of Z_p[t]/(f), deg f = k: base-p digit j is the
+    coefficient of t^j."""
+    return [x // p ** j % p for j in range(k)]
+
+
+def affine_poly_table(p, f, unit):
+    """The rows of x*y = u*x + (1-u)*y over Z_p[t]/(f), f made monic, or
+    None when multiplication by u is not a bijection.  unit is an element
+    number or ascending coefficients of any length."""
+    f = _monic(p, f)
+    k = len(f) - 1
+    size = p ** k
+    u = (_coefficients(p, k, unit) if isinstance(unit, int)
+         else _poly_mod(p, unit, f))
+    ux = [_poly_mul(p, u, _coefficients(p, k, x), f) for x in range(size)]
+    if len({tuple(a) for a in ux}) < size:
+        return None
+    v = [(int(j == 0) - c) % p for j, c in enumerate(u)]
+    vy = [_poly_mul(p, v, _coefficients(p, k, y), f) for y in range(size)]
+    return [[sum((a + b) % p * p ** j for j, (a, b) in enumerate(zip(ax, by)))
+             for by in vy] for ax in ux]
+
+
+def has_zero_divisor(p, f):
+    """Whether Z_p[t]/(f) has nonzero a and b with a*b = 0, by trying every
+    pair."""
+    f = _monic(p, f)
+    k = len(f) - 1
+    nonzero = [_coefficients(p, k, x) for x in range(1, p ** k)]
+    return any(not any(_poly_mul(p, a, b, f))
+               for i, a in enumerate(nonzero) for b in nonzero[i:])

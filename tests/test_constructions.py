@@ -4,6 +4,8 @@ import warnings
 
 import pytest
 
+from oracles import (affine_poly_table, has_zero_divisor, loop_canonical_form,
+                     relabelled)
 from quandlehom.core import (is_connected, is_medial, product, quandle_type,
                              validate)
 from quandlehom.identities import Word, parse_word, satisfies
@@ -12,7 +14,7 @@ from quandlehom.constructions import (PolyRing, alexander_poly, alexander_zn,
                                       canonical_form, conjugation, dihedral,
                                       enumerate_connected,
                                       generalized_alexander, make,
-                                      repetition_polynomial, ring_element,
+                                      repetition_polynomial,
                                       affine_satisfies, trivial)
 from quandlehom import constructions
 from quandlehom.errors import (IdentityNotSatisfied, NotAnAutomorphism,
@@ -93,13 +95,16 @@ def test_polyring_arithmetic():
         warnings.simplefilter("ignore")
         ring = PolyRing(5, repetition_polynomial(2, 3))
     assert ring.size == 625
-    t = ring.t
-    assert ring.pow(t, 6) == ring.one            # t^6 = 1 in the quotient
-    assert ring.is_unit(ring.sub(ring.one, t))
-    x = ring_element(ring, (1, 2, 3, 4))
-    assert ring.mul(x, ring.one) == x
-    assert ring.add(x, ring.zero) == x
-    assert ring.element(ring.index(x)) == x
+    one, t = ring.element([1]), ring.t
+    power = one
+    for _ in range(6):
+        power = power @ t % 5
+    assert (power == one).all()                  # t^6 = 1 in the quotient
+    assert ring.is_unit(one - t)
+    x = ring.element((1, 2, 3, 4))
+    assert ring.index(x) == 1 + 2 * 5 + 3 * 25 + 4 * 125
+    assert (ring.element(ring.index(x)) == x).all()
+    assert all(ring.index(ring.element(i)) == i for i in range(ring.size))
 
 
 def test_repetition_polynomial():
@@ -127,17 +132,19 @@ def test_affine_closed_form_matches_product(oct_a):
         ring = PolyRing(2, (1, 0, 1, 1))
     rng = random.Random(9)
     t = ring.t
+    powers = [ring.element([1])]
+    for _ in range(7):
+        powers.append(powers[-1] @ t % 2)
     for _ in range(50):
         k = rng.randint(1, 7)
         x = rng.randrange(8)
         ys = [rng.randrange(8) for _ in range(k)]
         # t^k x + (1-t)(t^(k-1) y1 + ... + yk)
-        acc = ring.mul(ring.pow(t, k), ring.element(x))
-        coef = ring.sub(ring.one, t)
+        acc = powers[k] @ ring.element(x)
+        coef = powers[0] - t
         for i, y in enumerate(ys, start=1):
-            acc = ring.add(acc, ring.mul(coef, ring.mul(ring.pow(t, k - i),
-                                                        ring.element(y))))
-        assert product(oct_a, x, ys) == ring.index(acc)
+            acc = acc + coef @ powers[k - i] @ ring.element(y)
+        assert product(oct_a, x, ys) == ring.index(acc % 2)
 
 
 def test_affine_satisfies_agrees_with_scan(oct_a):
@@ -151,6 +158,36 @@ def test_affine_satisfies_agrees_with_scan(oct_a):
         w = Word.canonical([0] + [rng.randrange(m) for _ in range(k - 1)])
         assert affine_satisfies(ring, ring.t, w) == \
             satisfies(oct_a, w).satisfied
+
+
+def test_alexander_poly_matches_the_polynomial_oracle():
+    """Tables, unit refusals and reducibility warnings against schoolbook
+    polynomial arithmetic, on moduli that are not monic and units given as
+    an index or as coefficient lists of every length up to deg f + 3."""
+    rng = random.Random(38)
+    cases = [(2, [1, 0, 1, 0, 1])]      # (t^2 + t + 1)^2: no root, reducible
+    for p in (2, 3, 5, 7, 11):
+        for k in range(1, 6):
+            if p ** k <= 300:
+                cases += [(p, [rng.randrange(-2 * p, 2 * p) for _ in range(k)]
+                           + [rng.choice([c for c in range(2, 3 * p)
+                                          if c % p])]) for _ in range(2)]
+    for p, f in cases:
+        k = len(f) - 1
+        units = [rng.randrange(p ** k),
+                 [rng.randrange(-p, p) for _ in range(rng.randrange(k + 4))],
+                 [rng.randrange(-p, p) for _ in range(k + 3)], []]
+        for unit in units:
+            want = affine_poly_table(p, f, unit)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = [list(row) for row in alexander_poly(p, f, unit).rows]
+                except NotAUnit:
+                    got = None
+            assert got == want, (p, f, unit)
+            assert [w.category for w in caught] == \
+                [ReducibleModulusAllowed] * has_zero_divisor(p, f), (p, f)
 
 
 def test_alexander_always_medial():
@@ -168,6 +205,18 @@ def test_enumerate_connected_counts():
     with pytest.raises(SizeGuardExceeded) as err:
         canonical_form(trivial(9))
     assert (err.value.needed, err.value.guard) == (9, 8)
+
+
+def test_canonical_form_matches_the_loop():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for X in enumerate_connected(n, cap=7):
+            Y = relabelled(X, rng.sample(range(n), n))
+            assert canonical_form(X) == loop_canonical_form(X)
+            assert canonical_form(Y) == loop_canonical_form(Y) == \
+                canonical_form(X)
+    for X in (dihedral(8), alexander_zn(8, 3), trivial(8)):
+        assert canonical_form(X) == loop_canonical_form(X)
 
 
 def test_enumerate_connected_members_are_connected_quandles():

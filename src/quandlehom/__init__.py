@@ -4,8 +4,8 @@ The pipeline: validate operation tables and compute scalar invariants
 (core), test inner identities x*w = x (identities), build the attached
 two-cycles and identity/degeneracy subcomplexes (chains), compute integer
 homology with exact Smith forms, and 2-cocycle spaces as Hom(coker d_3, Z_d),
-their orders read off H_2 and their generators off the unit-pivot
-elimination of the rack or quandle boundary d_3 (homology, linalg), form
+their orders read off H_2 and their generators off the row transform carried
+by the elimination of the rack or quandle d_3 (homology, linalg), form
 abelian extensions and check that they inherit identities exactly when the
 cocycle kills the two-cycles (extensions), and construct standard families
 plus enumerate small connected quandles (constructions).  File ingestion, the CLI, and the

@@ -75,14 +75,16 @@ class PolyRing:
                 ReducibleModulusAllowed, stacklevel=3)
 
     def element(self, value: Sequence[int] | int) -> np.ndarray:
-        """The matrix of an element given by its index or by ascending
-        coefficients of any length."""
+        """The matrix of an element given by its index in 0..p^k - 1 or
+        by ascending coefficients of any length, each read mod p."""
         p = self.p
-        coeffs = value // self._weights % p if isinstance(value, int) \
-            else value
+        if isinstance(value, int):
+            if not 0 <= value < self.size:
+                raise ValueError(f"index {value} outside 0..{self.size - 1}")
+            value = value // self._weights % p
         out = np.zeros_like(self.t)
         power = np.eye(self.degree, dtype=np.int64)
-        for c in coeffs:
+        for c in value:
             out = (out + c % p * power) % p
             power = power @ self.t % p
         return out
@@ -154,11 +156,14 @@ def alexander_zn(n: int, t: int) -> QuandleTable:
 
 def _affine_table(ring: PolyRing, unit: np.ndarray) -> QuandleTable:
     """x*y = u*x + (1-u)*y: the coefficient vectors of u*x and (1-u)*y
-    for every x and y, summed mod p and read back as indices."""
+    for every x and y, summed mod p and read back as indices.  No axiom is
+    checked: with u a unit, x -> u*x + (1-u)*y is a bijection, x*x = x, and
+    in a commutative ring (x*y)*z and (x*z)*(y*z) both equal
+    u^2 x + u(1-u) y + (1-u) z, as u(1-u) z + (1-u)^2 z = (1-u) z."""
     ux = ring._times(unit)
     vy = ring._times(ring.element([1]) - unit)
     table = (ux[:, None, :] + vy[None, :, :]) % ring.p @ ring._weights
-    return make_table(table.tolist(), require="quandle")
+    return QuandleTable(table, _validated=True)
 
 
 def alexander_poly(p: int, modulus: Sequence[int],

@@ -12,8 +12,8 @@ groups off its quandle groups and, as cocycles do, takes each tuple boundary
 on a spanning set of its columns (both lemmas in homology's docstring).
 boundary_matrix keeps every column and alone forms bases.  A 2-cocycle space
 is Hom(coker d_3, Z_d): cocycle_orders reads its orders off H_2 of the same
-complex, and cocycle_space forms its generators from the left, by the
-unit-pivot elimination of that d_3, and checks their orders against H_2.
+complex, and cocycle_space its generators off the row transform that the
+elimination of that d_3 carries, checking their orders against H_2.
 """
 
 from __future__ import annotations
@@ -473,10 +473,10 @@ def cocycle_space(X: QuandleTable, modulus: int,
     The cocycle condition phi(x,y) - phi(x,z) + phi(x*y,z) - phi(x*z,y*z) = 0
     says phi(d(x,y,z)) = 0, so the cocycles are the phi on the rows of d_3
     with phi d_3 = 0 (mod d); the quandle d_3 has no row (x, x), where phi
-    is 0.  They are read off the unit-pivot elimination of d_3 by
-    left_kernel_mod: the orders are the nontrivial gcd(f, d) over the
-    invariant factors f of what its unit pivots leave, in chain order, then
-    d for every rank the matrix lacks.  Columns that generate im d_3 give
+    is 0.  They are read off the row transform that left_kernel_mod carries
+    through the elimination of d_3: the orders are the nontrivial gcd(f, d)
+    over the invariant factors f of what its unit pivots leave, in chain
+    order, then d for every rank d_3 lacks.  Columns that generate im d_3 give
     the same phi, so d_3 is formed on the spanning columns of the lemma in
     homology's docstring only: the invariant factors and the rank, and so
     the orders, are those of the whole d_3, while the generators may differ.

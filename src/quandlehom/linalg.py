@@ -13,10 +13,10 @@ against.  A Smith form runs the unit-pivot loop, reporting the columns of
 its pivots, the cells that homology drops from the boundary one degree up,
 and diagonalizes the residue by the column loop, run first on its transpose,
 then on the rows and on the transposed echelon in turn.  The left kernel
-mod d runs the same two stages, recording the row operations of the unit
-pivots and carrying the residue's row transform in identity columns past
-the matrix, and solves by back-substitution.  These are the only
-eliminations the library runs, and no matrix is made dense.
+mod d runs the same two stages on the rows with identity columns past the
+matrix, which carry the row transform through both and out on every row
+left.  These are the only eliminations the library runs, and no matrix is
+made dense.
 """
 
 from __future__ import annotations
@@ -54,14 +54,11 @@ def smith_normal_form(rows: Sequence[dict[int, int]], ncols: int) -> SmithForm:
     (Kannan & Bachem, SIAM J. Comput. 8 (1979)), whose docstring shows that
     it ends; the rest of the invariant factors are its diagonal.
     """
-    rows_left, cols = _sparse_store([dict(row) for row in rows])
-    units = frozenset(q for _, q, _, _, _
-                      in _eliminate_unit_pivots(rows_left, cols))
-    diagonal, _ = _diagonalize(list(rows_left.values()), ncols)
+    units, diagonal, _ = _eliminate([dict(row) for row in rows], ncols)
     return SmithForm(shape=(len(rows), ncols),
                      invariant_factors=(1,) * len(units) + tuple(
                          v for row in diagonal for v in row.values()),
-                     unit_columns=units)
+                     unit_columns=frozenset(units))
 
 
 def left_kernel_mod(rows: Sequence[dict[int, int]],
@@ -72,87 +69,83 @@ def left_kernel_mod(rows: Sequence[dict[int, int]],
     0 <= c_k < order_k gives every solution exactly once.  A generator is a
     list of len(rows) values in 0..d-1.
 
-    This is the elimination of smith_normal_form read from the left.  Each
-    unit pivot (p, q), of unit u, subtracts f = A_iq * u times row p from
-    every other row i holding q; in the coordinates that these row
-    operations change to, phi_p = 0, which back-substitution in reverse
-    pivot order turns into phi_p = -sum_i f * phi_i.  Row k of the residue C
-    gets a 1 in column width + k, past every column of A, so that the
-    diagonalization U C V = D leaves row k of U in the carried columns of
-    its k-th row: a row of D with entry f, its carried part times
-    d / gcd(f, d), solves C at order gcd(f, d) (skipped at order 1), and a
-    zero row of D at order d.  A row neither taken as a pivot nor left in
-    the residue is free, of order d.  The orders come out as the residue's
-    invariant factors mod d, in chain order, then the d's.
+    This is the elimination of smith_normal_form with its row transform
+    carried along: row i gets a 1 in column width + i, past every column of
+    A, and the pivot searches stay below width, so each row ends holding
+    there its row of a unimodular U, and below width its row of U A V for
+    column operations V.  In the coordinates psi = phi U^-1, phi A = 0
+    reads psi U A V = 0 (mod d).  A unit pivot row holds its unit in a
+    column where every row taken after it and every row left are zero, so
+    psi is 0 on the pivot rows, one after another, and they are dropped.  A
+    row with entry f below width asks psi_k f = 0, solved by the multiples
+    of d / gcd(f, d), of order gcd(f, d) (skipped at order 1); a row with
+    nothing there, emptied by the unit stage or given empty, leaves psi_k
+    free, of order d.  So the generators are those rows' carried parts
+    times d / gcd(f, d), each solution once as U is unimodular, and the
+    orders the residue's invariant factors mod d, in chain order, then d's.
     """
-    residue, cols = _sparse_store([dict(row) for row in rows])
-    steps = [(p, updates) for p, _, _, _, updates
-             in _eliminate_unit_pivots(residue, cols)]
-    width = 1 + max((j for row in residue.values() for j in row), default=-1)
-    seeded = list(residue)
-    for k, i in enumerate(seeded):
-        residue[i][width + k] = 1
-    diagonal, zero = _diagonalize(list(residue.values()), width)
-    solved: list[tuple[int, dict[int, int]]] = []     # (order, phi's seeds)
+    width = 1 + max((j for row in rows for j in row), default=-1)
+    _, diagonal, zero = _eliminate(
+        [{**row, width + i: 1} for i, row in enumerate(rows)], width)
+    gens, orders = [], []
     for row in diagonal + zero:
-        f = next((v for j, v in row.items() if j < width), 0)
-        order = math.gcd(f, modulus)
+        order = math.gcd(sum(v for j, v in row.items() if j < width), modulus)
         if order > 1:
             scale = modulus // order
-            solved.append((order, {seeded[j - width]: v * scale % modulus
-                                   for j, v in row.items() if j >= width}))
-    pivots = {p for p, _ in steps}
-    solved += [(modulus, {i: 1}) for i in range(len(rows))
-               if i not in pivots and i not in residue]
-    gens = []
-    for _, seeds in solved:
-        phi = [0] * len(rows)
-        for i, v in seeds.items():
-            phi[i] = v
-        for p, updates in reversed(steps):
-            phi[p] = -sum(f * phi[i] for i, f in updates) % modulus
-        gens.append(phi)
-    return gens, [order for order, _ in solved]
+            gens.append([row.get(width + i, 0) * scale % modulus
+                         for i in range(len(rows))])
+            orders.append(order)
+    return gens, orders
+
+
+def _eliminate(rows: list[dict[int, int]], width: int):
+    """The unit-pivot loop, then _diagonalize, on the given rows, which it
+    takes over: (the unit pivot columns, the diagonal rows, the zero rows)."""
+    store, cols = _sparse_store(rows)
+    units = [q for q, _, _ in _eliminate_unit_pivots(store, cols, width)]
+    return (units, *_diagonalize(list(store.values()), width))
 
 
 _SEARCH_COLUMNS = 8     # unit-holding columns one pivot search looks at
 
 
-def _eliminate_unit_pivots(rows, cols):
-    """Schur-complement elimination on +-1 pivots picked by a limited
-    Markowitz search, in place on a sparse store of _sparse_store.
+def _eliminate_unit_pivots(rows, cols, width: int):
+    """Schur-complement elimination on +-1 pivots below width, picked by a
+    limited Markowitz search, in place on a sparse store of _sparse_store.
 
-    Yields (p, q, u, prow, updates) per pivot, in pivot order: row p, taken
-    out of the store, held the unit u at column q and prow in its other
-    columns, and row i -= f * row p for each (i, f) of updates cleared q
-    from every other row.  These are row operations, so the pivot rows and
-    the rows left span the lattice of the rows given; and a unit pivot
-    splits off one invariant factor 1, so the Smith form is (1,) * the pivot
-    count followed by that of the residue left once no entry is a unit.
-    Columns sit in buckets by their count of rows, kept up to date from
-    each pivot: only the columns of the pivot row change.  A search walks
-    the buckets from the least count and weighs the +-1 entries of at most
-    _SEARCH_COLUMNS columns that hold one, taking the least cost
-    (c-1)(r-1) among them and stopping at once on a zero cost (Zlatev, SIAM
-    J. Numer. Anal. 17 (1980)); a column it finds without a unit leaves the
-    buckets until a pivot row changes it.
+    Yields (q, u, prow) per pivot, in pivot order: the row taken out of the
+    store held the unit u at column q and prow in its other columns, and
+    subtracting A_iq * u times it from every other row i holding q cleared
+    q, the columns at width and beyond taking part.  These are row
+    operations, so the pivot rows and the rows left span the lattice of the
+    rows given; and a unit pivot splits off one invariant factor 1, so the
+    Smith form is (1,) * the pivot count followed by that of the residue
+    left once no entry below width is a unit.
+    Columns below width sit in buckets by their count of rows, kept up to
+    date from each pivot: only the columns of the pivot row change.  A
+    search walks the buckets from the least count and weighs the +-1
+    entries of at most _SEARCH_COLUMNS columns that hold one, taking the
+    least cost (c-1)(r-1) among them and stopping at once on a zero cost
+    (Zlatev, SIAM J. Numer. Anal. 17 (1980)); a column it finds without a
+    unit leaves the buckets until a pivot row changes it.
     """
     count: dict[int, int] = {}                  # column -> its bucket
     buckets: dict[int, set[int]] = {}           # count -> columns
     for j, held in cols.items():
-        _rebucket(buckets, count, j, len(held))
+        if j < width:
+            _rebucket(buckets, count, j, len(held))
     while (best := _pick_unit_pivot(rows, cols, buckets, count)) is not None:
         p, q = best
         prow = _take_row(rows, cols, p)
         u = prow.pop(q)
         # u is its own inverse
-        updates = [(i, rows[i].pop(q) * u) for i in cols.pop(q)]
-        for i, f in updates:
-            _subtract_row(rows, cols, i, f, prow)
+        for i in cols.pop(q):
+            _subtract_row(rows, cols, i, rows[i].pop(q) * u, prow)
         _rebucket(buckets, count, q, 0)
         for j in prow:
-            _rebucket(buckets, count, j, len(cols[j]))
-        yield p, q, u, prow, updates
+            if j < width:
+                _rebucket(buckets, count, j, len(cols[j]))
+        yield q, u, prow
 
 
 def _pick_unit_pivot(rows, cols, buckets, count):
@@ -374,7 +367,7 @@ class IntLattice:
     def _rows(self) -> list[list[int]]:
         # the nonzero values of each basis row, for the rank and entry-bit
         # counters of qhbench/spans.py; delete once the tracer reads a
-        # recorder instead (ROADMAP item 5)
+        # recorder instead (ROADMAP item 7)
         return [list(row.values()) for _, row in self._pivots]
 
     def sparse_basis(self) -> list[dict[int, int]]:
@@ -404,7 +397,7 @@ class IntLattice:
         rows, cols = _sparse_store(self._pending)
         self._pending = []
         self._final = True
-        for _, q, u, prow, _ in _eliminate_unit_pivots(rows, cols):
+        for q, u, prow in _eliminate_unit_pivots(rows, cols, self.dim):
             base = {j: u * v for j, v in prow.items()}
             base[q] = 1
             self._pivots.append((q, base))

@@ -16,7 +16,7 @@ from quandlehom.constructions import (PolyRing, alexander_poly, alexander_zn,
                                       generalized_alexander, make,
                                       repetition_polynomial,
                                       affine_satisfies, trivial)
-from quandlehom import constructions
+from quandlehom import constructions, core
 from quandlehom.errors import (IdentityNotSatisfied, NotAnAutomorphism,
                                NotAUnit, NotConnected, NotPrime,
                                PNotGreaterThanN, ReducibleModulusAllowed,
@@ -107,6 +107,16 @@ def test_polyring_arithmetic():
     assert all(ring.index(ring.element(i)) == i for i in range(ring.size))
 
 
+def test_element_index_outside_the_ring_raises():
+    """An index names one of the p^k elements; coefficients stay mod p."""
+    for unit in (6, -2, 4):                     # p^k = 4
+        with pytest.raises(ValueError) as err:
+            alexander_poly(2, (1, 1, 1), unit)
+        assert str(err.value) == f"index {unit} outside 0..3"
+    assert alexander_poly(2, (1, 1, 1), [0, 3]) == \
+        alexander_poly(2, (1, 1, 1), 2)
+
+
 def test_repetition_polynomial():
     assert repetition_polynomial(1, 2) == [1, 1]
     assert repetition_polynomial(2, 2) == [1, 0, 1]
@@ -163,7 +173,8 @@ def test_affine_satisfies_agrees_with_scan(oct_a):
 def test_alexander_poly_matches_the_polynomial_oracle():
     """Tables, unit refusals and reducibility warnings against schoolbook
     polynomial arithmetic, on moduli that are not monic and units given as
-    an index or as coefficient lists of every length up to deg f + 3."""
+    an index or as coefficient lists of every length up to deg f + 3; the
+    tables, built without an axiom check, pass it up to order 125."""
     rng = random.Random(38)
     cases = [(2, [1, 0, 1, 0, 1])]      # (t^2 + t + 1)^2: no root, reducible
     for p in (2, 3, 5, 7, 11):
@@ -186,6 +197,8 @@ def test_alexander_poly_matches_the_polynomial_oracle():
                 except NotAUnit:
                     got = None
             assert got == want, (p, f, unit)
+            if got is not None and len(got) <= 125:
+                assert core._first_axiom_violation(got, quandle=True) is None
             assert [w.category for w in caught] == \
                 [ReducibleModulusAllowed] * has_zero_divisor(p, f), (p, f)
 

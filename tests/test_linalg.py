@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (det_bareiss, kernel_basis, lattice_from_rows,
                      naive_invariant_factors, rank_fraction_free, sparse,
@@ -67,7 +67,8 @@ def unit_stage(rows):
     """The unit-pivot stage on copies of the sparse rows: (pivot count,
     the residue's rows as the store holds them, row -> {col: value})."""
     residue, cols = _sparse_store([dict(row) for row in rows])
-    units = sum(1 for _ in _eliminate_unit_pivots(residue, cols))
+    units = sum(1 for _ in _eliminate_unit_pivots(residue, cols,
+                                                  1 + max(cols, default=-1)))
     return units, residue
 
 
@@ -290,6 +291,7 @@ def test_explicit_zero_entries_change_nothing(case, modulus, rng):
 def test_an_explicit_zero_is_no_pivot():
     assert smith_normal_form([{0: 0, 1: 2}], 2).invariant_factors == (2,)
     assert left_kernel_mod([{0: 0, 1: 2}], 4) == ([[2]], [2])
+    assert left_kernel_mod([{}, {0: 0}], 3) == ([[1, 0], [0, 1]], [3, 3])
 
 
 # ------------------------------------------------ the left kernel mod d
@@ -310,10 +312,18 @@ def kernel_problems(draw):
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(kernel_problems())
+# a duplicate row and a zero row; row 2 the sum of rows 0 and 1;
+# 1 < gcd(12, 8) < 12; and 1 < gcd(4, 6) < 4
+@example(([[1, 2], [0, 0], [1, 2], [1, -1]], 2, 6))
+@example(([[1, 0, 2], [0, 1, 1], [1, 1, 3], [2, -1, 0]], 3, 4))
+@example(([[6, 0], [0, 4], [0, 0]], 2, 8))
+@example(([[4]], 1, 6))
 def test_left_kernel_mod_enumerates_every_solution_once(case):
     """Every generator solves phi A = 0 (mod d), every order divides d, and
     summing c_k * gen_k over 0 <= c_k < order_k lists each solution of the
-    brute force over all d^m candidates exactly once."""
+    brute force over all d^m candidates exactly once; the examples hold rows
+    that the unit stage empties, rows given empty and diagonal entries f
+    with 1 < gcd(f, d) < f."""
     mat, n, d = case
     rows = [sparse(row) for row in mat]
     before = [list(row.items()) for row in rows]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from typing import Optional, Sequence
 
@@ -75,10 +76,11 @@ class PolyRing:
                 ReducibleModulusAllowed, stacklevel=3)
 
     def element(self, value: Sequence[int] | int) -> np.ndarray:
-        """The matrix of an element given by its index in 0..p^k - 1 or
-        by ascending coefficients of any length, each read mod p."""
+        """The matrix of an element given by its index in 0..p^k - 1, any
+        integral value, or by ascending coefficients, each read mod p."""
         p = self.p
-        if isinstance(value, int):
+        if np.ndim(value) == 0:                 # an index
+            value = operator.index(value)
             if not 0 <= value < self.size:
                 raise ValueError(f"index {value} outside 0..{self.size - 1}")
             value = value // self._weights % p

@@ -388,26 +388,11 @@ class PermutationGroup:
         return self.order
 
 
-def inner_group(X: QuandleTable,
-                closure_cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
-    """Inn(X), the group generated by the right translations.
-
-    R_{b*c} = R_c R_b R_c^-1, so the translations of any rack generating set
-    generate it.  The set is grown greedily: each element outside the subset
-    closed under * that the set so far generates (a subrack) joins it, until
-    that subrack is all of X.  Each pass of that growth forms only the
-    products with a member added by the pass before.  Only the generating
-    set's translations are closed over.
-
-    Every element is a rack automorphism, so its images on the generating
-    set determine it, and those images are its key.  Each breadth-first
-    level is one numpy step: every generator is composed with the whole
-    frontier on the generating set alone, the keys are deduplicated with
-    ``np.unique``, those already seen are dropped by ``searchsorted``, and
-    only the new elements are composed in full.  A key is the byte string of
-    the int64 images.  SizeGuardExceeded is raised before a level would
-    take the element count past ``closure_cap``; the elements are sorted
-    lexicographically at the end.
+def generating_set(X: QuandleTable) -> list[int]:
+    """A rack generating set of X, ascending, grown greedily: each element
+    outside the subset closed under * that the set so far generates (a
+    subrack) joins it, until that subrack is all of X.  Each pass of that
+    growth forms only the products with a member added by the pass before.
     """
     T = X.np_table
     inside = np.zeros(X.order, dtype=bool)
@@ -423,8 +408,30 @@ def inner_group(X: QuandleTable,
             members = np.flatnonzero(inside)
             hit = np.concatenate([T[np.ix_(new, members)].ravel(),
                                   T[np.ix_(members, new)].ravel()])
-            new = np.unique(hit[~inside[hit]])
+            new = np.flatnonzero((np.bincount(hit, minlength=X.order) > 0)
+                                 & ~inside)
             inside[new] = True
+    return points
+
+
+def inner_group(X: QuandleTable,
+                closure_cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
+    """Inn(X), the group generated by the right translations.
+
+    R_{b*c} = R_c R_b R_c^-1, so the translations of any rack generating set
+    generate it; only those of generating_set(X) are closed over.
+
+    Every element is a rack automorphism, so its images on the generating
+    set determine it, and those images are its key.  Each breadth-first
+    level is one numpy step: every generator is composed with the whole
+    frontier on the generating set alone, the keys are deduplicated with
+    ``np.unique``, those already seen are dropped by ``searchsorted``, and
+    only the new elements are composed in full.  A key is the byte string of
+    the int64 images.  SizeGuardExceeded is raised before a level would
+    take the element count past ``closure_cap``; the elements are sorted
+    lexicographically at the end.
+    """
+    points = generating_set(X)
     gens = np.array(sorted({X.column(b) for b in points}), dtype=np.int64)
     width = f"S{8 * len(points)}"
     frontier = np.arange(X.order, dtype=np.int64)[None, :]

@@ -9,7 +9,8 @@ One ChainComplex per (table, flavour, word) builds every boundary as sparse
 rows and a column count, and eliminates each once, on the rows that the unit
 pivots one degree down leave; homology reads a quandle's rack and degenerate
 groups off its quandle groups and, as cocycles do, takes each tuple boundary
-on a spanning set of its columns (both lemmas in homology's docstring).
+on the columns at tuples ending in a set S, plus one per H_S-orbit holding
+none (both lemmas in homology's docstring).
 boundary_matrix keeps every column and alone forms bases.  A 2-cocycle space
 is Hom(coker d_3, Z_d): cocycle_orders reads its orders off H_2 of the same
 complex, and cocycle_space its generators off the row transform that the
@@ -33,7 +34,8 @@ from .chains import (
     row_count,
     subcomplex_generators,
 )
-from .core import QuandleTable, cycle_labels, digits, orbit_minima
+from .core import (QuandleTable, cycle_labels, cycle_lengths, digits,
+                   generating_set, orbit_minima)
 from .errors import (
     DegreeMismatch,
     IdempotencyFails,
@@ -62,22 +64,41 @@ def _tuple_basis(order: int, degree: int, complex: str) -> tuple:
     return tuple(map(tuple, tups[_in_basis(tups, complex)].tolist()))
 
 
-def _spanning_columns(X: QuandleTable, tups: np.ndarray) -> np.ndarray:
-    """Which k-tuples, one per row of all n^k in lexicographic order, make
-    the spanning column set of the lemma in homology's docstring: those
-    ending in x0, and the least tuple of every cycle of c -> c.R_x0 that
-    holds no tuple ending in x0.  x0 is the x whose R_x has the fewest
-    cycles on X, the least such x on a tie."""
-    n = X.order
-    T = X.np_table
+@lru_cache(maxsize=512)
+def _spanning_set(X: QuandleTable) -> tuple[int, ...]:
+    """The S of the lemma in homology's docstring: generating_set(X), or
+    {x0}, x0 the least x whose R_x has the fewest cycles.  A generating S
+    covers X: R_b for b in the H_S-orbit of s in S is R_s conjugated in H_S,
+    so the union of those orbits is closed under * and holds S.  Of n
+    columns {x0} keeps about 1 + (n - c)/m, m the order of R_x0 and c the
+    length of x0's cycle, and S keeps |S|; the fewer wins.  At equal counts
+    S ran faster on most connected quandles timed from order 5 on, slower
+    at orders 3 and 4, so it wins a tie when 2|S| < n."""
+    n, T = X.order, X.np_table
     cycles = (cycle_labels(T.T) == np.arange(n * n).reshape(n, n)).sum(axis=1)
     x0 = int(np.argmin(cycles))
-    weight = n ** np.arange(tups.shape[1] - 1, -1, -1)
-    label = cycle_labels((T[tups, x0] @ weight)[None])[0]
-    ends = tups[:, -1] == x0
-    covered = np.zeros(len(tups), dtype=bool)
-    covered[label[ends]] = True
-    return ends | ((label == np.arange(len(tups))) & ~covered)
+    lengths = cycle_lengths(T[None, :, x0])[0]
+    S, m = generating_set(X), int(np.lcm.reduce(lengths))
+    single = m + n - int(lengths[x0])
+    return tuple(S) if len(S) * m < single or (
+        len(S) * m == single and 2 * len(S) < n) else (x0,)
+
+
+def _spanning_columns(X: QuandleTable, tups: np.ndarray) -> np.ndarray:
+    """Which k-tuples, one per row of all n^k in lexicographic order, make
+    the spanning column set of the lemma in homology's docstring for the S
+    of _spanning_set: those ending in S, and when S = {s}, the least tuple
+    of every cycle of c -> c.R_s that holds no tuple ending in s (none when
+    {s} generates X)."""
+    S = _spanning_set(X)
+    ends = np.isin(tups[:, -1], S)
+    if len(S) == 1:
+        weight = X.order ** np.arange(tups.shape[1] - 1, -1, -1)
+        label = cycle_labels((X.np_table[tups, S[0]] @ weight)[None])[0]
+        covered = np.zeros(len(tups), dtype=bool)
+        covered[label[ends]] = True
+        ends |= (label == np.arange(len(tups))) & ~covered
+    return ends
 
 
 @dataclass(frozen=True)
@@ -310,15 +331,16 @@ def homology(X: QuandleTable, complex: str, degree: int,
     lemma.  For a k-tuple c and an element x, the faces of (c, x) at h <= k
     keep the last entry x and those at h = k + 1 make (-1)^(k+1)(c - c.R_x),
     so d_{k+1}(c, x) = (d_k c, x) + (-1)^(k+1)(c - c.R_x), where (-, x)
-    appends x to every tuple.  Fix x0 and k >= 2.  Applying d_k, as
-    d_k d_{k+1} = 0, d_k c = d_k(c.R_x0) + (-1)^k d_k((d_k c, x0)), and every
-    tuple of (d_k c, x0) ends in x0.  So along each cycle of c -> c.R_x0 the
-    columns of d_k agree modulo the columns at tuples ending in x0, and
-    im d_k is spanned by those columns plus one column per cycle that holds
-    no tuple ending in x0 (d_1 = 0 needs none).  This holds in the rack
-    complex, and in the quandle complex, where a degenerate tuple is zero,
-    as c.R_x0 and (c, x0) are non-degenerate with c when c does not end in
-    x0.  x0 is the x whose R_x has the fewest cycles, the least on a tie.
+    appends x to every tuple.  Fix S in X and k >= 2; H_S, made by the R_s
+    (s in S), acts on k-tuples entry by entry.  Applying d_k, as
+    d_k d_{k+1} = 0, d_k c = d_k(c.R_s) + (-1)^k d_k((d_k c, s)), and every
+    tuple of (d_k c, s) ends in s.  So along each H_S-orbit the columns of
+    d_k agree modulo the columns at tuples ending in S, and im d_k is
+    spanned by those columns plus one column per orbit holding none (d_1 =
+    0 needs none); by those alone when the H_S-orbits of S cover X.  This
+    holds in the rack complex, and in the quandle complex, where a
+    degenerate tuple is zero, as c.R_s and (c, s) are non-degenerate with c
+    when c does not end in s.  _spanning_set picks S per table.
     The image lattice, hence the rank and the invariant factors, is
     unchanged on any rows, and a +-1 pivot among the kept columns is a unit
     pivot of the whole matrix; columns keep their whole-basis positions, so
@@ -478,8 +500,9 @@ def cocycle_space(X: QuandleTable, modulus: int,
     over the invariant factors f of what its unit pivots leave, in chain
     order, then d for every rank d_3 lacks.  Columns that generate im d_3 give
     the same phi, so d_3 is formed on the spanning columns of the lemma in
-    homology's docstring only: the invariant factors and the rank, and so
-    the orders, are those of the whole d_3, while the generators may differ.
+    homology's docstring only, at triples ending in S and one per H_S-orbit
+    holding none: the invariant factors and the rank, and so the orders,
+    are those of the whole d_3, while the generators may differ.
     A generator that fails the cocycle condition, or orders other than
     cocycle_orders gives, raise InvalidCocycle."""
     orders_of_h2 = cocycle_orders(X, modulus, mode)

@@ -42,6 +42,10 @@ has_zero_divisor use plain Python ints alone, neither numpy nor the
 library: schoolbook polynomial products reduced mod f, where the library
 multiplies companion matrices.
 
+delayed_fibonacci and is_latin are plain Python, with no numpy and no
+library call: the exponents f_n of Nosaka's theorem H^Q_n(R_p) = Z_p^(f_n),
+and whether every left translation of a table is a bijection.
+
 The identity-cycle oracles build each assignment's 2-chain by a plain loop
 over the word and pair it with a cocycle (evaluate_cocycle) or take its
 boundary one assignment at a time, in the full scan order; the inheritance
@@ -802,3 +806,22 @@ def has_zero_divisor(p, f):
     nonzero = [_coefficients(p, k, x) for x in range(1, p ** k)]
     return any(not any(_poly_mul(p, a, b, f))
                for i, a in enumerate(nonzero) for b in nonzero[i:])
+
+
+def delayed_fibonacci(n):
+    """f_n of f_1 = f_2 = 0, f_3 = 1, f_n = f_(n-1) + f_(n-3): for an odd
+    prime p and n >= 2, H^Q_n(R_p) = Z_p^(f_n), conjectured by Niebrzydowski
+    & Przytycki (JPAA 213 (2009)) and proved by Nosaka (Trans. AMS 365
+    (2013))."""
+    f = [0, 0, 1]
+    while len(f) < n:
+        f.append(f[-1] + f[-3])
+    return f[n - 1]
+
+
+def is_latin(rows):
+    """Whether every row x of the table, y -> x*y, is a bijection: with the
+    columns of a rack, the table is then a Latin square, and the torsion of
+    a finite Latin quandle's homology is annihilated by its order
+    (Przytycki & Yang, JPAA 219 (2015))."""
+    return all(len(set(row)) == len(row) for row in rows)

@@ -2,6 +2,7 @@ import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from oracles import (affine_poly_table, has_zero_divisor, loop_canonical_form,
@@ -115,6 +116,16 @@ def test_element_index_outside_the_ring_raises():
         assert str(err.value) == f"index {unit} outside 0..3"
     assert alexander_poly(2, (1, 1, 1), [0, 3]) == \
         alexander_poly(2, (1, 1, 1), 2)
+
+
+def test_element_index_may_be_a_numpy_integer():
+    """Any integral index names an element: np.int64(2) builds the table
+    that 2 builds, and np.int64(6) is refused as 6 is."""
+    assert alexander_poly(2, (1, 1, 1), np.int64(2)) == \
+        alexander_poly(2, (1, 1, 1), 2)
+    with pytest.raises(ValueError) as err:
+        alexander_poly(2, (1, 1, 1), np.int64(6))
+    assert str(err.value) == "index 6 outside 0..3"
 
 
 def test_repetition_polynomial():

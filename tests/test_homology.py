@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (full_boundary_homology, kernel_basis,
-                     lattice_cocycle_space, lattice_from_rows,
+from oracles import (delayed_fibonacci, full_boundary_homology, is_latin,
+                     kernel_basis, lattice_cocycle_space, lattice_from_rows,
                      loop_boundary, loop_boundary_matrix,
                      loop_identity_generators, mat_mul,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
@@ -22,8 +22,8 @@ from quandlehom.chains import (FormalChain, block_boundary, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (ChainComplex, CocycleTable, HomologyGroup,
                                  _complexes, _in_basis, _invariant_factors,
-                                 _spanning_columns, boundary_matrix,
-                                 chain_complex, coboundary,
+                                 _spanning_columns, _spanning_set,
+                                 boundary_matrix, chain_complex, coboundary,
                                  cocycle_condition_holds, cocycle_orders,
                                  cocycle_space, evaluate_cocycle, homology)
 from quandlehom.identities import (Assignment, parse_word, satisfies_all,
@@ -406,12 +406,14 @@ def _lemma_cases():
 
 
 def test_spanning_columns_generate_the_image():
-    """The lemma in homology's docstring: every column of d_k that the
-    spanning set leaves out lies in the integer span of the columns it
-    keeps, and the kept columns are those of boundary_matrix at their
-    positions in the whole basis; on every rack and quandle case of
-    _lemma_cases."""
+    """The lemma in homology's docstring for the S of _spanning_set: every
+    column of d_k that the spanning set leaves out lies in the integer span
+    of the columns it keeps, and the kept columns are those of
+    boundary_matrix at their positions in the whole basis; on every rack
+    and quandle case of _lemma_cases.  A covering S of two or more elements
+    keeps exactly the tuples ending in S, and both rules occur."""
     kept = left_out = 0
+    routes = set()
     for X, flavour, degree in _lemma_cases():
         if flavour == "degenerate":
             continue
@@ -419,7 +421,12 @@ def test_spanning_columns_generate_the_image():
         n = X.order
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, flavour)
-        keep = set(np.flatnonzero(_spanning_columns(X, tups)[basis]).tolist())
+        chosen = _spanning_columns(X, tups)
+        S = _spanning_set(X)
+        routes.add(len(S) > 1)
+        if len(S) > 1:
+            assert (chosen == np.isin(tups[:, -1], S)).all(), (X.rows, S)
+        keep = set(np.flatnonzero(chosen[basis]).tolist())
         rows, dim = chain_complex(X, flavour, None).boundary(degree, True)
         assert dim == len(full.col_basis)
         assert rows == [{j: c for j, c in row.items() if j in keep}
@@ -436,7 +443,81 @@ def test_spanning_columns_generate_the_image():
                 assert image.contains(columns[j]), (X.rows, flavour, degree, j)
         kept += len(keep)
         left_out += dim - len(keep)
-    assert left_out > kept
+    assert left_out > kept and routes == {True, False}
+
+
+def _spanning_cases():
+    """(table, flavour, degree) for every rack of order <= 3, the connected
+    quandles of order 1..6 and the corpus, each at natural labels and under
+    one relabelling, in the rack and, on a quandle, the quandle flavour, at
+    degrees 2..5 while the whole d_k has at most 5^5 columns."""
+    rng = random.Random(29)
+    tables = _all_racks(3) + [X for n in range(1, 7)
+                              for X in enumerate_connected(n)]
+    tables += [X for _name, X in corpus()]
+    for X in tables:
+        perm = list(range(X.order))
+        rng.shuffle(perm)
+        for Y in (X, relabelled(X, perm)):
+            for flavour in ("rack", "quandle") if Y.is_quandle else ("rack",):
+                for degree in range(2, 6):
+                    if Y.order ** degree <= 5 ** 5:
+                        yield Y, flavour, degree
+
+
+def test_smith_form_on_the_spanning_columns_is_that_on_all_columns():
+    """The lemma in homology's docstring for the S of _spanning_set: d_k on
+    its spanning columns has the Smith form of d_k on every column, on all
+    of _spanning_cases.  Both rules occur: S = {x0} with cycle columns on
+    R3, and a covering S of two elements, with no cycle column, on R5 and
+    Z5_2; a covering S that drops an element, no longer covering, falls
+    short of the rank."""
+    routes = collections.Counter()
+    for X, flavour, degree in _spanning_cases():
+        full, dim = chain_complex(X, flavour).boundary(degree)
+        kept, _ = chain_complex(X, flavour).boundary(degree, True)
+        assert smith_normal_form(kept, dim).invariant_factors == \
+            smith_normal_form(full, dim).invariant_factors, \
+            (X.rows, flavour, degree)
+        routes[len(_spanning_set(X)) > 1] += 1
+    assert routes[True] > 100 and routes[False] > 100
+    assert _spanning_set(dihedral(3)) == (0,)
+    assert _spanning_set(dihedral(5)) == _spanning_set(alexander_zn(5, 2)) \
+        == (0, 1)
+    X = dihedral(5)
+    tups = digits(np.arange(5 ** 4), 5, 4)
+    basis = _in_basis(tups, "quandle")
+    full, dim = chain_complex(X, "quandle").boundary(4)
+    short = set(np.flatnonzero((tups[:, -1] == 0)[basis]).tolist())
+    rank = smith_normal_form([{j: c for j, c in row.items() if j in short}
+                              for row in full], dim).rank
+    assert rank < smith_normal_form(full, dim).rank
+
+
+def test_torsion_at_depth_is_fixed_by_two_theorems():
+    """Nosaka's theorem (Trans. AMS 365 (2013)), conjectured by
+    Niebrzydowski & Przytycki (JPAA 213 (2009)): for an odd prime p and
+    n >= 2, H^Q_n(R_p) = Z_p^(f_n), f the delayed Fibonacci numbers; R3 at
+    n = 2..10, R5 at 2..6 and R7 at 2..5, all at the default guard.  And
+    the torsion of a finite Latin quandle is annihilated by its order
+    (Przytycki & Yang, JPAA 219 (2015)): every invariant factor of the
+    rack and quandle H_2 and H_3 of each Latin corpus or ladder table
+    divides |X|."""
+    for p, top in ((3, 10), (5, 6), (7, 5)):
+        for n in range(2, top + 1):
+            assert homology(dihedral(p), "quandle", n) == \
+                HomologyGroup(0, (p,) * delayed_fibonacci(n)), (p, n)
+    tables = [X for _name, X in corpus()] + [
+        dihedral(5), dihedral(7), alexander_zn(7, 3),
+        alexander_poly(3, (1, 0, 1), (0, 1))]
+    latin = [X for X in tables if is_latin(X.rows)]
+    assert len(latin) == len(tables) - 2           # trivial(2), trivial(3)
+    for X in latin:
+        for flavour in ("rack", "quandle"):
+            for degree in (2, 3):
+                torsion = homology(X, flavour, degree).torsion
+                assert all(X.order % t == 0 for t in torsion), \
+                    (X.rows, flavour, degree, torsion)
 
 
 def test_homology_on_reduced_boundaries_equals_the_full_route():
@@ -1049,8 +1130,9 @@ def test_identity_boundary_is_built_once_and_a_violation_raises_each_call():
 def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
     """boundary_matrix's rows are copies of the builder's full rows, and the
     builder's spanning rows are the full rows on the spanning columns, at
-    their whole-basis positions: every tuple flavour at degrees 1..4 on R3,
-    Z5_2 and the permutation rack, where the quandle and degenerate
+    their whole-basis positions: every tuple flavour at degrees 1..4 on R3
+    (S = {x0} with cycle columns), Z5_2 (S = {0, 1}, which covers) and the
+    permutation rack, where the quandle and degenerate
     flavours raise IdempotencyFails every way, and the identity flavour on
     (R3, aa) and (Z5_2, aaaa) at degrees 2..3, which spans every column."""
     rack = make_table(PERMUTATION_RACK, require="rack")

@@ -408,8 +408,7 @@ def generating_set(X: QuandleTable) -> list[int]:
             members = np.flatnonzero(inside)
             hit = np.concatenate([T[np.ix_(new, members)].ravel(),
                                   T[np.ix_(members, new)].ravel()])
-            new = np.flatnonzero((np.bincount(hit, minlength=X.order) > 0)
-                                 & ~inside)
+            new = np.unique(hit[~inside[hit]])
             inside[new] = True
     return points
 

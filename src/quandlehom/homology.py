@@ -9,8 +9,7 @@ One ChainComplex per (table, flavour, word) builds every boundary as sparse
 rows and a column count, and eliminates each once, on the rows that the unit
 pivots one degree down leave; homology reads a quandle's rack and degenerate
 groups off its quandle groups and, as cocycles do, takes each tuple boundary
-on the columns at tuples ending in a set S, plus one per H_S-orbit holding
-none (both lemmas in homology's docstring).
+on the tuples ending in a generating set (both lemmas in homology's docstring).
 boundary_matrix keeps every column and alone forms bases.  A 2-cocycle space
 is Hom(coker d_3, Z_d): cocycle_orders reads its orders off H_2 of the same
 complex, and cocycle_space its generators off the row transform that the
@@ -34,8 +33,7 @@ from .chains import (
     row_count,
     subcomplex_generators,
 )
-from .core import (QuandleTable, cycle_labels, cycle_lengths, digits,
-                   generating_set, orbit_minima)
+from .core import QuandleTable, digits, generating_set, orbit_minima
 from .errors import (
     DegreeMismatch,
     IdempotencyFails,
@@ -64,41 +62,13 @@ def _tuple_basis(order: int, degree: int, complex: str) -> tuple:
     return tuple(map(tuple, tups[_in_basis(tups, complex)].tolist()))
 
 
-@lru_cache(maxsize=512)
-def _spanning_set(X: QuandleTable) -> tuple[int, ...]:
-    """The S of the lemma in homology's docstring: generating_set(X), or
-    {x0}, x0 the least x whose R_x has the fewest cycles.  A generating S
-    covers X: R_b for b in the H_S-orbit of s in S is R_s conjugated in H_S,
-    so the union of those orbits is closed under * and holds S.  Of n
-    columns {x0} keeps about 1 + (n - c)/m, m the order of R_x0 and c the
-    length of x0's cycle, and S keeps |S|; the fewer wins.  At equal counts
-    S ran faster on most connected quandles timed from order 5 on, slower
-    at orders 3 and 4, so it wins a tie when 2|S| < n."""
-    n, T = X.order, X.np_table
-    cycles = (cycle_labels(T.T) == np.arange(n * n).reshape(n, n)).sum(axis=1)
-    x0 = int(np.argmin(cycles))
-    lengths = cycle_lengths(T[None, :, x0])[0]
-    S, m = generating_set(X), int(np.lcm.reduce(lengths))
-    single = m + n - int(lengths[x0])
-    return tuple(S) if len(S) * m < single or (
-        len(S) * m == single and 2 * len(S) < n) else (x0,)
-
-
 def _spanning_columns(X: QuandleTable, tups: np.ndarray) -> np.ndarray:
     """Which k-tuples, one per row of all n^k in lexicographic order, make
-    the spanning column set of the lemma in homology's docstring for the S
-    of _spanning_set: those ending in S, and when S = {s}, the least tuple
-    of every cycle of c -> c.R_s that holds no tuple ending in s (none when
-    {s} generates X)."""
-    S = _spanning_set(X)
-    ends = np.isin(tups[:, -1], S)
-    if len(S) == 1:
-        weight = X.order ** np.arange(tups.shape[1] - 1, -1, -1)
-        label = cycle_labels((X.np_table[tups, S[0]] @ weight)[None])[0]
-        covered = np.zeros(len(tups), dtype=bool)
-        covered[label[ends]] = True
-        ends |= (label == np.arange(len(tups))) & ~covered
-    return ends
+    the spanning column set of the lemma in homology's docstring: those
+    ending in S = generating_set(X).  A generating S covers X: R_b for b in
+    the H_S-orbit of s in S is R_s conjugated in H_S, so the union of those
+    orbits is closed under * and holds S, hence is X."""
+    return np.isin(tups[:, -1], generating_set(X))
 
 
 @dataclass(frozen=True)
@@ -340,7 +310,7 @@ def homology(X: QuandleTable, complex: str, degree: int,
     0 needs none); by those alone when the H_S-orbits of S cover X.  This
     holds in the rack complex, and in the quandle complex, where a
     degenerate tuple is zero, as c.R_s and (c, s) are non-degenerate with c
-    when c does not end in s.  _spanning_set picks S per table.
+    when c does not end in s.  S is generating_set(X), which covers X.
     The image lattice, hence the rank and the invariant factors, is
     unchanged on any rows, and a +-1 pivot among the kept columns is a unit
     pivot of the whole matrix; columns keep their whole-basis positions, so
@@ -499,10 +469,9 @@ def cocycle_space(X: QuandleTable, modulus: int,
     through the elimination of d_3: the orders are the nontrivial gcd(f, d)
     over the invariant factors f of what its unit pivots leave, in chain
     order, then d for every rank d_3 lacks.  Columns that generate im d_3 give
-    the same phi, so d_3 is formed on the spanning columns of the lemma in
-    homology's docstring only, at triples ending in S and one per H_S-orbit
-    holding none: the invariant factors and the rank, and so the orders,
-    are those of the whole d_3, while the generators may differ.
+    the same phi, so d_3 is formed on the triples ending in a generating set
+    S only (the lemma in homology's docstring): its invariant factors, rank
+    and so orders are those of the whole d_3, while the generators may differ.
     A generator that fails the cocycle condition, or orders other than
     cocycle_orders gives, raise InvalidCocycle."""
     orders_of_h2 = cocycle_orders(X, modulus, mode)

@@ -25,7 +25,7 @@ print("R_0 =", translate(dih3, 0).cycle_string())
 print("0 * [1,1] =", product(dih3, 0, [1, 1]), "(an involution: type 2)")
 
 # ---------------------------------------------------------------------------
-# validation in report mode vs strict mode
+# validation: the report records the first axiom violation
 broken = [[0, 0, 1], [2, 1, 0], [1, 0, 2]]
 rep = validate(broken)
 print("\nbroken table is_rack:", rep.is_rack, "| violation:", rep.violation)

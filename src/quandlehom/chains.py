@@ -243,9 +243,7 @@ def identity_cycle(X: QuandleTable, w: Word, assignment: Assignment,
     x, ys = assignment.x, assignment.ys
     if len(ys) != w.letters:
         raise ValueError(f"assignment needs {w.letters} letter values")
-    if not all(0 <= v < X.order for v in (x, *ys)):
-        raise IndexOutOfRange(f"assignment values outside 0..{X.order - 1}")
-    pos = tuple_index(ys, X.order) * X.order + x
+    pos = tuple_index((*ys, x), X.order)
     prefixes = next(prefix_products(X, w, pos, pos + 1))[1][:, 0].tolist()
     out: dict = {}
     for i, t in enumerate(w.tau):
@@ -410,8 +408,12 @@ class GeneratorSet:
 
 
 def tuple_index(tup: Sequence[int], order: int) -> int:
+    """The flat index of a tuple, most significant entry first; an entry
+    outside 0..order-1, which would alias another tuple, raises."""
     idx = 0
     for v in tup:
+        if not 0 <= v < order:
+            raise IndexOutOfRange(f"tuple entry {v} outside 0..{order - 1}")
         idx = idx * order + v
     return idx
 

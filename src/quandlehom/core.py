@@ -257,23 +257,18 @@ class InvariantReport:
         }
 
 
-def validate(rows, mode: str = "rack",
-             strict: bool = False) -> InvariantReport:
+def validate(rows, mode: str = "rack") -> InvariantReport:
     """Check axioms and, when the table is a rack, compute its invariants.
 
-    In strict mode the first violation raises the named error carrying a
-    witness; otherwise the report records it.
+    The report records the first violation with its witness;
+    make_table(rows, require=mode) raises it instead.
     """
     if mode not in ("rack", "quandle"):
         raise ValueError("mode must be 'rack' or 'quandle'")
     rows = tuple(tuple(int(v) for v in row) for row in rows)
     err = _first_axiom_violation(rows, quandle=(mode == "quandle"))
     if err is not None and not isinstance(err, IdempotencyFails):
-        if strict:
-            raise err
         return InvariantReport(is_rack=False, is_quandle=False, violation=err)
-    if err is not None and strict:
-        raise err
     X = QuandleTable(rows, _validated=True)
     rep = invariants(X)
     if err is not None:

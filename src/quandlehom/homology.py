@@ -32,6 +32,7 @@ from .chains import (
     block_boundary,
     row_count,
     subcomplex_generators,
+    tuple_index,
 )
 from .core import QuandleTable, digits, generating_set, orbit_minima
 from .errors import (
@@ -64,10 +65,10 @@ def _tuple_basis(order: int, degree: int, complex: str) -> tuple:
 
 def _spanning_columns(X: QuandleTable, tups: np.ndarray) -> np.ndarray:
     """Which k-tuples, one per row of all n^k in lexicographic order, make
-    the spanning column set of the lemma in homology's docstring: those
-    ending in S = generating_set(X).  A generating S covers X: R_b for b in
-    the H_S-orbit of s in S is R_s conjugated in H_S, so the union of those
-    orbits is closed under * and holds S, hence is X."""
+    the spanning column set of the lemma in homology's docstring, in every
+    tuple flavour: those ending in S = generating_set(X).  A generating S
+    covers X: R_b for b in the H_S-orbit of s in S is R_s conjugated in H_S,
+    so the union of those orbits is closed under * and holds S, hence X."""
     return np.isin(tups[:, -1], generating_set(X))
 
 
@@ -124,9 +125,8 @@ class ChainComplex:
                  size_guard: int = DEFAULT_SIZE_GUARD
                  ) -> tuple[Sequence[dict[int, int]], int]:
         """The sparse rows of d_degree and its column count; identity rows
-        are the span's own, so read-only.  Spanning, rack and quandle form
-        only the columns of _spanning_columns, at their positions in the
-        whole basis, where the lemma in homology's docstring holds."""
+        are the span's own, so read-only.  Spanning, tuple flavours form only
+        the columns of _spanning_columns, at their whole-basis positions."""
         X, complex, n = self.X, self.complex, self.X.order
         if degree < 1:
             raise ValueError("degree must be >= 1")
@@ -143,7 +143,6 @@ class ChainComplex:
             f"ChainComplex raises it")
         tups = digits(np.arange(n ** degree), n, degree)
         basis = _in_basis(tups, complex)
-        spanning = spanning and complex != "degenerate"
         take = basis & _spanning_columns(X, tups) if spanning else basis
         columns = np.flatnonzero(take)
         position = (np.cumsum(basis) - 1)[take]
@@ -308,9 +307,11 @@ def homology(X: QuandleTable, complex: str, degree: int,
     d_k agree modulo the columns at tuples ending in S, and im d_k is
     spanned by those columns plus one column per orbit holding none (d_1 =
     0 needs none); by those alone when the H_S-orbits of S cover X.  This
-    holds in the rack complex, and in the quandle complex, where a
-    degenerate tuple is zero, as c.R_s and (c, s) are non-degenerate with c
-    when c does not end in s.  S is generating_set(X), which covers X.
+    holds in the rack complex; in the quandle complex, where a degenerate
+    tuple is zero, as c.R_s and (c, s) are non-degenerate with c when c does
+    not end in s; and in the degenerate subcomplex, as c.R_s, (c, s) and
+    (d_k c, s) are degenerate with c (chain_complex's theorem).  S is
+    generating_set(X), which covers X.
     The image lattice, hence the rank and the invariant factors, is
     unchanged on any rows, and a +-1 pivot among the kept columns is a unit
     pivot of the whole matrix; columns keep their whole-basis positions, so
@@ -391,10 +392,12 @@ def cocycle_condition_holds(X: QuandleTable, phi: CocycleTable,
 
 
 def evaluate_cocycle(phi: CocycleTable, chain: FormalChain) -> int:
-    """Pairing of a 2-cochain with a degree-2 chain, reduced by the modulus."""
+    """Pairing of a 2-cochain with a degree-2 chain, reduced by the modulus;
+    an entry outside 0..phi.order-1 raises IndexOutOfRange."""
     if chain.degree != 2:
         raise DegreeMismatch("cocycles pair with degree-2 chains")
-    total = sum(c * phi.values[x][y] for (x, y), c in chain.terms.items())
+    values, n = sum(phi.values, ()), phi.order
+    total = sum(c * values[tuple_index(t, n)] for t, c in chain.terms.items())
     return total % phi.modulus if phi.modulus else total
 
 

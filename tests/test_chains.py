@@ -13,7 +13,7 @@ from quandlehom.chains import (FormalChain, boundary, face, format_chain,
 from quandlehom.core import digits, make_table, product
 from quandlehom.constructions import (alexander_zn, conjugation, dihedral,
                                       trivial)
-from quandlehom.homology import homology
+from quandlehom.homology import CocycleTable, evaluate_cocycle, homology
 from quandlehom.linalg import IntLattice
 from quandlehom.shell import corpus
 from quandlehom.identities import Assignment, parse_word
@@ -106,6 +106,24 @@ def test_identity_cycle_rejects_values_out_of_range(dih3, x, ys):
     """A value outside 0..n-1 is an error, not a wrapped-around index."""
     with pytest.raises(IndexOutOfRange):
         identity_cycle(dih3, parse_word("aa"), Assignment(x, ys))
+
+
+def test_chain_entries_out_of_range_raise_rather_than_alias(dih3):
+    """On dihedral(3) (0, 3) has the flat index of (1, 0) and (0, -1) that
+    of (-1,): the boundary, span membership and cocycle pairing of a chain
+    with such an entry raise IndexOutOfRange, and answer in range."""
+    gens = subcomplex_generators(dih3, 2, parse_word("aa"))
+    phi = CocycleTable(0, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    for call in (lambda: boundary(dih3, FormalChain.of((0, 3))),
+                 lambda: boundary(dih3, FormalChain.of((0, -1))),
+                 lambda: in_span(FormalChain.of((0, 3)), gens),
+                 lambda: evaluate_cocycle(phi, FormalChain.of((-1, 0)))):
+        with pytest.raises(IndexOutOfRange):
+            call()
+    assert boundary(dih3, FormalChain.of((1, 0))) == \
+        FormalChain(1, {(1,): 1, (2,): -1})
+    assert in_span(FormalChain.of((1, 1), 2), gens)
+    assert evaluate_cocycle(phi, FormalChain.of((2, 0), 2)) == 12
 
 
 def test_identity_cycle_strict_and_permissive(dih3):

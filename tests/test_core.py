@@ -45,14 +45,18 @@ def test_validate_broken_column():
     assert not rep.is_rack
     assert isinstance(rep.violation, ColumnNotBijective)
     assert rep.violation.y == 1
-    with pytest.raises(ColumnNotBijective):
-        validate(broken, strict=True)
+    with pytest.raises(ColumnNotBijective) as exc:
+        make_table(broken)
+    assert exc.value.y == 1
 
 
 def test_validate_out_of_range():
+    rep = validate([[0, 3], [1, 1]])
+    assert not rep.is_rack
     with pytest.raises(OutOfRangeEntry) as exc:
-        validate([[0, 3], [1, 1]], strict=True)
-    assert (exc.value.x, exc.value.y, exc.value.value) == (0, 1, 3)
+        make_table([[0, 3], [1, 1]])
+    for err in (rep.violation, exc.value):
+        assert (err.x, err.y, err.value) == (0, 1, 3)
 
 
 def test_validate_distributivity_witness():
@@ -74,8 +78,9 @@ def test_validate_idempotency_rack_mode():
     rep = validate(rows, mode="quandle")
     assert rep.is_rack and not rep.is_quandle
     assert isinstance(rep.violation, IdempotencyFails)
-    with pytest.raises(IdempotencyFails):
-        validate(rows, mode="quandle", strict=True)
+    with pytest.raises(IdempotencyFails) as exc:
+        make_table(rows, require="quandle")
+    assert exc.value.x == rep.violation.x == 0
     rep = validate(rows, mode="rack")
     assert rep.is_rack and rep.violation is None
 

@@ -18,10 +18,12 @@ from oracles import (delayed_fibonacci, full_boundary_homology, is_latin,
                      loop_boundary, loop_boundary_matrix,
                      loop_identity_generators, mat_mul,
                      rank_fraction_free, relabelled, sparse, sparse_rows)
-from quandlehom.chains import (FormalChain, block_boundary, identity_cycle,
+from quandlehom.chains import (DEFAULT_SIZE_GUARD, FormalChain,
+                               block_boundary, identity_cycle,
                                subcomplex_generators)
 from quandlehom.homology import (ChainComplex, CocycleTable, HomologyGroup,
-                                 _complexes, _in_basis, _invariant_factors,
+                                 _complexes, _group, _in_basis,
+                                 _invariant_factors,
                                  _spanning_columns, boundary_matrix,
                                  chain_complex, coboundary,
                                  cocycle_condition_holds, cocycle_orders,
@@ -410,12 +412,10 @@ def test_spanning_columns_generate_the_image():
     spanning set, the tuples ending in S = generating_set(X), leaves out
     lies in the integer span of the columns it keeps, and the kept columns
     are those of boundary_matrix at their positions in the whole basis; on
-    every rack and quandle case of _lemma_cases.  An S that is not
+    every case of _lemma_cases, degenerate ones too.  An S that is not
     covering, R5's {0}, falls short of the rank of the quandle d_4."""
     kept = left_out = 0
     for X, flavour, degree in _lemma_cases():
-        if flavour == "degenerate":
-            continue
         full = boundary_matrix(X, flavour, degree)
         n = X.order
         tups = digits(np.arange(n ** degree), n, degree)
@@ -478,7 +478,8 @@ def test_homology_on_reduced_boundaries_equals_the_full_route():
     d_k on the rows that the unit pivots of d_(k-1) leave, and reading the
     rack and degenerate groups of a quandle off its quandle groups change
     no group: on every case of _lemma_cases at degrees 1..3, and 1..4 up to
-    order 4, and on two identity spans at degrees 1..3.
+    order 4, and on two identity spans at degrees 1..3.  The degenerate
+    complex eliminated on its own spanning columns gives the same groups.
     Degenerate homology on a rack that is not a quandle raises at the least
     x with x*x != x."""
     cases = [(X, flavour, degree) for X, flavour, degree in _lemma_cases()
@@ -491,6 +492,9 @@ def test_homology_on_reduced_boundaries_equals_the_full_route():
         got = homology(X, flavour, degree, word=word)
         assert got == full_boundary_homology(X, flavour, degree, word), \
             (X.rows, flavour, degree)
+        if flavour == "degenerate":
+            assert _group(chain_complex(X, flavour), degree,
+                          DEFAULT_SIZE_GUARD) == got, (X.rows, degree)
         assert got.free_rank >= 0
         if not X.is_quandle:
             with pytest.raises(IdempotencyFails) as exc:
@@ -667,7 +671,9 @@ def test_homology_regression_pins(dih3, gf4, az52, az53):
 def test_rack_and_degenerate_pins_that_need_the_tor_term(gf4):
     """Direct elimination of the rack and degenerate tuple complexes gave
     these groups; without the Tor sum S4 degenerate H_6 would read
-    Z + Z_2^19 + Z_4^5."""
+    Z + Z_2^19 + Z_4^5.  The degenerate complex itself, eliminated on its
+    covering-set columns, gives S4 H_6 and R3 H_8 = Z + Z_3^19 as homology
+    reads them off the quandle groups."""
     def group(X, flavour, degree):
         h = homology(X, flavour, degree)
         return h.free_rank, dict(collections.Counter(h.torsion))
@@ -676,6 +682,10 @@ def test_rack_and_degenerate_pins_that_need_the_tor_term(gf4):
     assert group(gf4, "degenerate", 6) == (1, {2: 20, 4: 5})
     assert group(dihedral(5), "rack", 5) == (1, {5: 4})
     assert group(dihedral(5), "degenerate", 5) == (1, {5: 3})
+    assert group(dihedral(3), "degenerate", 8) == (1, {3: 19})
+    for X, degree in ((gf4, 6), (dihedral(3), 8)):
+        assert _group(chain_complex(X, "degenerate"), degree,
+                      DEFAULT_SIZE_GUARD) == homology(X, "degenerate", degree)
 
 
 def test_rack_and_degenerate_groups_of_a_quandle_eliminate_no_own_complex(
@@ -1082,10 +1092,10 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
     """boundary_matrix's rows are copies of the builder's full rows, and the
     builder's spanning rows are the full rows on the spanning columns, at
     their whole-basis positions: every tuple flavour at degrees 1..4 on R3
-    (S = {x0} with cycle columns), Z5_2 (S = {0, 1}, which covers) and the
-    permutation rack, where the quandle and degenerate
-    flavours raise IdempotencyFails every way, and the identity flavour on
-    (R3, aa) and (Z5_2, aaaa) at degrees 2..3, which spans every column."""
+    and Z5_2 (S = {0, 1} on both) and the permutation rack, where the
+    quandle and degenerate flavours raise IdempotencyFails every way, and
+    the identity flavour on (R3, aa) and (Z5_2, aaaa) at degrees 2..3,
+    which spans every column."""
     rack = make_table(PERMUTATION_RACK, require="rack")
     cases = [(X, flavour, degree, None)
              for X in (dihedral(3), alexander_zn(5, 2), rack)
@@ -1113,7 +1123,7 @@ def test_builder_rows_are_boundary_matrix_rows_and_spanning_restricts_them():
         assert len(rows) == len(bm.row_basis)
         assert not any(a is b for a, b in zip(bm.sparse_rows, rows))
         keep = set(range(dim))
-        if flavour in ("rack", "quandle"):
+        if flavour != "identity":
             n = X.order
             tups = digits(np.arange(n ** degree), n, degree)
             keep = set(np.flatnonzero(
